@@ -22,16 +22,17 @@ from .gibbs import (CounterexampleReport, DobrushinReport, FiniteToOneReport,
                     GibbsRatioReport, LanfordRuelleReport, RatioBattery,
                     SunnySideUpMeasure, cocycle_delta, gibbs_ratio_test,
                     run_ratio_battery, sunny_side_up_counterexample,
-                    sunny_side_up_presentation, verify_finite_to_one_preservation,
+                    sunny_side_up_presentation, synchronized_battery,
+                    verify_finite_to_one_preservation,
                     verify_sofic_dobrushin, verify_sofic_lanford_ruelle)
 from .measures import (EmpiricalMeasure, EntropyEstimate, HiddenMarkovMeasure,
-                       LiftResult, RestrictAverageResult, cylinder_prob,
-                       empirical_measure, entropy_estimate, lift_empirical,
+                       LiftResult, RestrictAverageResult, empirical_measure,
+                       entropy_estimate, equilibrium_upstairs, lift_empirical,
                        lift_equilibrium, preimage_cylinder_sum, pushforward,
                        restrict_and_average, sofic_pressure)
 from .presentations import (LabeledEdge, SoficPresentation, determinize,
                             identity_presentation, image_presentation,
-                            is_irreducible_sofic, membership, minimize_fischer)
+                            is_irreducible_sofic, minimize_fischer)
 from .shifts import (Alphabet, CyclicStructure, Edge, EdgeShift, Word,
                      component_periods, cyclic_class_shift, cyclic_structure,
                      format_word, higher_power_shift,

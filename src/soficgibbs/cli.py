@@ -14,19 +14,17 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .codes import analyze_code, recode_to_one_block
+from .codes import analyze_code, pullback_potential, recode_to_one_block
 from .errors import SoficGibbsError, SpecFileError
-from .gibbs import (run_ratio_battery, sunny_side_up_counterexample,
+from .gibbs import (sunny_side_up_counterexample, synchronized_battery,
                     verify_finite_to_one_preservation, verify_sofic_dobrushin,
                     verify_sofic_lanford_ruelle)
-from .measures import HiddenMarkovMeasure, sofic_pressure
+from .measures import HiddenMarkovMeasure, equilibrium_upstairs, sofic_pressure
 from .presentations import image_presentation, minimize_fischer
 from .shifts import component_periods, cyclic_structure, format_word
 from .specfile import (LoadedSystem, build_code, build_potential, build_system,
                        parse_spec)
-from .thermo import (LocallyConstantPotential, entropy, equilibrium_measure,
-                     pressure, reduce_to_edge_potential)
-from .codes import compose_one_block, pullback_potential
+from .thermo import LocallyConstantPotential, entropy, pressure
 
 
 def _fmt(value, machine: bool) -> str:
@@ -44,37 +42,23 @@ def _emit(lines, passed, machine):
     return 0 if passed else 1
 
 
-def _load_system(path) -> LoadedSystem:
+def _read_spec(path):
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
         raise SpecFileError(f"cannot read {path}: {exc}")
-    return build_system(parse_spec(text))
+    return parse_spec(text)
+
+
+def _load_system(path) -> LoadedSystem:
+    return build_system(_read_spec(path))
 
 
 def _load_potential(arg, presentation):
     if arg is None or arg == "zero":
         return LocallyConstantPotential.zero(presentation)
-    try:
-        with open(arg, encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise SpecFileError(f"cannot read {arg}: {exc}")
-    return build_potential(parse_spec(text), presentation)
-
-
-def _upstairs(system, potential):
-    """Equilibrium measure for the pulled-back potential, together with the
-    one-block code pushing it onto the presented shift."""
-    lifted = pullback_potential(system.labeling, potential)
-    if lifted.k > 1:
-        shift, edge_potential, decode = reduce_to_edge_potential(lifted)
-        push_code = compose_one_block(system.labeling, decode)
-    else:
-        shift, edge_potential, push_code = system.edge_shift, lifted, system.labeling
-    mu = equilibrium_measure(shift, edge_potential)
-    return mu, edge_potential, push_code
+    return build_potential(_read_spec(arg), presentation)
 
 
 def cmd_analyze(args):
@@ -131,7 +115,7 @@ def cmd_pressure(args):
 def cmd_eqmeasure(args):
     system = _load_system(args.file)
     potential = _load_potential(args.potential, system.presentation)
-    mu, edge_potential, _ = _upstairs(system, potential)
+    mu, edge_potential, _ = equilibrium_upstairs(system.labeling, potential)
     lines = [("shift_vertices", len(mu.shift.vertices)),
              ("shift_edges", len(mu.shift.edges)),
              ("entropy", entropy(mu)),
@@ -149,7 +133,7 @@ def cmd_eqmeasure(args):
 def cmd_pushforward(args):
     system = _load_system(args.file)
     potential = _load_potential(args.potential, system.presentation)
-    mu, _, push_code = _upstairs(system, potential)
+    mu, _, push_code = equilibrium_upstairs(system.labeling, potential)
     nu = HiddenMarkovMeasure(mu, push_code)
     lines = [("image_symbols", " ".join(nu.symbols))]
     for n in range(1, args.depth + 1):
@@ -161,14 +145,10 @@ def cmd_pushforward(args):
 def cmd_gibbs_check(args):
     system = _load_system(args.file)
     potential = _load_potential(args.potential, system.presentation)
-    mu, _, push_code = _upstairs(system, potential)
-    nu = HiddenMarkovMeasure(mu, push_code)
-    analysis = analyze_code(push_code)
-    sync = analysis.magic_word.word if analysis.magic_word else None
-    start = max(potential.k - 1, 1, len(sync) if sync else 1)
-    battery = run_ratio_battery(nu, potential,
-                                list(range(start, args.cmax + 1)), args.tol,
-                                synchronizing_word=sync)
+    mu, _, push_code = equilibrium_upstairs(system.labeling, potential)
+    battery = synchronized_battery(HiddenMarkovMeasure(mu, push_code),
+                                   potential, analyze_code(push_code),
+                                   args.tol, args.cmax)
     lines = [("pairs_tested", len(battery.reports)),
              ("pairs_skipped", len(battery.skipped_pairs)),
              ("max_final_deviation", battery.max_final_deviation)]
@@ -193,7 +173,8 @@ def cmd_verify(args):
         return lines, report.passed
     if args.file is None:
         raise SpecFileError(f"verify {what} requires a shift file")
-    system = _load_system(args.file)
+    spec = _read_spec(args.file)
+    system = build_system(spec)
     if what == "lanford-ruelle":
         potential = _load_potential(args.potential, system.presentation)
         report = verify_sofic_lanford_ruelle(system.presentation, potential,
@@ -222,8 +203,6 @@ def cmd_verify(args):
         ]
         return lines, report.passed
     if what == "finite-to-one":
-        with open(args.file, encoding="utf-8") as fh:
-            spec = parse_spec(fh.read())
         code = build_code(spec, system)
         _, one_block = recode_to_one_block(code)
         image = image_presentation(one_block.domain, one_block)

@@ -147,13 +147,6 @@ def compose_one_block(outer: SlidingBlockCode,
     return SlidingBlockCode.one_block(inner.domain, symbol_map, outer.codomain)
 
 
-def read_off_code(shift: EdgeShift, labels: Mapping[str, str],
-                  codomain: Alphabet | None = None) -> SlidingBlockCode:
-    """One-block code labeling each edge, e.g. the last-symbol read-off of a
-    shift built from forbidden words."""
-    return SlidingBlockCode.one_block(shift, dict(labels), codomain)
-
-
 # -- analysis ----------------------------------------------------------------
 
 
@@ -361,15 +354,15 @@ class CodeAnalysis:
 
 
 def analyze_code(code: SlidingBlockCode) -> CodeAnalysis:
+    """One finite-to-one test and one degree search: the degree is the
+    multiplicity of the magic word."""
     rr = is_right_resolving(code)
-    fto = is_finite_to_one(code)
-    if fto:
-        d = degree(code)
+    try:
         magic = find_magic_word(code)
-    else:
-        d = None
-        magic = None
-    return CodeAnalysis(rr, fto, d, magic, fto and d == 1)
+    except NotFiniteToOneError:
+        return CodeAnalysis(rr, False, None, None, False)
+    d = magic.multiplicity if magic else None
+    return CodeAnalysis(rr, True, d, magic, d == 1)
 
 
 def pullback_potential(code: SlidingBlockCode, potential):

@@ -20,6 +20,10 @@ Contexts are collapsed into classes with equal normalized forward or backward
 state vectors, equal boundary windows, and equal synchronization status; the
 deviation is a function of the class, so the maximum over classes equals the
 maximum over all contexts (up to the 1e-13 rounding of the class key).
+
+The pipelines take the equilibrium measure upstairs and push it down.  The
+Gibbs verdicts (Lanford-Ruelle, finite-to-one) run `synchronized_battery` on
+the image; the Dobrushin verdict holds the variational pressure certificate.
 """
 
 from __future__ import annotations
@@ -31,16 +35,16 @@ from typing import Sequence
 import numpy as np
 
 from .codes import (CodeAnalysis, SlidingBlockCode, analyze_code,
-                    compose_one_block, pullback_potential)
+                    is_finite_to_one)
 from .errors import (InsufficientContextError, NoExchangeableContextError,
                      NotFiniteToOneError, NotInLanguageError,
                      ReducibleShiftError)
-from .measures import (HiddenMarkovMeasure, LiftResult, lift_equilibrium,
+from .measures import (HiddenMarkovMeasure, LiftResult, entropy_estimate,
+                       equilibrium_upstairs, lift_equilibrium,
                        preimage_cylinder_sum, pushforward)
 from .presentations import (LabeledEdge, SoficPresentation, minimize_fischer)
 from .shifts import Word
-from .thermo import (LocallyConstantPotential, MarkovMeasure,
-                     equilibrium_measure, reduce_to_edge_potential)
+from .thermo import LocallyConstantPotential, MarkovMeasure
 
 
 def cocycle_delta(potential: LocallyConstantPotential, left: Word, u: Word,
@@ -358,6 +362,26 @@ def run_ratio_battery(measure, potential, context_lengths, tol,
     return RatioBattery(tuple(reports), tuple(skipped), passed)
 
 
+def synchronized_battery(nu: HiddenMarkovMeasure,
+                         potential: LocallyConstantPotential,
+                         analysis: CodeAnalysis, tol: float, c_max: int,
+                         max_word_length: int = 3,
+                         pair_cap: int = 200) -> RatioBattery:
+    """Ratio battery on the image of a Markov measure, with contexts
+    synchronized by the magic word of the pushing code's `analysis`.
+
+    Context lengths run from the longest of k-1, 1 and the magic word up to
+    c_max; without a magic word (infinite-to-one code) all valid contexts
+    are tested.
+    """
+    sync = analysis.magic_word.word if analysis.magic_word else None
+    start = max(potential.k - 1, 1, len(sync) if sync else 1)
+    return run_ratio_battery(nu, potential, list(range(start, c_max + 1)), tol,
+                             synchronizing_word=sync,
+                             max_word_length=max_word_length,
+                             pair_cap=pair_cap)
+
+
 @dataclass(frozen=True)
 class LanfordRuelleReport:
     """Equilibrium measure of an irreducible sofic shift, certified Gibbs."""
@@ -378,13 +402,8 @@ def verify_sofic_lanford_ruelle(presentation: SoficPresentation,
     battery on the image with magic-word-synchronized contexts."""
     lift = lift_equilibrium(presentation, potential)
     analysis = analyze_code(lift.downstairs.code)
-    sync = analysis.magic_word.word if analysis.magic_word else None
-    start = max(potential.k - 1, 1, len(sync) if sync else 1)
-    lengths = list(range(start, c_max + 1))
-    battery = run_ratio_battery(lift.downstairs, potential, lengths, tol,
-                                synchronizing_word=sync,
-                                max_word_length=max_word_length,
-                                pair_cap=pair_cap)
+    battery = synchronized_battery(lift.downstairs, potential, analysis, tol,
+                                   c_max, max_word_length, pair_cap)
     passed = battery.passed and analysis.almost_invertible
     return LanfordRuelleReport(lift, analysis, battery, passed)
 
@@ -407,14 +426,17 @@ def verify_sofic_dobrushin(presentation: SoficPresentation,
                            entropy_horizon: int = 12) -> DobrushinReport:
     """Construct the Gibbs measure downstairs as the image of the equilibrium
     Gibbs-Markov measure upstairs, and certify the variational equality:
-    block entropy of the image plus the exact integral matches the pressure."""
-    lift = lift_equilibrium(presentation, potential,
-                            entropy_horizon=entropy_horizon)
-    deviation = lift.pressure_deviation
-    return DobrushinReport(lift, lift.pressure_value,
-                           lift.downstairs_entropy.h_sequence,
-                           lift.downstairs_integral, deviation,
-                           deviation < tol)
+    block entropy of the image plus the exact integral matches the pressure
+    (the entropies upstairs and downstairs agree because the cover code is
+    finite-to-one)."""
+    lift = lift_equilibrium(presentation, potential)
+    nu = lift.downstairs
+    est = entropy_estimate(nu, entropy_horizon)
+    integral = sum(nu.cylinder_prob(w) * potential.value(w)
+                   for w in presentation.words_of_length(potential.k))
+    deviation = abs(est.estimate + integral - lift.pressure_value)
+    return DobrushinReport(lift, lift.pressure_value, est.h_sequence,
+                           integral, deviation, deviation < tol)
 
 
 @dataclass(frozen=True)
@@ -437,25 +459,13 @@ def verify_finite_to_one_preservation(code: SlidingBlockCode,
     brute-force preimage sums."""
     if not code.domain.is_irreducible():
         raise ReducibleShiftError("requires an irreducible domain")
-    analysis = analyze_code(code)
-    if not analysis.finite_to_one:
+    if not is_finite_to_one(code):
         raise NotFiniteToOneError("code is not finite-to-one")
-    lifted = pullback_potential(code, potential)
-    if lifted.k > 1:
-        shift, edge_potential, decode = reduce_to_edge_potential(lifted)
-        push_code = compose_one_block(code, decode)
-    else:
-        shift, edge_potential, push_code = code.domain, lifted, code
-    mu = equilibrium_measure(shift, edge_potential)
+    mu, _, push_code = equilibrium_upstairs(code, potential)
     nu = pushforward(mu, push_code)
     push_analysis = analyze_code(push_code)
-    sync = push_analysis.magic_word.word if push_analysis.magic_word else None
-    start = max(potential.k - 1, 1, len(sync) if sync else 1)
-    lengths = list(range(start, c_max + 1))
-    battery = run_ratio_battery(nu, potential, lengths, tol,
-                                synchronizing_word=sync,
-                                max_word_length=max_word_length,
-                                pair_cap=pair_cap)
+    battery = synchronized_battery(nu, potential, push_analysis, tol, c_max,
+                                   max_word_length, pair_cap)
     cross_dev = 0.0
     for n in range(1, cross_check_length + 1):
         for w in nu.words_of_length(n):

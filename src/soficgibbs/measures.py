@@ -3,9 +3,16 @@
 A hidden Markov measure evaluates cylinders with label-restricted transfer
 operators (a forward pass of sub-transition matrices), which is exact and
 linear in the word length; brute-force preimage enumeration is kept alongside
-as an independent oracle.  The module also lifts equilibrium measures through
-minimal right-resolving covers, restricts and averages measures across
-cyclically moving classes, and handles finite-horizon empirical measures.
+as an independent oracle.
+
+`equilibrium_upstairs` is the one upstairs step of every pipeline: pull a
+potential back through a one-block code, take the equilibrium measure of the
+pulled-back potential, and return the code that pushes it onto the image.
+`lift_equilibrium` applies it to the minimal right-resolving cover; the
+variational pressure certificate on the image is computed by
+`gibbs.verify_sofic_dobrushin`, its only verdict.  The module also restricts
+and averages measures across cyclically moving classes and handles
+finite-horizon empirical measures.
 """
 
 from __future__ import annotations
@@ -23,13 +30,8 @@ from .errors import EnumerationCapError, NotInLanguageError
 from .presentations import SoficPresentation, minimize_fischer
 from .shifts import CyclicStructure, Word, cyclic_class_shift
 from .thermo import (LocallyConstantPotential, MarkovMeasure,
-                     equilibrium_measure, entropy, integrate, pressure,
+                     equilibrium_measure, entropy, pressure,
                      reduce_to_edge_potential)
-
-
-def cylinder_prob(measure, word: Word) -> float:
-    """Cylinder probability under any measure exposing the evaluator protocol."""
-    return measure.cylinder_prob(tuple(word))
 
 
 @dataclass(frozen=True)
@@ -137,10 +139,27 @@ def entropy_estimate(nu: HiddenMarkovMeasure, n_max: int) -> EntropyEstimate:
     return EntropyEstimate(tuple(hs), hs[-1])
 
 
+def equilibrium_upstairs(code: SlidingBlockCode,
+                         potential: LocallyConstantPotential):
+    """Equilibrium measure for the potential pulled back through a one-block
+    code, with the one-block code pushing it onto the image.
+
+    The pulled-back potential is recoded to read a single edge; returns the
+    Markov measure on the recoded shift, the edge potential there, and the
+    code through the recoding conjugacy (the code itself for window-1
+    potentials).
+    """
+    lifted = pullback_potential(code, potential)
+    shift, edge_potential, decode = reduce_to_edge_potential(lifted)
+    mu = equilibrium_measure(shift, edge_potential)
+    return mu, edge_potential, compose_one_block(code, decode)
+
+
 @dataclass(frozen=True)
 class LiftResult:
     """Equilibrium measure upstairs on the minimal right-resolving cover and
-    its image downstairs, with the numerical pressure certificate."""
+    its image downstairs; `potential_upstairs` is the edge potential on the
+    shift of `upstairs` whose equilibrium measure it is."""
 
     cover: SoficPresentation
     cover_code: SlidingBlockCode
@@ -149,41 +168,18 @@ class LiftResult:
     potential_upstairs: LocallyConstantPotential
     pressure_value: float
     entropy_upstairs: float
-    downstairs_entropy: EntropyEstimate
-    downstairs_integral: float
-    pressure_deviation: float
 
 
 def lift_equilibrium(presentation: SoficPresentation,
-                     potential: LocallyConstantPotential,
-                     entropy_horizon: int = 12) -> LiftResult:
+                     potential: LocallyConstantPotential) -> LiftResult:
     """Lift a potential on an irreducible sofic shift to its minimal
     right-resolving cover, take the equilibrium measure there, and push it
-    back down.
-
-    The report certifies numerically that the pressure upstairs equals the
-    variational value of the image measure downstairs (the entropies upstairs
-    and downstairs agree because the cover code is finite-to-one).
-    """
+    back down."""
     fischer, cover_code = minimize_fischer(presentation)
-    cover_shift = cover_code.domain
-    lifted = pullback_potential(cover_code, potential)
-    if lifted.k > 1:
-        shift, edge_potential, decode = reduce_to_edge_potential(lifted)
-        push_code = compose_one_block(cover_code, decode)
-    else:
-        shift, edge_potential = cover_shift, lifted
-        push_code = cover_code
-    mu = equilibrium_measure(shift, edge_potential)
-    nu = HiddenMarkovMeasure(mu, push_code)
-    p_up = pressure(shift, edge_potential)
-    h_up = entropy(mu)
-    est = entropy_estimate(nu, entropy_horizon)
-    integral = sum(nu.cylinder_prob(w) * potential.value(w)
-                   for w in presentation.words_of_length(potential.k))
-    deviation = abs(est.estimate + integral - p_up)
-    return LiftResult(fischer, cover_code, mu, nu, lifted, p_up, h_up,
-                      est, integral, deviation)
+    mu, edge_potential, push_code = equilibrium_upstairs(cover_code, potential)
+    return LiftResult(fischer, cover_code, mu, HiddenMarkovMeasure(mu, push_code),
+                      edge_potential, pressure(mu.shift, edge_potential),
+                      entropy(mu))
 
 
 def sofic_pressure(presentation: SoficPresentation,

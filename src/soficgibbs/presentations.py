@@ -126,22 +126,13 @@ class SoficPresentation:
             if len(word) == n:
                 out.append(word)
                 if len(out) > cap:
-                    raise EnumerationCapError(f"more than {cap}", cap)
+                    raise EnumerationCapError(len(out), cap)
                 continue
             for s in reversed(symbols):
                 nxt = self._step(states, s)
                 if nxt:
                     stack.append((word + (s,), nxt))
         return sorted(out)
-
-
-def membership(presentation: SoficPresentation, word: Word) -> bool:
-    return presentation.in_language(word)
-
-
-def words_of_length(presentation: SoficPresentation, n: int,
-                    cap: int = DEFAULT_ENUMERATION_CAP) -> list[Word]:
-    return presentation.words_of_length(n, cap)
 
 
 def image_presentation(domain: EdgeShift, code: SlidingBlockCode) -> SoficPresentation:

@@ -155,7 +155,7 @@ class TestLift:
         lift = sg.lift_equilibrium(even_cover, f)
         assert lift.pressure_value == pytest.approx(math.log(PHI), abs=1e-10)
         assert lift.entropy_upstairs == pytest.approx(math.log(PHI), abs=1e-10)
-        assert lift.pressure_deviation < 0.01
+        assert sg.verify_sofic_dobrushin(even_cover, f).deviation < 0.01
 
     def test_weighted_even_shift_matches_oracle(self, even_cover):
         f = sg.LocallyConstantPotential(even_cover, 1,
@@ -165,7 +165,7 @@ class TestLift:
         shift = lift.upstairs.shift
         oracle = sg.pressure_periodic_oracle(shift, lift.potential_upstairs, 30)
         assert abs(lift.pressure_value - oracle) < 1e-3
-        assert lift.pressure_deviation < 0.01
+        assert sg.verify_sofic_dobrushin(even_cover, f).deviation < 0.01
 
     def test_sofic_pressure_shortcut(self, even_cover):
         f = sg.LocallyConstantPotential.zero(even_cover)

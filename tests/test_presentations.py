@@ -145,3 +145,13 @@ class TestMergeAndEdgeCases:
     def test_determinize_empty(self):
         dead = sg.SoficPresentation(("A",), ())
         assert sg.determinize(dead).is_empty
+
+
+def test_enumeration_cap_reports_integer_count():
+    full2 = sg.SoficPresentation(
+        ("*",), (sg.LabeledEdge("*", "*", "0", "a"),
+                 sg.LabeledEdge("*", "*", "1", "b")))
+    with pytest.raises(sg.EnumerationCapError) as info:
+        full2.words_of_length(5, cap=10)
+    assert isinstance(info.value.count, int)
+    assert info.value.count > info.value.cap == 10

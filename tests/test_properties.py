@@ -134,3 +134,64 @@ def test_cocycle_additivity_random(seed):
     dvw = sg.cocycle_delta(f, p, v, w, s)
     duw = sg.cocycle_delta(f, p, u, w, s)
     assert duw == pytest.approx(duv + dvw, abs=1e-12)
+
+
+@st.composite
+def labeled_graphs(draw):
+    """Small irreducible labeled graphs over {0, 1}: sofic presentations."""
+    shift = draw(irreducible_graphs())
+    labels = draw(st.lists(st.sampled_from("01"), min_size=len(shift.edges),
+                           max_size=len(shift.edges)))
+    edges = tuple(sg.LabeledEdge(e.source, e.target, s, e.id)
+                  for e, s in zip(shift.edges, labels))
+    return sg.SoficPresentation(shift.vertices, edges)
+
+
+def random_potential(presentation, k, seed):
+    rng = np.random.default_rng(seed)
+    words = presentation.words_of_length(k)
+    return sg.LocallyConstantPotential(
+        presentation, k, dict(zip(words, rng.uniform(-1.0, 1.0, len(words)))))
+
+
+@settings(max_examples=40, deadline=None)
+@given(labeled_graphs())
+def test_analysis_agrees_with_degree_and_magic_word(presentation):
+    code = presentation.labeling_code()
+    analysis = sg.analyze_code(code)
+    assert analysis.finite_to_one == sg.is_finite_to_one(code)
+    if not analysis.finite_to_one:
+        assert analysis.degree is None and analysis.magic_word is None
+        with pytest.raises(sg.NotFiniteToOneError):
+            sg.degree(code)
+        return
+    magic = sg.find_magic_word(code)
+    assert analysis.degree == sg.degree(code) == magic.multiplicity
+    assert analysis.magic_word == magic
+    assert analysis.almost_invertible == (analysis.degree == 1)
+
+
+@settings(max_examples=30, deadline=None)
+@given(labeled_graphs(), st.integers(min_value=0, max_value=1_000_000))
+def test_upstairs_image_matches_preimage_sums(presentation, seed):
+    f = random_potential(presentation, 2, seed)
+    mu, edge_potential, push_code = sg.equilibrium_upstairs(
+        presentation.labeling_code(), f)
+    assert edge_potential.k == 1 and push_code.domain == mu.shift
+    nu = sg.pushforward(mu, push_code)
+    for n in range(1, 5):
+        words = nu.words_of_length(n)
+        assert words == presentation.words_of_length(n)
+        for w in words:
+            assert nu.cylinder_prob(w) == pytest.approx(
+                sg.preimage_cylinder_sum(nu, w), abs=1e-12)
+
+
+@settings(max_examples=30, deadline=None)
+@given(labeled_graphs(), st.integers(min_value=0, max_value=1_000_000))
+def test_window_one_push_code_is_the_code(presentation, seed):
+    code = presentation.labeling_code()
+    mu, _, push_code = sg.equilibrium_upstairs(
+        code, random_potential(presentation, 1, seed))
+    assert push_code == code
+    assert mu.shift == code.domain
