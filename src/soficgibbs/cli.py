@@ -279,6 +279,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.command == "verify" and args.tol is None:
         args.tol = 0.01 if args.what == "dobrushin" else 1e-6
+    if args.command == "verify" and args.what == "dobrushin" and args.depth < 2:
+        parser.error("--depth: the entropy horizon must be at least 2")
     try:
         lines, passed = _COMMANDS[args.command](args)
     except SoficGibbsError as exc:

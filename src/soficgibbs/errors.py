@@ -31,8 +31,8 @@ class NotInLanguageError(SoficGibbsError):
 
 
 class InsufficientContextError(SoficGibbsError):
-    """A cocycle evaluation was attempted with contexts shorter than the
-    potential window requires for exactness."""
+    """A cocycle or ratio test was given no context length, or contexts
+    shorter than the potential window requires for exactness."""
 
 
 class NoExchangeableContextError(SoficGibbsError):

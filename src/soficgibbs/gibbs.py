@@ -19,7 +19,11 @@ all valid contexts.
 Contexts are collapsed into classes with equal normalized forward or backward
 state vectors, equal boundary windows, and equal synchronization status; the
 deviation is a function of the class, so the maximum over classes equals the
-maximum over all contexts (up to the 1e-13 rounding of the class key).
+maximum over all contexts (up to the 1e-13 rounding of the class key).  The
+classes do not depend on the exchanged pair: one engine serves
+`gibbs_ratio_test` and `run_ratio_battery`, building each length's classes
+once for every pair still live.  A pair is skipped at the first length where
+it has no valid exchange context, and the lengths stop once none is live.
 
 The pipelines take the equilibrium measure upstairs and push it down.  The
 Gibbs verdicts (Lanford-Ruelle, finite-to-one) run `synchronized_battery` on
@@ -110,28 +114,16 @@ def _trend_non_increasing(devs, slack=0.10, floor=1e-12):
     return all(b <= (1.0 + slack) * a + floor for a, b in zip(devs, devs[1:]))
 
 
-def _kmp_failure(pattern):
-    m = len(pattern)
-    fail = [0] * (m + 1)
-    for i in range(1, m):
-        j = fail[i]
-        while j and pattern[i] != pattern[j]:
-            j = fail[j]
-        fail[i + 1] = j + 1 if pattern[i] == pattern[j] else 0
-    return fail
-
-
-def _kmp_step(pattern, fail, state, symbol):
-    m = len(pattern)
-    if state == m:
-        return m
-    j = state
-    while True:
-        if pattern[j] == symbol:
-            return j + 1
-        if j == 0:
-            return 0
-        j = fail[j]
+def _sync_step(pattern, state, symbol):
+    """Length of the longest prefix of `pattern` that is a suffix of
+    pattern[:state] + (symbol,); a complete match is kept for good."""
+    if state == len(pattern):
+        return state
+    text = pattern[:state] + (symbol,)
+    for j in range(len(text), 0, -1):
+        if text[-j:] == pattern[:j]:
+            return j
+    return 0
 
 
 def _context_classes(nu: HiddenMarkovMeasure, length: int, boundary_len: int,
@@ -140,44 +132,35 @@ def _context_classes(nu: HiddenMarkovMeasure, length: int, boundary_len: int,
 
     A left class carries the normalized forward vector alpha (the stationary
     row pushed through the sub-transition matrices of the context), the last
-    boundary_len symbols, the number of contexts in the class, and one
-    representative word.  Right classes are symmetric with backward vectors.
+    boundary_len symbols and the number of contexts in the class.  Right
+    classes are symmetric with backward vectors.
     """
     symbols = nu.symbols
     mats = nu._sub_matrices
 
     def propagate(start_vec, apply_mat, boundary_update, pattern):
-        fail = _kmp_failure(pattern) if pattern else None
-        level = {}
         v0 = start_vec / start_vec.sum()
-        key0 = (tuple(np.round(v0, 13)), (), 0)
-        level[key0] = [v0, (), 0, 1, ()]
+        level = {(tuple(np.round(v0, 13)), (), 0): [v0, 1]}
         for _ in range(length):
             nxt = {}
-            for (kvec, bnd, st), (vec, _, _, count, rep) in sorted(level.items()):
+            for (_, bnd, st), (vec, count) in sorted(level.items()):
                 for s in symbols:
                     vec2 = apply_mat(vec, s)
                     total = vec2.sum()
                     if total <= 0.0:
                         continue
                     vec2 = vec2 / total
-                    bnd2 = boundary_update(bnd, s)
-                    st2 = _kmp_step(pattern, fail, st, s) if pattern else 0
-                    rep2 = rep + (s,)
-                    key = (tuple(np.round(vec2, 13)), bnd2, st2)
+                    key = (tuple(np.round(vec2, 13)), boundary_update(bnd, s),
+                           _sync_step(pattern, st, s))
                     cell = nxt.get(key)
                     if cell is None:
-                        nxt[key] = [vec2, bnd2, st2, count, rep2]
+                        nxt[key] = [vec2, count]
                     else:
-                        cell[3] += count
+                        cell[1] += count
             level = nxt
-        want = len(pattern) if pattern else 0
-        out = []
-        for (kvec, bnd, st), (vec, _, _, count, rep) in sorted(level.items()):
-            if pattern and st != want:
-                continue
-            out.append((vec, bnd, count, rep))
-        return out
+        return [(vec, bnd, count)
+                for (_, bnd, st), (vec, count) in sorted(level.items())
+                if st == len(pattern)]
 
     pattern = tuple(sync_word) if sync_word else ()
     lefts = propagate(
@@ -189,14 +172,12 @@ def _context_classes(nu: HiddenMarkovMeasure, length: int, boundary_len: int,
     # right contexts are built from the far end inward, so the word is
     # reversed: boundary tracks the eventual first symbols, and containment
     # is matched against the reversed pattern
-    rights_raw = propagate(
+    rights = propagate(
         np.ones(len(nu.upstairs.shift.vertices)),
         lambda vec, s: mats[s] @ vec,
         lambda bnd, s: ((s,) + bnd)[:boundary_len] if boundary_len else (),
         tuple(reversed(pattern)),
     )
-    rights = [(vec, bnd, count, tuple(reversed(rep)))
-              for vec, bnd, count, rep in rights_raw]
     return lefts, rights
 
 
@@ -223,33 +204,68 @@ def gibbs_ratio_test(measure, potential: LocallyConstantPotential, u: Word,
     u, v = tuple(u), tuple(v)
     if len(u) != len(v):
         raise ValueError("exchanged words must have equal length")
+    reports, skipped = _ratio_engine(measure, potential, [(u, v)],
+                                     context_lengths, tol, synchronizing_word)
+    if skipped:
+        raise NoExchangeableContextError(
+            f"no valid exchange context of length {skipped[0][2]} "
+            f"for {u!r} / {v!r}")
+    return reports[0]
+
+
+def _ratio_engine(measure, potential, pairs, context_lengths, tol,
+                  synchronizing_word):
+    """Ratio tests of equal-length word pairs, lengths outside and pairs
+    inside: each length's contexts are built once for every live pair.  A
+    pair is dropped at the first length without a valid exchange context.
+
+    Returns the reports of the kept pairs and the dropped pairs as
+    (u, v, length), both in the order of `pairs`.
+    """
     k = potential.k
     lengths = tuple(sorted(context_lengths))
     if not lengths:
-        raise ValueError("at least one context length required")
+        raise InsufficientContextError("at least one context length required")
     if lengths[0] < k - 1:
         raise InsufficientContextError(
             f"context lengths below {k - 1} cannot certify a window-{k} potential")
+    sync = tuple(synchronizing_word) if synchronizing_word else None
     hidden = _hidden(measure)
-    devs = []
-    counts = []
+    if hidden is not None:
+        mats = [(_word_matrix(hidden, u), _word_matrix(hidden, v))
+                for u, v in pairs]
+    found = [[] for _ in pairs]
+    dropped_at = [None] * len(pairs)
+    live = range(len(pairs))
     for c in lengths:
+        if not live:
+            break
         if hidden is not None:
-            dev, count = _max_deviation_hidden(hidden, potential, u, v, c,
-                                               synchronizing_word)
+            lefts, rights = _context_classes(hidden, c, k - 1, sync)
+            results = [_max_deviation_hidden(potential, pairs[i], mats[i],
+                                             lefts, rights) for i in live]
         else:
-            dev, count = _max_deviation_generic(measure, potential, u, v, c,
-                                                synchronizing_word)
-        if count == 0:
-            raise NoExchangeableContextError(
-                f"no valid exchange context of length {c} for {u!r} / {v!r}")
-        devs.append(dev)
-        counts.append(count)
-    passed = (math.isfinite(devs[-1]) and devs[-1] < tol
-              and _trend_non_increasing(devs))
-    return GibbsRatioReport(u, v, tuple(lengths), tuple(devs), tuple(counts),
-                            tuple(synchronizing_word) if synchronizing_word else None,
-                            tol, passed)
+            words = [w for w in measure.words_of_length(c)
+                     if not sync or _contains(w, sync)]
+            results = [_max_deviation_generic(measure, potential, pairs[i],
+                                              words) for i in live]
+        for i, (dev, count) in zip(live, results):
+            if count == 0:
+                dropped_at[i] = c
+            else:
+                found[i].append((dev, count))
+        live = [i for i in live if dropped_at[i] is None]
+    reports, skipped = [], []
+    for (u, v), rows, c in zip(pairs, found, dropped_at):
+        if c is not None:
+            skipped.append((u, v, c))
+            continue
+        devs, counts = zip(*rows)
+        passed = (math.isfinite(devs[-1]) and devs[-1] < tol
+                  and _trend_non_increasing(devs))
+        reports.append(GibbsRatioReport(u, v, lengths, devs, counts, sync,
+                                        tol, passed))
+    return reports, skipped
 
 
 def _word_matrix(nu, word):
@@ -263,17 +279,16 @@ def _word_matrix(nu, word):
     return m
 
 
-def _max_deviation_hidden(nu, potential, u, v, c, sync_word):
-    boundary = potential.k - 1
-    lefts, rights = _context_classes(nu, c, boundary, sync_word)
-    tu = _word_matrix(nu, u)
-    tv = _word_matrix(nu, v)
-    worst = 0.0
-    count = 0
-    for lvec, lbnd, lcount, _ in lefts:
-        for rvec, rbnd, rcount, _ in rights:
-            num = float(lvec @ tu @ rvec) if tu is not None else 0.0
-            den = float(lvec @ tv @ rvec) if tv is not None else 0.0
+def _max_deviation_hidden(potential, pair, mats, lefts, rights):
+    (u, v), (tu, tv) = pair, mats
+    if tu is None or tv is None:
+        return 0.0, 0
+    worst, count = 0.0, 0
+    for lvec, lbnd, lcount in lefts:
+        lu, lv = lvec @ tu, lvec @ tv
+        for rvec, rbnd, rcount in rights:
+            num = float(lu @ rvec)
+            den = float(lv @ rvec)
             # positive mass is equivalent to language membership here (the
             # upstairs measure has full support), so a context is a valid
             # exchange exactly when both sides carry mass
@@ -290,19 +305,13 @@ def _contains(word, pattern):
     return any(word[i:i + m] == pattern for i in range(n - m + 1))
 
 
-def _max_deviation_generic(measure, potential, u, v, c, sync_word):
-    words = measure.words_of_length(c)
-    if sync_word:
-        pattern = tuple(sync_word)
-        words = [w for w in words if _contains(w, pattern)]
-    worst = 0.0
-    count = 0
+def _max_deviation_generic(measure, potential, pair, words):
+    u, v = pair
+    worst, count = 0.0, 0
     for p in words:
         for s in words:
             pus, pvs = p + u + s, p + v + s
-            ok_u = measure.in_language(pus)
-            ok_v = measure.in_language(pvs)
-            if not (ok_u and ok_v):
+            if not (measure.in_language(pus) and measure.in_language(pvs)):
                 continue
             count += 1
             num = measure.cylinder_prob(pus)
@@ -347,19 +356,14 @@ def run_ratio_battery(measure, potential, context_lengths, tol,
                       synchronizing_word=None, max_word_length: int = 3,
                       pair_cap: int = 200) -> RatioBattery:
     """Ratio tests over an enumerated battery of exchangeable word pairs;
-    pairs with no valid exchange context at some tested length are skipped."""
-    reports = []
-    skipped = []
-    for u, v in exchangeable_pairs(measure.words_of_length, max_word_length,
-                                   pair_cap):
-        try:
-            reports.append(gibbs_ratio_test(measure, potential, u, v,
-                                            context_lengths, tol,
-                                            synchronizing_word))
-        except NoExchangeableContextError:
-            skipped.append((u, v))
+    a pair with no valid exchange context at some tested length is skipped."""
+    pairs = exchangeable_pairs(measure.words_of_length, max_word_length,
+                               pair_cap)
+    reports, skipped = _ratio_engine(measure, potential, pairs,
+                                     context_lengths, tol, synchronizing_word)
     passed = bool(reports) and all(r.passed for r in reports)
-    return RatioBattery(tuple(reports), tuple(skipped), passed)
+    return RatioBattery(tuple(reports), tuple((u, v) for u, v, _ in skipped),
+                        passed)
 
 
 def synchronized_battery(nu: HiddenMarkovMeasure,

@@ -88,13 +88,13 @@ class HiddenMarkovMeasure:
             word, vec = stack.pop()
             if len(word) == n:
                 out.append(word)
+                if len(out) > cap:
+                    raise EnumerationCapError(len(out), cap)
                 continue
             for s in reversed(self.symbols):
                 nxt = vec @ self._sub_matrices[s]
                 if nxt.sum() > 0.0:
                     stack.append((word + (s,), nxt))
-            if len(out) > cap:
-                raise EnumerationCapError(len(out), cap)
         return sorted(out)
 
 

@@ -273,14 +273,6 @@ class MarkovMeasure:
     def words_of_length(self, n: int, cap: int = 500_000) -> list[Word]:
         return self.shift.words_of_length(n, cap)
 
-    def transition_matrix(self) -> np.ndarray:
-        n = len(self.shift.vertices)
-        idx = self.shift.vertex_index
-        t = np.zeros((n, n))
-        for e in self.shift.edges:
-            t[idx[e.source], idx[e.target]] += self.transitions[e.id]
-        return t
-
     def stationary_vector(self) -> np.ndarray:
         return np.array([self.stationary[v] for v in self.shift.vertices])
 

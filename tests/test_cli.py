@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -209,3 +213,19 @@ class TestMoreErrors:
         p = tmp_path / "sunny.shift"
         p.write_text(text)
         assert main(["fischer", str(p)]) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["gibbs-check", "scripts/data/even_shift.shift", "--cmax", "0"],
+    ["verify", "lanford-ruelle", "scripts/data/golden_mean.shift", "--cmax", "0"],
+    ["verify", "dobrushin", "scripts/data/even_shift.shift", "--depth", "1"],
+])
+def test_out_of_range_option_exits_2(argv):
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.run([sys.executable, "-m", "soficgibbs.cli", *argv],
+                          cwd=root, env=env, capture_output=True, text=True,
+                          timeout=60)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import soficgibbs as sg
+from soficgibbs import gibbs
 
 from conftest import loop_shift
 
@@ -159,6 +160,46 @@ class TestRatioTestDownstairs:
                                      synchronizing_word=("0",))
         assert report.passed
         assert report.final_deviation < 1e-12
+
+
+class TestRatioEngine:
+    @pytest.fixture
+    def built(self, monkeypatch):
+        lengths = []
+        build = gibbs._context_classes
+
+        def counting(nu, length, boundary_len, sync_word):
+            lengths.append(length)
+            return build(nu, length, boundary_len, sync_word)
+
+        monkeypatch.setattr(gibbs, "_context_classes", counting)
+        return lengths
+
+    def test_context_classes_built_once_per_length(self, even_cover, built):
+        f = sg.LocallyConstantPotential.zero(even_cover)
+        nu = sg.lift_equilibrium(even_cover, f).downstairs
+        battery = sg.run_ratio_battery(nu, f, range(1, 8), 1e-6,
+                                       synchronizing_word=("1",))
+        assert len(battery.reports) > 1
+        assert built == list(range(1, 8))
+
+    def test_length_loop_stops_once_every_pair_is_skipped(self, even_cover,
+                                                          built):
+        # the lone pair 0/1 has no valid exchange context next to a 1
+        f = sg.LocallyConstantPotential.zero(even_cover)
+        nu = sg.lift_equilibrium(even_cover, f).downstairs
+        battery = sg.run_ratio_battery(nu, f, range(1, 8), 1e-6,
+                                       synchronizing_word=("1",),
+                                       max_word_length=1)
+        assert battery.reports == ()
+        assert battery.skipped_pairs == ((("0",), ("1",)),)
+        assert built == [1]
+
+    def test_empty_length_range_rejected(self, even_cover):
+        f = sg.LocallyConstantPotential.zero(even_cover)
+        nu = sg.lift_equilibrium(even_cover, f).downstairs
+        with pytest.raises(sg.InsufficientContextError):
+            sg.run_ratio_battery(nu, f, [], 1e-6)
 
 
 class TestLanfordRuelle:

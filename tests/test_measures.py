@@ -91,6 +91,18 @@ class TestPushforward:
                 total = sum(nu.cylinder_prob(w + (s,)) for s in nu.symbols)
                 assert total == pytest.approx(nu.cylinder_prob(w), abs=1e-10)
 
+    def test_enumeration_cap_counts_every_word(self, even_cover):
+        # the cap is checked as each word is appended, not only when an
+        # interior node is expanded
+        nu = sg.lift_equilibrium(
+            even_cover, sg.LocallyConstantPotential.zero(even_cover)).downstairs
+        with pytest.raises(sg.EnumerationCapError) as info:
+            nu.words_of_length(1, cap=1)
+        assert info.value.count == 2
+        with pytest.raises(sg.EnumerationCapError) as info:
+            nu.words_of_length(3, cap=2)
+        assert info.value.count == 3
+
     def test_degree_one_unique_preimage_mass(self, even_cover):
         # words flanked by the magic symbol have a single preimage carrying
         # the full image mass

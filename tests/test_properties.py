@@ -195,3 +195,39 @@ def test_window_one_push_code_is_the_code(presentation, seed):
         code, random_potential(presentation, 1, seed))
     assert push_code == code
     assert mu.shift == code.domain
+
+
+class _WordsOnly:
+    """A measure seen only through its cylinders, language and word lists:
+    the ratio engine takes the brute-force word path on it."""
+
+    def __init__(self, nu):
+        self.cylinder_prob = nu.cylinder_prob
+        self.in_language = nu.in_language
+        self.words_of_length = nu.words_of_length
+
+
+@settings(max_examples=40, deadline=None)
+@given(labeled_graphs(), st.integers(min_value=1, max_value=2),
+       st.integers(min_value=0, max_value=3),
+       st.integers(min_value=0, max_value=1_000_000))
+def test_ratio_engine_classes_match_word_oracle(presentation, k, sync_len,
+                                                seed):
+    f = random_potential(presentation, k, seed)
+    mu, _, push_code = sg.equilibrium_upstairs(presentation.labeling_code(), f)
+    nu = sg.pushforward(mu, push_code)
+    candidates = nu.words_of_length(sync_len)
+    sync = candidates[seed % len(candidates)] if sync_len else None
+    lengths = range(max(k - 1, 1, sync_len), 5)
+    fast = sg.run_ratio_battery(nu, f, lengths, 1e-6, sync, max_word_length=2)
+    slow = sg.run_ratio_battery(_WordsOnly(nu), f, lengths, 1e-6, sync,
+                                max_word_length=2)
+    assert fast.skipped_pairs == slow.skipped_pairs
+    assert [(r.u, r.v) for r in fast.reports] == [(r.u, r.v) for r in slow.reports]
+    for a, b in zip(fast.reports, slow.reports):
+        assert a.context_counts == b.context_counts
+        assert a.max_deviations == pytest.approx(b.max_deviations, abs=1e-9)
+        assert a == sg.gibbs_ratio_test(nu, f, a.u, a.v, lengths, 1e-6, sync)
+    for u, v in fast.skipped_pairs:
+        with pytest.raises(sg.NoExchangeableContextError):
+            sg.gibbs_ratio_test(nu, f, u, v, lengths, 1e-6, sync)
