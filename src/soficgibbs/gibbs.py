@@ -21,9 +21,12 @@ state vectors, equal boundary windows, and equal synchronization status; the
 deviation is a function of the class, so the maximum over classes equals the
 maximum over all contexts (up to the 1e-13 rounding of the class key).  The
 classes do not depend on the exchanged pair: one engine serves
-`gibbs_ratio_test` and `run_ratio_battery`, building each length's classes
-once for every pair still live.  A pair is skipped at the first length where
-it has no valid exchange context, and the lengths stop once none is live.
+`gibbs_ratio_test` and `run_ratio_battery`.  Each battery pushes its context
+levels forward once, one symbol per level, and each tested length reads a
+snapshot shared by every pair still live; a level of more than
+`shifts.DEFAULT_ENUMERATION_CAP` classes raises `EnumerationCapError`.  A pair
+is skipped at the first length without a valid exchange context, and the
+levels stop once no pair is live.
 
 The pipelines take the equilibrium measure upstairs and push it down.  The
 Gibbs verdicts (Lanford-Ruelle, finite-to-one) run `synchronized_battery` on
@@ -40,9 +43,10 @@ import numpy as np
 
 from .codes import (CodeAnalysis, SlidingBlockCode, analyze_code,
                     is_finite_to_one)
-from .errors import (InsufficientContextError, NoExchangeableContextError,
-                     NotFiniteToOneError, NotInLanguageError,
-                     ReducibleShiftError)
+from . import shifts
+from .errors import (EnumerationCapError, InsufficientContextError,
+                     NoExchangeableContextError, NotFiniteToOneError,
+                     NotInLanguageError, ReducibleShiftError)
 from .measures import (HiddenMarkovMeasure, LiftResult, entropy_estimate,
                        equilibrium_upstairs, lift_equilibrium,
                        preimage_cylinder_sum, pushforward)
@@ -126,59 +130,70 @@ def _sync_step(pattern, state, symbol):
     return 0
 
 
-def _context_classes(nu: HiddenMarkovMeasure, length: int, boundary_len: int,
-                     sync_word: Word | None):
-    """Collapsed left and right context classes of a given length.
+class _ContextLevels:
+    """Left and right context classes of a hidden Markov measure, one sorted
+    level per context length, each pushed one symbol from the level before.
 
-    A left class carries the normalized forward vector alpha (the stationary
-    row pushed through the sub-transition matrices of the context), the last
-    boundary_len symbols and the number of contexts in the class.  Right
-    classes are symmetric with backward vectors.
-    """
-    symbols = nu.symbols
-    mats = nu._sub_matrices
+    A left class is keyed by its normalized forward vector (the stationary
+    row pushed through the context's sub-transition matrices) rounded to 13
+    digits, its last boundary_len symbols and its progress through the sync
+    word; it carries the vector and its number of contexts.  Right classes
+    are symmetric with backward vectors."""
 
-    def propagate(start_vec, apply_mat, boundary_update, pattern):
-        v0 = start_vec / start_vec.sum()
-        level = {(tuple(np.round(v0, 13)), (), 0): [v0, 1]}
-        for _ in range(length):
-            nxt = {}
-            for (_, bnd, st), (vec, count) in sorted(level.items()):
-                for s in symbols:
-                    vec2 = apply_mat(vec, s)
-                    total = vec2.sum()
-                    if total <= 0.0:
-                        continue
-                    vec2 = vec2 / total
-                    key = (tuple(np.round(vec2, 13)), boundary_update(bnd, s),
-                           _sync_step(pattern, st, s))
-                    cell = nxt.get(key)
-                    if cell is None:
-                        nxt[key] = [vec2, count]
-                    else:
-                        cell[1] += count
-            level = nxt
-        return [(vec, bnd, count)
-                for (_, bnd, st), (vec, count) in sorted(level.items())
-                if st == len(pattern)]
+    def __init__(self, nu: HiddenMarkovMeasure, boundary_len: int,
+                 sync_word: Word | None):
+        mats, b = nu._sub_matrices, boundary_len
+        pattern = tuple(sync_word) if sync_word else ()
+        self.symbols, self.length = nu.symbols, 0
+        # right contexts are built from the far end inward, so the word is
+        # reversed: boundary tracks the eventual first symbols, and
+        # containment is matched against the reversed pattern
+        self.rules = ((lambda vec, s: vec @ mats[s],
+                       lambda bnd, s: (bnd + (s,))[-b:] if b else (), pattern),
+                      (lambda vec, s: mats[s] @ vec,
+                       lambda bnd, s: ((s,) + bnd)[:b] if b else (),
+                       pattern[::-1]))
+        starts = (nu._stationary_row, np.ones(len(nu.upstairs.shift.vertices)))
+        self.levels = tuple([((tuple(np.round(v0, 13)), (), 0), [v0, 1])]
+                            for v0 in (v / v.sum() for v in starts))
 
-    pattern = tuple(sync_word) if sync_word else ()
-    lefts = propagate(
-        nu._stationary_row,
-        lambda vec, s: vec @ mats[s],
-        lambda bnd, s: (bnd + (s,))[-boundary_len:] if boundary_len else (),
-        pattern,
-    )
-    # right contexts are built from the far end inward, so the word is
-    # reversed: boundary tracks the eventual first symbols, and containment
-    # is matched against the reversed pattern
-    rights = propagate(
-        np.ones(len(nu.upstairs.shift.vertices)),
-        lambda vec, s: mats[s] @ vec,
-        lambda bnd, s: ((s,) + bnd)[:boundary_len] if boundary_len else (),
-        tuple(reversed(pattern)),
-    )
-    return lefts, rights
+    def advance(self):
+        """Push both sides one symbol further."""
+        self.levels = tuple(self._push(level, *rule)
+                            for level, rule in zip(self.levels, self.rules))
+        self.length += 1
+
+    def _push(self, level, apply_mat, boundary_update, pattern):
+        cap = shifts.DEFAULT_ENUMERATION_CAP
+        nxt = {}
+        for (_, bnd, st), (vec, count) in level:
+            for s in self.symbols:
+                vec2 = apply_mat(vec, s)
+                total = vec2.sum()
+                if total <= 0.0:
+                    continue
+                vec2 = vec2 / total
+                key = (tuple(np.round(vec2, 13)), boundary_update(bnd, s),
+                       _sync_step(pattern, st, s))
+                cell = nxt.get(key)
+                if cell is not None:
+                    cell[1] += count
+                    continue
+                nxt[key] = [vec2, count]
+                if len(nxt) > cap:
+                    raise EnumerationCapError(len(nxt), cap)
+        return sorted(nxt.items())
+
+
+def _context_classes(levels: _ContextLevels, length: int):
+    """Synchronized left and right classes of one context length, as lists
+    of (vector, boundary, count) in key order: the levels are pushed up to
+    that length and read."""
+    while levels.length < length:
+        levels.advance()
+    return tuple([(vec, bnd, count) for (_, bnd, st), (vec, count) in level
+                  if st == len(pattern)]
+                 for level, (_, _, pattern) in zip(levels.levels, levels.rules))
 
 
 def _hidden(measure) -> HiddenMarkovMeasure:
@@ -216,7 +231,7 @@ def gibbs_ratio_test(measure, potential: LocallyConstantPotential, u: Word,
 def _ratio_engine(measure, potential, pairs, context_lengths, tol,
                   synchronizing_word):
     """Ratio tests of equal-length word pairs, lengths outside and pairs
-    inside: each length's contexts are built once for every live pair.  A
+    inside: each length's contexts are read once for every live pair.  A
     pair is dropped at the first length without a valid exchange context.
 
     Returns the reports of the kept pairs and the dropped pairs as
@@ -234,6 +249,7 @@ def _ratio_engine(measure, potential, pairs, context_lengths, tol,
     if hidden is not None:
         mats = [(_word_matrix(hidden, u), _word_matrix(hidden, v))
                 for u, v in pairs]
+        levels = _ContextLevels(hidden, k - 1, sync)
     found = [[] for _ in pairs]
     dropped_at = [None] * len(pairs)
     live = range(len(pairs))
@@ -241,7 +257,7 @@ def _ratio_engine(measure, potential, pairs, context_lengths, tol,
         if not live:
             break
         if hidden is not None:
-            lefts, rights = _context_classes(hidden, c, k - 1, sync)
+            lefts, rights = _context_classes(levels, c)
             results = [_max_deviation_hidden(potential, pairs[i], mats[i],
                                              lefts, rights) for i in live]
         else:
@@ -471,10 +487,10 @@ def verify_finite_to_one_preservation(code: SlidingBlockCode,
     battery = synchronized_battery(nu, potential, push_analysis, tol, c_max,
                                    max_word_length, pair_cap)
     cross_dev = 0.0
-    for n in range(1, cross_check_length + 1):
-        for w in nu.words_of_length(n):
-            cross_dev = max(cross_dev, abs(nu.cylinder_prob(w)
-                                           - preimage_cylinder_sum(nu, w)))
+    for w, p in nu.forward_walk(cross_check_length,
+                                shifts.DEFAULT_ENUMERATION_CAP):
+        if w:
+            cross_dev = max(cross_dev, abs(p - preimage_cylinder_sum(nu, w)))
     passed = battery.passed and cross_dev < 1e-10
     return FiniteToOneReport(push_analysis, battery, cross_dev, passed)
 

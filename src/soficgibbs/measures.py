@@ -2,8 +2,9 @@
 
 A hidden Markov measure evaluates cylinders with label-restricted transfer
 operators (a forward pass of sub-transition matrices), which is exact and
-linear in the word length; brute-force preimage enumeration is kept alongside
-as an independent oracle.
+linear in the word length; its forward walk pushes the vector once per prefix
+of the image language.  Brute-force preimage enumeration is kept alongside as
+an independent oracle.
 
 `equilibrium_upstairs` is the one upstairs step of every pipeline: pull a
 potential back through a one-block code, take the equilibrium measure of the
@@ -27,6 +28,7 @@ import numpy as np
 from .codes import (SlidingBlockCode, compose_one_block, preimage_words,
                     pullback_potential)
 from .errors import EnumerationCapError, NotInLanguageError
+from . import shifts
 from .presentations import SoficPresentation, minimize_fischer
 from .shifts import CyclicStructure, Word, cyclic_class_shift
 from .thermo import (LocallyConstantPotential, MarkovMeasure,
@@ -79,23 +81,30 @@ class HiddenMarkovMeasure:
         # the upstairs measure has full support, so positivity is exact
         return self.cylinder_prob(word) > 0.0
 
-    def words_of_length(self, n: int, cap: int = 500_000) -> list[Word]:
-        if n == 0:
-            return [()]
-        out = []
-        stack = [((), self._stationary_row)]
+    def words_of_length(self, n: int,
+                        cap: int = shifts.DEFAULT_ENUMERATION_CAP) -> list[Word]:
+        return [word for word, _ in self.forward_walk(n, cap) if len(word) == n]
+
+    def forward_walk(self, n_max: int, cap: int):
+        """Words of the image language up to length n_max with their cylinder
+        probabilities, in lexicographic preorder.  The forward vector is
+        pushed once per prefix, by the products of `cylinder_prob`; more than
+        `cap` words of one length raise `EnumerationCapError`."""
+        counts = [0] * (n_max + 1)
+        stack = [((), self._stationary_row, float(self._stationary_row.sum()))]
         while stack:
-            word, vec = stack.pop()
-            if len(word) == n:
-                out.append(word)
-                if len(out) > cap:
-                    raise EnumerationCapError(len(out), cap)
-                continue
-            for s in reversed(self.symbols):
-                nxt = vec @ self._sub_matrices[s]
-                if nxt.sum() > 0.0:
-                    stack.append((word + (s,), nxt))
-        return sorted(out)
+            word, vec, prob = stack.pop()
+            n = len(word)
+            counts[n] += 1
+            if n and counts[n] > cap:
+                raise EnumerationCapError(counts[n], cap)
+            yield word, prob
+            if n < n_max:
+                for s in reversed(self.symbols):
+                    nxt = vec @ self._sub_matrices[s]
+                    total = float(nxt.sum())
+                    if total > 0.0:
+                        stack.append((word + (s,), nxt, total))
 
 
 def pushforward(measure: MarkovMeasure, code: SlidingBlockCode) -> HiddenMarkovMeasure:
@@ -122,20 +131,17 @@ def entropy_estimate(nu: HiddenMarkovMeasure, n_max: int) -> EntropyEstimate:
     """Conditional block entropies of the image measure up to horizon n_max.
 
     The sequence is non-increasing and converges to the entropy of the image;
-    for finite-to-one codes this equals the entropy upstairs.
+    for finite-to-one codes this equals the entropy upstairs.  Every H(n)
+    comes from one forward walk to n_max, summed in the lexicographic order
+    of `words_of_length(n)`.
     """
     if n_max < 2:
         raise ValueError("n_max must be at least 2")
-    h_prev = 0.0
-    hs = []
-    for n in range(1, n_max + 1):
-        h_n = 0.0
-        for w in nu.words_of_length(n):
-            p = nu.cylinder_prob(w)
-            if p > 0.0:
-                h_n -= p * math.log(p)
-        hs.append(h_n - h_prev)
-        h_prev = h_n
+    block = [0.0] * (n_max + 1)
+    for word, p in nu.forward_walk(n_max, shifts.DEFAULT_ENUMERATION_CAP):
+        if word:
+            block[len(word)] -= p * math.log(p)
+    hs = [b - a for a, b in zip(block, block[1:])]
     return EntropyEstimate(tuple(hs), hs[-1])
 
 

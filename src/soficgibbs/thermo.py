@@ -19,8 +19,9 @@ import numpy as np
 
 from .codes import SlidingBlockCode, higher_block_shift
 from .errors import ConvergenceError, ReducibleShiftError
-from .shifts import (PATH_SEP, CyclicStructure, EdgeShift, Word,
-                     _paths_of_length, cyclic_class_shift, cyclic_structure)
+from .shifts import (DEFAULT_ENUMERATION_CAP, PATH_SEP, CyclicStructure,
+                     EdgeShift, Word, _paths_of_length, cyclic_class_shift,
+                     cyclic_structure)
 
 PERRON_TOL = 1e-13
 PERRON_MAX_ITER = 10 ** 6
@@ -270,7 +271,7 @@ class MarkovMeasure:
     def in_language(self, word: Word) -> bool:
         return self.shift.in_language(word) if word else True
 
-    def words_of_length(self, n: int, cap: int = 500_000) -> list[Word]:
+    def words_of_length(self, n: int, cap: int = DEFAULT_ENUMERATION_CAP) -> list[Word]:
         return self.shift.words_of_length(n, cap)
 
     def stationary_vector(self) -> np.ndarray:

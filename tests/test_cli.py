@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from soficgibbs import shifts
 from soficgibbs.cli import main
 
 GOLDEN_MEAN = """\
@@ -213,6 +214,16 @@ class TestMoreErrors:
         p = tmp_path / "sunny.shift"
         p.write_text(text)
         assert main(["fischer", str(p)]) == 2
+
+    def test_context_class_cap_exit_2(self, files, capsys, monkeypatch):
+        # both length-1 left contexts of the even shift are classes of their
+        # own, so a cap of one class is exceeded at the first level
+        monkeypatch.setattr(shifts, "DEFAULT_ENUMERATION_CAP", 1)
+        assert main(["gibbs-check", files["even_shift.shift"],
+                     "--cmax", "4"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: enumeration too large: 2 items exceeds cap 1" in captured.err
 
 
 @pytest.mark.parametrize("argv", [

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 import soficgibbs as sg
-from soficgibbs import gibbs
+from soficgibbs import gibbs, shifts
 
-from conftest import loop_shift
+from conftest import loop_shift, random_markov_measure
 
 
 def range1(shift, values):
@@ -164,27 +164,30 @@ class TestRatioTestDownstairs:
 
 class TestRatioEngine:
     @pytest.fixture
-    def built(self, monkeypatch):
+    def pushed(self, monkeypatch):
+        """Length reached by each push of the context levels."""
         lengths = []
-        build = gibbs._context_classes
+        advance = gibbs._ContextLevels.advance
 
-        def counting(nu, length, boundary_len, sync_word):
-            lengths.append(length)
-            return build(nu, length, boundary_len, sync_word)
+        def counting(levels):
+            advance(levels)
+            lengths.append(levels.length)
 
-        monkeypatch.setattr(gibbs, "_context_classes", counting)
+        monkeypatch.setattr(gibbs._ContextLevels, "advance", counting)
         return lengths
 
-    def test_context_classes_built_once_per_length(self, even_cover, built):
+    def test_each_level_pushed_once_per_battery(self, even_cover, pushed):
+        # seven pushes for lengths 1..7, not one run from the empty context
+        # per length (1 + 2 + ... + 7 = 28)
         f = sg.LocallyConstantPotential.zero(even_cover)
         nu = sg.lift_equilibrium(even_cover, f).downstairs
         battery = sg.run_ratio_battery(nu, f, range(1, 8), 1e-6,
                                        synchronizing_word=("1",))
         assert len(battery.reports) > 1
-        assert built == list(range(1, 8))
+        assert pushed == list(range(1, 8))
 
     def test_length_loop_stops_once_every_pair_is_skipped(self, even_cover,
-                                                          built):
+                                                          pushed):
         # the lone pair 0/1 has no valid exchange context next to a 1
         f = sg.LocallyConstantPotential.zero(even_cover)
         nu = sg.lift_equilibrium(even_cover, f).downstairs
@@ -193,7 +196,20 @@ class TestRatioEngine:
                                        max_word_length=1)
         assert battery.reports == ()
         assert battery.skipped_pairs == ((("0",), ("1",)),)
-        assert built == [1]
+        assert pushed == [1]
+
+    def test_class_count_cap(self, full2_2block, xor_code, monkeypatch):
+        # without a synchronizing word the forward vectors of the parity
+        # image never collapse: level c holds 2c classes
+        nu = sg.pushforward(random_markov_measure(
+            full2_2block, np.random.default_rng(0)), xor_code)
+        f = sg.LocallyConstantPotential.zero(loop_shift(2))
+        monkeypatch.setattr(shifts, "DEFAULT_ENUMERATION_CAP", 10)
+        with pytest.raises(sg.EnumerationCapError) as info:
+            sg.run_ratio_battery(nu, f, range(1, 12), 1e-6)
+        assert (info.value.count, info.value.cap) == (11, 10)
+        monkeypatch.setattr(shifts, "DEFAULT_ENUMERATION_CAP", 12)
+        assert sg.run_ratio_battery(nu, f, range(1, 7), 1e-6).reports
 
     def test_empty_length_range_rejected(self, even_cover):
         f = sg.LocallyConstantPotential.zero(even_cover)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import soficgibbs as sg
+from soficgibbs import shifts
 
 from conftest import PHI, loop_shift, random_markov_measure
 
@@ -102,6 +103,29 @@ class TestPushforward:
         with pytest.raises(sg.EnumerationCapError) as info:
             nu.words_of_length(3, cap=2)
         assert info.value.count == 3
+
+    @pytest.mark.parametrize("cap", [0, 1, 2, 4, 7, 12, 20, 33])
+    def test_entropy_walk_cap_matches_words_of_length(self, even_cover,
+                                                      monkeypatch, cap):
+        # the one walk to n_max raises exactly where enumerating each length
+        # 1..n_max on its own would, with the same count and cap; the even
+        # shift has 2, 3, 5, 8, 13, 21, 34 words of lengths 1..7
+        nu = sg.lift_equilibrium(
+            even_cover, sg.LocallyConstantPotential.zero(even_cover)).downstairs
+        monkeypatch.setattr(shifts, "DEFAULT_ENUMERATION_CAP", cap)
+        for n_max in range(2, 8):
+            over = [n for n in range(1, n_max + 1)
+                    if len(even_cover.words_of_length(n)) > cap]
+            if not over:
+                sg.entropy_estimate(nu, n_max)
+                continue
+            with pytest.raises(sg.EnumerationCapError) as per_length:
+                nu.words_of_length(over[0], cap=cap)
+            with pytest.raises(sg.EnumerationCapError) as walk:
+                sg.entropy_estimate(nu, n_max)
+            assert ((walk.value.count, walk.value.cap)
+                    == (per_length.value.count, per_length.value.cap)
+                    == (cap + 1, cap))
 
     def test_degree_one_unique_preimage_mass(self, even_cover):
         # words flanked by the magic symbol have a single preimage carrying

@@ -1,8 +1,12 @@
+import math
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import soficgibbs as sg
+from soficgibbs import gibbs
 
 from conftest import loop_shift, random_markov_measure
 
@@ -231,3 +235,64 @@ def test_ratio_engine_classes_match_word_oracle(presentation, k, sync_len,
     for u, v in fast.skipped_pairs:
         with pytest.raises(sg.NoExchangeableContextError):
             sg.gibbs_ratio_test(nu, f, u, v, lengths, 1e-6, sync)
+
+
+def _image_measure(presentation, k, seed):
+    f = random_potential(presentation, k, seed)
+    mu, _, push_code = sg.equilibrium_upstairs(presentation.labeling_code(), f)
+    return sg.pushforward(mu, push_code)
+
+
+@settings(max_examples=40, deadline=None)
+@given(labeled_graphs(), st.integers(min_value=1, max_value=2),
+       st.integers(min_value=2, max_value=7),
+       st.integers(min_value=0, max_value=1_000_000))
+def test_entropy_walk_matches_two_pass_oracle(presentation, k, n_max, seed):
+    # two passes per horizon: enumerate the words, then evaluate each
+    # cylinder from the stationary row
+    nu = _image_measure(presentation, k, seed)
+    oracle, h_prev = [], 0.0
+    for n in range(1, n_max + 1):
+        h_n = 0.0
+        for w in presentation.words_of_length(n):
+            p = nu.cylinder_prob(w)
+            if p > 0.0:
+                h_n -= p * math.log(p)
+        oracle.append(h_n - h_prev)
+        h_prev = h_n
+    for horizon in range(2, n_max + 1):
+        est = sg.entropy_estimate(nu, horizon)
+        assert est.h_sequence == tuple(oracle[:horizon])
+        assert est.estimate == oracle[horizon - 1]
+
+
+@settings(max_examples=40, deadline=None)
+@given(labeled_graphs(), st.integers(min_value=1, max_value=3),
+       st.integers(min_value=0, max_value=3),
+       st.integers(min_value=0, max_value=1_000_000))
+def test_incremental_context_classes_match_fresh_propagation(
+        presentation, k, sync_len, seed):
+    nu = _image_measure(presentation, k, seed)
+    candidates = nu.words_of_length(sync_len)
+    sync = candidates[seed % len(candidates)] if sync_len else None
+    levels = gibbs._ContextLevels(nu, k - 1, sync)
+    snapshots = {c: gibbs._context_classes(levels, c) for c in range(1, 7)}
+    for c, snapshot in snapshots.items():
+        fresh = gibbs._context_classes(gibbs._ContextLevels(nu, k - 1, sync), c)
+        for got, want in zip(snapshot, fresh):
+            assert len(got) == len(want)
+            for (gvec, gbnd, gcount), (wvec, wbnd, wcount) in zip(got, want):
+                assert np.array_equal(gvec, wvec)
+                assert (gbnd, gcount) == (wbnd, wcount)
+        # independently: the classes partition the context words of length
+        # c that contain the sync word, by their boundary windows
+        words = [w for w in presentation.words_of_length(c)
+                 if not sync or gibbs._contains(w, sync)]
+        lefts, rights = snapshot
+        expected = (Counter(w[c - (k - 1):] for w in words),
+                    Counter(w[:k - 1] for w in words))
+        for classes, boundaries in zip((lefts, rights), expected):
+            got = Counter()
+            for _, bnd, count in classes:
+                got[bnd] += count
+            assert got == boundaries
