@@ -19,7 +19,8 @@ from .errors import SoficGibbsError, SpecFileError
 from .gibbs import (sunny_side_up_counterexample, synchronized_battery,
                     verify_finite_to_one_preservation, verify_sofic_dobrushin,
                     verify_sofic_lanford_ruelle)
-from .measures import HiddenMarkovMeasure, equilibrium_upstairs, sofic_pressure
+from .measures import (HiddenMarkovMeasure, _equilibrium_upstairs,
+                       equilibrium_upstairs, sofic_pressure)
 from .presentations import image_presentation, minimize_fischer
 from .shifts import component_periods, cyclic_structure, format_word
 from .specfile import (LoadedSystem, build_code, build_potential, build_system,
@@ -115,11 +116,12 @@ def cmd_pressure(args):
 def cmd_eqmeasure(args):
     system = _load_system(args.file)
     potential = _load_potential(args.potential, system.presentation)
-    mu, edge_potential, _ = equilibrium_upstairs(system.labeling, potential)
+    mu, _, _, pressure_value = _equilibrium_upstairs(system.labeling,
+                                                     potential)
     lines = [("shift_vertices", len(mu.shift.vertices)),
              ("shift_edges", len(mu.shift.edges)),
              ("entropy", entropy(mu)),
-             ("pressure", pressure(mu.shift, edge_potential))]
+             ("pressure", pressure_value)]
     for v in mu.shift.vertices:
         lines.append((f"stationary({v})", mu.stationary[v]))
     for e in mu.shift.edges:

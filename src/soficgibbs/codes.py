@@ -15,7 +15,7 @@ from typing import Mapping
 from .errors import (EnumerationCapError, NotFiniteToOneError,
                      NotInLanguageError, ReducibleShiftError)
 from .shifts import (PATH_SEP, Alphabet, Edge, EdgeShift, Word,
-                     _paths_of_length)
+                     _paths_of_length, missing_word)
 
 DEFAULT_WORD_SEARCH_CAP = 500_000
 
@@ -26,7 +26,9 @@ class SlidingBlockCode:
 
     The table sends every domain word of length memory+anticipation+1 to a
     codomain symbol; applying the code to a word of length n yields a word of
-    length n - memory - anticipation.
+    length n - memory - anticipation.  Keys outside the domain language are
+    accepted; the table is checked to cover the language by counting, without
+    enumerating it.
     """
 
     domain: EdgeShift
@@ -46,9 +48,9 @@ class SlidingBlockCode:
                 raise ValueError(f"table key {w!r} does not have length {n}")
             if s not in self.codomain:
                 raise ValueError(f"table value {s!r} not in codomain alphabet")
-        for w in self.domain.words_of_length(n):
-            if w not in table:
-                raise ValueError(f"table missing domain word {w!r}")
+        missing = missing_word(self.domain, table, n)
+        if missing is not None:
+            raise ValueError(f"table missing domain word {missing!r}")
 
     @property
     def block_size(self) -> int:
@@ -96,16 +98,20 @@ def higher_block_shift(shift: EdgeShift, n: int):
         raise ValueError("block length must be positive")
     if n == 1:
         return shift, SlidingBlockCode.identity(shift)
-    vertices = [PATH_SEP.join(path) for path, _, _ in _paths_of_length(shift, n - 1)]
+    # one walk: each path of length n-1 is a vertex, extended by one edge
+    vertices = []
+    edges = []
+    decode_map = {}
+    for path, _, at in _paths_of_length(shift, n - 1):
+        vertex = PATH_SEP.join(path)
+        vertices.append(vertex)
+        for e in shift.out_edges(at):
+            eid = PATH_SEP.join(path + (e.id,))
+            edges.append(Edge(vertex, PATH_SEP.join(path[1:] + (e.id,)), eid))
+            decode_map[eid] = path[0]
     if not vertices:
         empty = EdgeShift((), ())
         return empty, SlidingBlockCode.identity(empty)
-    edges = []
-    decode_map = {}
-    for path, _, _ in _paths_of_length(shift, n):
-        eid = PATH_SEP.join(path)
-        edges.append(Edge(PATH_SEP.join(path[:-1]), PATH_SEP.join(path[1:]), eid))
-        decode_map[eid] = path[0]
     recoded = EdgeShift(tuple(vertices), tuple(edges))
     decode = SlidingBlockCode.one_block(recoded, decode_map, shift.alphabet())
     return recoded, decode

@@ -31,9 +31,8 @@ from .errors import EnumerationCapError, NotInLanguageError
 from . import shifts
 from .presentations import SoficPresentation, minimize_fischer
 from .shifts import CyclicStructure, Word, cyclic_class_shift
-from .thermo import (LocallyConstantPotential, MarkovMeasure,
-                     equilibrium_measure, entropy, pressure,
-                     reduce_to_edge_potential)
+from .thermo import (LocallyConstantPotential, MarkovMeasure, _equilibrium,
+                     entropy, pressure, reduce_to_edge_potential)
 
 
 @dataclass(frozen=True)
@@ -155,10 +154,16 @@ def equilibrium_upstairs(code: SlidingBlockCode,
     code through the recoding conjugacy (the code itself for window-1
     potentials).
     """
+    return _equilibrium_upstairs(code, potential)[:3]
+
+
+def _equilibrium_upstairs(code, potential):
+    """`equilibrium_upstairs` followed by the pressure, read off the Perron
+    data of the equilibrium measure."""
     lifted = pullback_potential(code, potential)
     shift, edge_potential, decode = reduce_to_edge_potential(lifted)
-    mu = equilibrium_measure(shift, edge_potential)
-    return mu, edge_potential, compose_one_block(code, decode)
+    mu, pressure_value = _equilibrium(shift, edge_potential)
+    return mu, edge_potential, compose_one_block(code, decode), pressure_value
 
 
 @dataclass(frozen=True)
@@ -182,10 +187,10 @@ def lift_equilibrium(presentation: SoficPresentation,
     right-resolving cover, take the equilibrium measure there, and push it
     back down."""
     fischer, cover_code = minimize_fischer(presentation)
-    mu, edge_potential, push_code = equilibrium_upstairs(cover_code, potential)
+    mu, edge_potential, push_code, pressure_value = _equilibrium_upstairs(
+        cover_code, potential)
     return LiftResult(fischer, cover_code, mu, HiddenMarkovMeasure(mu, push_code),
-                      edge_potential, pressure(mu.shift, edge_potential),
-                      entropy(mu))
+                      edge_potential, pressure_value, entropy(mu))
 
 
 def sofic_pressure(presentation: SoficPresentation,
@@ -234,32 +239,34 @@ def restrict_and_average(measure: MarkovMeasure, structure: CyclicStructure,
         transitions0[e.id] = prob
     restricted = MarkovMeasure(power0, stationary0, transitions0)
 
+    # The restricted words of each length `blocks` are enumerated once; the
+    # expansion of one carries a word of length n at offset j when blocks =
+    # ceil((j + n) / p), and each (j, word) sum accumulates in the
+    # lexicographic order of the restricted words.
+    spans = {}
+    for n in range(1, max_length + 1):
+        for j in range(p):
+            spans.setdefault(-(-(j + n) // p), []).append((j, n))
+    offset_probs = {}
+    for blocks, offsets in spans.items():
+        for w in restricted.shift.words_of_length(blocks):
+            path = tuple(sym for eid in w for sym in expansion[eid])
+            prob = restricted.cylinder_prob(w)
+            for j, n in offsets:
+                key = (j, path[j:j + n])
+                offset_probs[key] = offset_probs.get(key, 0.0) + prob
+
     max_dev = 0.0
     checked = 0
     for length in range(1, max_length + 1):
         for u in measure.shift.words_of_length(length):
             lhs = measure.cylinder_prob(u)
-            rhs = sum(_offset_restricted_prob(restricted, expansion, u, j)
-                      for j in range(p)) / p
+            rhs = sum(offset_probs.get((j, u), 0.0) for j in range(p)) / p
             max_dev = max(max_dev, abs(lhs - rhs))
             checked += 1
     support = (all(v > 0 for v in measure.transitions.values())
                == all(v > 0 for v in restricted.transitions.values()))
     return RestrictAverageResult(restricted, p, max_dev, checked, support)
-
-
-def _offset_restricted_prob(restricted: MarkovMeasure, expansion, word: Word,
-                            offset: int) -> float:
-    """Probability, under the restricted power-shift measure, that the
-    expanded trajectory carries `word` starting at coordinate `offset`."""
-    p = len(next(iter(expansion.values())))
-    blocks = -(-(offset + len(word)) // p)
-    total = 0.0
-    for w in restricted.shift.words_of_length(blocks):
-        path = tuple(sym for eid in w for sym in expansion[eid])
-        if path[offset:offset + len(word)] == tuple(word):
-            total += restricted.cylinder_prob(w)
-    return total
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,11 @@
 An :class:`EdgeShift` is a finite directed multigraph whose bi-infinite edge
 paths are the points of a shift of finite type; the symbols of the shift are
 the edge ids.  Structural invariants (essentiality, irreducibility, period,
-cyclically moving vertex classes) and exact language enumeration live here.
+cyclically moving vertex classes) and the exact language live here: words
+are counted by n sweeps of a Python-int vector over the edge list (the count
+is the sum of the entries of the n-th adjacency power, in O(n E) exact
+steps), enumerated in lexicographic order, and a table keyed by words is
+checked to cover the language by counting its keys, without enumerating.
 
 All values are immutable after construction and every operation is a pure
 function of its inputs, so they can be shared freely between threads.
@@ -253,11 +257,15 @@ class EdgeShift:
             return 0
         if n == 0:
             return 1
-        a = np.array(self.adjacency(), dtype=object)
-        power = np.identity(len(self.vertices), dtype=object)
+        idx = self.vertex_index
+        arcs = [(idx[e.source], idx[e.target]) for e in self.edges]
+        ending_at = [1] * len(self.vertices)
         for _ in range(n):
-            power = power @ a
-        return int(power.sum())
+            nxt = [0] * len(ending_at)
+            for s, t in arcs:
+                nxt[t] += ending_at[s]
+            ending_at = nxt
+        return sum(ending_at)
 
     def words_of_length(self, n: int, cap: int = DEFAULT_ENUMERATION_CAP) -> list[Word]:
         """All length-n edge-id words, sorted lexicographically."""
@@ -295,6 +303,21 @@ class EdgeShift:
                 return None
             prev = e.target
         return self.edge_by_id[word[0]].source, prev
+
+
+def missing_word(language, keys, n: int) -> Word | None:
+    """The first length-n word of a language, in lexicographic order, that is
+    not among `keys`; None when every word is a key.
+
+    `language` is anything with `words_of_length`.  On an EdgeShift the keys
+    that are length-n words of the language are counted against
+    `count_words(n)`: the keys are distinct, so equal counts mean that every
+    word is a key, and the language is enumerated only when they differ.
+    """
+    if isinstance(language, EdgeShift) and language.count_words(n) == sum(
+            1 for w in keys if len(w) == n and language.in_language(w)):
+        return None
+    return next((w for w in language.words_of_length(n) if w not in keys), None)
 
 
 @dataclass(frozen=True)

@@ -17,11 +17,13 @@ from typing import Mapping
 
 import numpy as np
 
+from . import shifts
 from .codes import SlidingBlockCode, higher_block_shift
-from .errors import ConvergenceError, ReducibleShiftError
+from .errors import (ConvergenceError, EnumerationCapError,
+                     ReducibleShiftError)
 from .shifts import (DEFAULT_ENUMERATION_CAP, PATH_SEP, CyclicStructure,
-                     EdgeShift, Word, _paths_of_length, cyclic_class_shift,
-                     cyclic_structure)
+                     EdgeShift, Word, cyclic_class_shift, cyclic_structure,
+                     missing_word)
 
 PERRON_TOL = 1e-13
 PERRON_MAX_ITER = 10 ** 6
@@ -32,7 +34,9 @@ class LocallyConstantPotential:
     """A real table over the length-k words of a shift; f(x) = table[x_[0,k-1]].
 
     The shift may be an EdgeShift (words of edge ids) or a SoficPresentation
-    (words of labels); both expose the same language interface.
+    (words of labels); both expose the same language interface.  Keys
+    outside the language are accepted; on an EdgeShift the table is checked
+    to cover the language by counting, without enumerating it.
     """
 
     shift: object
@@ -44,9 +48,9 @@ class LocallyConstantPotential:
             raise ValueError("window length must be positive")
         table = {tuple(w): float(v) for w, v in self.table.items()}
         object.__setattr__(self, "table", table)
-        for w in self.shift.words_of_length(self.k):
-            if w not in table:
-                raise ValueError(f"potential table missing word {w!r}")
+        missing = missing_word(self.shift, table, self.k)
+        if missing is not None:
+            raise ValueError(f"potential table missing word {missing!r}")
 
     @classmethod
     def zero(cls, shift) -> "LocallyConstantPotential":
@@ -103,8 +107,10 @@ def reduce_to_edge_potential(potential: LocallyConstantPotential):
     if potential.k == 1:
         return shift, potential, SlidingBlockCode.identity(shift)
     recoded, decode = higher_block_shift(shift, potential.k)
-    table = {(PATH_SEP.join(path),): potential.value(path)
-             for path, _, _ in _paths_of_length(shift, potential.k)}
+    # the edges of the recoded shift are the length-k paths, each a key of
+    # the table; distinct paths have distinct composite ids
+    table = {(PATH_SEP.join(w),): v for w, v in potential.table.items()
+             if len(w) == potential.k and shift.in_language(w)}
     return recoded, LocallyConstantPotential(recoded, 1, table), decode
 
 
@@ -283,6 +289,12 @@ def equilibrium_measure(shift: EdgeShift, potential: LocallyConstantPotential,
     """The unique equilibrium = Gibbs-Markov measure of an edge potential on
     an irreducible shift: P(e: i->j) = exp(f(e)) r_j / (lambda r_i), with
     stationary vector l_i r_i."""
+    return _equilibrium(shift, potential, tol)[0]
+
+
+def _equilibrium(shift, potential, tol=PERRON_TOL):
+    """The equilibrium measure and the pressure log(lambda), from one Perron
+    solve: the same value `pressure` returns."""
     _require_edge_potential(shift, potential)
     data = perron(transfer_matrix(shift, potential), tol)
     idx = shift.vertex_index
@@ -297,7 +309,8 @@ def equilibrium_measure(shift: EdgeShift, potential: LocallyConstantPotential,
             transitions[eid] = w / total
     stationary = _polished_stationary(shift, transitions,
                                       seed=data.left * data.right)
-    return MarkovMeasure(shift, stationary, transitions)
+    return (MarkovMeasure(shift, stationary, transitions),
+            math.log(data.eigenvalue))
 
 
 def _polished_stationary(shift, transitions, seed=None):
@@ -418,24 +431,41 @@ def cyclic_pressure_check(shift: EdgeShift, potential: LocallyConstantPotential,
         shift, potential, _ = reduce_to_edge_potential(potential)
     structure = cyclic_structure(shift)
     p = structure.period
-    p_full = pressure(shift, potential)
     if p == 1:
+        p_full = pressure(shift, potential)
         return CyclicPressureReport(1, p_full, p_full, 0.0, 0.0, 0, True, True)
+    mu, p_full = _equilibrium(shift, potential)
     g = period_sum_potential(potential, structure)
     power0, expansion = cyclic_class_shift(structure, 0)
-    p_class0 = pressure(power0, g)
+    mu0, p_class0 = _equilibrium(power0, g)
     identity_dev = abs(p_full - p_class0 / p)
 
-    mu = equilibrium_measure(shift, potential)
-    mu0 = equilibrium_measure(power0, g)
+    for length in range(1, cylinder_length + 1):
+        count = power0.count_words(length)
+        if count > shifts.DEFAULT_ENUMERATION_CAP:
+            raise EnumerationCapError(count, shifts.DEFAULT_ENUMERATION_CAP)
+    # One depth-first walk of the words of power0 from the empty word at each
+    # vertex.  Each word carries its cylinder probability under mu0 and that
+    # of its expansion under mu, both multiplied left to right as
+    # `cylinder_prob` does; the maximum of the finite deviations does not
+    # depend on the visiting order.
+    def extend(e, prob0, prob, length):
+        for sym in expansion[e.id]:
+            prob *= mu.transitions[sym]
+        return e.target, prob0 * mu0.transitions[e.id], prob, length
+
+    stack = [(v, mu0.stationary[v], mu.stationary[v], 0)
+             for v in power0.vertices]
     max_dev = 0.0
     checked = 0
-    for length in range(1, cylinder_length + 1):
-        for w in power0.words_of_length(length):
-            path = tuple(sym for eid in w for sym in expansion[eid])
-            dev = abs(mu0.cylinder_prob(w) - p * mu.cylinder_prob(path))
-            max_dev = max(max_dev, dev)
+    while stack:
+        at, prob0, prob, length = stack.pop()
+        if length:
+            max_dev = max(max_dev, abs(prob0 - p * prob))
             checked += 1
+        if length < cylinder_length:
+            stack += [extend(e, prob0, prob, length + 1)
+                      for e in power0.out_edges(at)]
     support_ok = all(v > 0 for v in mu.transitions.values()) and all(
         v > 0 for v in mu0.transitions.values())
     passed = identity_dev < tol and max_dev < tol

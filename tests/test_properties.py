@@ -31,15 +31,75 @@ def irreducible_graphs(draw):
     return shift
 
 
+@st.composite
+def multigraphs(draw):
+    """Essential graphs with at least one pair of parallel edges."""
+    shift = draw(essential_graphs())
+    e = draw(st.sampled_from(shift.edges))
+    return sg.EdgeShift(shift.vertices,
+                        shift.edges + (sg.Edge(e.source, e.target, "par"),))
+
+
 @settings(max_examples=60, deadline=None)
-@given(essential_graphs(), st.integers(min_value=0, max_value=6))
+@given(multigraphs(), st.integers(min_value=0, max_value=8))
 def test_word_counts_match_adjacency_powers(shift, n):
+    # oracle: the entries of the n-th power of the adjacency matrix, in
+    # exact object-dtype arithmetic
     a = np.array(shift.adjacency(), dtype=object)
     power = np.identity(len(shift.vertices), dtype=object)
     for _ in range(n):
         power = power @ a
     expected = 1 if n == 0 else int(power.sum())
+    assert shift.count_words(n) == expected
     assert len(shift.words_of_length(n)) == expected
+
+
+def _table_verdict(build):
+    try:
+        build()
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+@settings(max_examples=60, deadline=None)
+@given(multigraphs(), st.integers(min_value=1, max_value=3), st.booleans(),
+       st.booleans(), st.booleans(), st.integers(min_value=0, max_value=10 ** 6))
+def test_table_validation_matches_enumeration(shift, k, drop, extra,
+                                              wrong_length, seed):
+    rng = np.random.default_rng(seed)
+    ids = [e.id for e in shift.edges]
+
+    def random_key(length):
+        return tuple(str(s) for s in rng.choice(ids, length))
+
+    words = shift.words_of_length(k)
+    keys = list(words)
+    if drop:
+        keys.pop(int(rng.integers(len(keys))))
+    if extra:  # length-k keys outside the language
+        keys += [w for w in (random_key(k) for _ in range(3)) if w not in words]
+        keys.append(("zz",) * k)
+    if wrong_length:
+        keys += [random_key(k + 1), random_key(k - 1)]
+    potential_table = {w: float(rng.uniform(-1.0, 1.0)) for w in keys}
+    code_table = {w: str(rng.choice(["a", "b"])) for w in keys}
+    codomain = sg.Alphabet(("a", "b"))
+
+    # oracle: the enumeration that validated both tables before counting
+    missing = next((w for w in words if w not in keys), None)
+    bad_key = next((w for w in keys if len(w) != k), None)
+    assert _table_verdict(
+        lambda: sg.LocallyConstantPotential(shift, k, potential_table)) == (
+        None if missing is None else f"potential table missing word {missing!r}")
+    if bad_key is not None:
+        expected = f"table key {bad_key!r} does not have length {k}"
+    elif missing is not None:
+        expected = f"table missing domain word {missing!r}"
+    else:
+        expected = None
+    assert _table_verdict(lambda: sg.SlidingBlockCode(
+        shift, codomain, 0, k - 1, code_table)) == expected
 
 
 @settings(max_examples=60, deadline=None)
@@ -296,3 +356,105 @@ def test_incremental_context_classes_match_fresh_propagation(
             for _, bnd, count in classes:
                 got[bnd] += count
             assert got == boundaries
+
+
+@st.composite
+def periodic_graphs(draw):
+    """Irreducible graphs whose vertices fall in p >= 2 classes with every
+    edge entering the next class, so the period is a multiple of p; parallel
+    edges allowed."""
+    p = draw(st.integers(min_value=2, max_value=3))
+    classes = [[f"c{c}v{i}" for i in range(draw(st.integers(1, 2)))]
+               for c in range(p)]
+    pairs = []
+    for c in range(p):
+        choices = [(u, v) for u in classes[c] for v in classes[(c + 1) % p]]
+        pairs += draw(st.lists(st.sampled_from(choices), min_size=1,
+                               max_size=len(choices) + 1))
+    shift = sg.EdgeShift(
+        tuple(v for cls in classes for v in cls),
+        tuple(sg.Edge(u, v, f"e{i}") for i, (u, v) in enumerate(pairs)))
+    assume(shift.is_irreducible())
+    return shift
+
+
+def _cyclic_report_oracle(shift, potential, cylinder_length):
+    """`cyclic_pressure_check` with one Perron solve per pressure and per
+    measure, and `cylinder_prob` evaluated afresh for every word."""
+    if potential.k > 1:
+        shift, potential, _ = sg.reduce_to_edge_potential(potential)
+    structure = sg.cyclic_structure(shift)
+    p = structure.period
+    p_full = sg.pressure(shift, potential)
+    g = sg.period_sum_potential(potential, structure)
+    power0, expansion = sg.cyclic_class_shift(structure, 0)
+    p_class0 = sg.pressure(power0, g)
+    identity_dev = abs(p_full - p_class0 / p)
+    mu = sg.equilibrium_measure(shift, potential)
+    mu0 = sg.equilibrium_measure(power0, g)
+    max_dev = 0.0
+    checked = 0
+    for length in range(1, cylinder_length + 1):
+        for w in power0.words_of_length(length):
+            path = tuple(sym for eid in w for sym in expansion[eid])
+            dev = abs(mu0.cylinder_prob(w) - p * mu.cylinder_prob(path))
+            max_dev = max(max_dev, dev)
+            checked += 1
+    support_ok = all(v > 0 for v in mu.transitions.values()) and all(
+        v > 0 for v in mu0.transitions.values())
+    passed = identity_dev < 1e-10 and max_dev < 1e-10
+    return sg.CyclicPressureReport(p, p_full, p_class0, identity_dev, max_dev,
+                                   checked, support_ok, passed)
+
+
+def _restrict_average_oracle(measure, structure, max_length):
+    """`restrict_and_average` with the restricted words enumerated afresh for
+    every word and offset."""
+    p = structure.period
+    power0, expansion = sg.cyclic_class_shift(structure, 0)
+    stationary0 = {v: p * measure.stationary[v] for v in power0.vertices}
+    transitions0 = {}
+    for e in power0.edges:
+        prob = 1.0
+        for eid in expansion[e.id]:
+            prob *= measure.transitions[eid]
+        transitions0[e.id] = prob
+    restricted = sg.MarkovMeasure(power0, stationary0, transitions0)
+
+    def offset_prob(word, offset):
+        total = 0.0
+        for w in power0.words_of_length(-(-(offset + len(word)) // p)):
+            path = tuple(sym for eid in w for sym in expansion[eid])
+            if path[offset:offset + len(word)] == word:
+                total += restricted.cylinder_prob(w)
+        return total
+
+    max_dev = 0.0
+    checked = 0
+    for length in range(1, max_length + 1):
+        for u in measure.shift.words_of_length(length):
+            lhs = measure.cylinder_prob(u)
+            rhs = sum(offset_prob(u, j) for j in range(p)) / p
+            max_dev = max(max_dev, abs(lhs - rhs))
+            checked += 1
+    support = (all(v > 0 for v in measure.transitions.values())
+               == all(v > 0 for v in restricted.transitions.values()))
+    return sg.RestrictAverageResult(restricted, p, max_dev, checked, support)
+
+
+@settings(max_examples=40, deadline=None)
+@given(periodic_graphs(), st.integers(min_value=1, max_value=2),
+       st.integers(min_value=0, max_value=3),
+       st.integers(min_value=0, max_value=10 ** 6))
+def test_periodic_certificates_match_per_word_oracles(shift, k, length, seed):
+    rng = np.random.default_rng(seed)
+    words = shift.words_of_length(k)
+    f = sg.LocallyConstantPotential(
+        shift, k, dict(zip(words, rng.uniform(-1.0, 1.0, len(words)))))
+    assert sg.cyclic_pressure_check(shift, f, cylinder_length=length) == \
+        _cyclic_report_oracle(shift, f, length)
+    structure = sg.cyclic_structure(shift)
+    mu = random_markov_measure(shift, rng)
+    max_length = length * structure.period // 2 + 1
+    assert sg.restrict_and_average(mu, structure, max_length) == \
+        _restrict_average_oracle(mu, structure, max_length)

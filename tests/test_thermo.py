@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -101,6 +102,28 @@ class TestPressure:
         assert sg.pressure(shift2, f2) == pytest.approx(direct, abs=1e-12)
         oracle = sg.pressure_periodic_oracle(full2_2block, f, 30)
         assert abs(direct - oracle) < 1e-3
+
+    def test_window6_full3_matches_de_bruijn(self):
+        # a window-6 potential on the full 3-shift recodes to 729 vertices
+        # and 2187 edges; its transfer matrix is the de Bruijn matrix
+        k, w = 3, 6
+        rng = np.random.default_rng(6)
+        symbols = [str(i) for i in range(k)]
+        shift = sg.sft_from_forbidden_words(sg.Alphabet(tuple(symbols)), (), 2)
+        table = {}
+        debruijn = np.zeros((k ** w, k ** w))
+        for word in itertools.product(symbols, repeat=w + 1):
+            value = rng.uniform(-1.0, 1.0)
+            table[tuple(a + b for a, b in zip(word, word[1:]))] = value
+            debruijn[int("".join(word[:-1]), k),
+                     int("".join(word[1:]), k)] = math.exp(value)
+        f = sg.LocallyConstantPotential(shift, w, table)
+        recoded, edge_potential, _ = sg.reduce_to_edge_potential(f)
+        assert (len(recoded.vertices), len(recoded.edges)) == (729, 2187)
+        mu = sg.equilibrium_measure(recoded, edge_potential)
+        assert sum(mu.stationary.values()) == pytest.approx(1.0, abs=1e-12)
+        expected = math.log(float(np.max(np.abs(np.linalg.eigvals(debruijn)))))
+        assert sg.pressure(shift, f) == pytest.approx(expected, abs=1e-10)
 
 
 class TestEquilibrium:
