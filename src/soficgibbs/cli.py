@@ -275,14 +275,16 @@ _COMMANDS = {
     "verify": cmd_verify,
 }
 
+# Parsing keeps no state in the parser, so one tree serves every call.
+_PARSER = build_parser()
+
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     if args.command == "verify" and args.tol is None:
         args.tol = 0.01 if args.what == "dobrushin" else 1e-6
     if args.command == "verify" and args.what == "dobrushin" and args.depth < 2:
-        parser.error("--depth: the entropy horizon must be at least 2")
+        _PARSER.error("--depth: the entropy horizon must be at least 2")
     try:
         lines, passed = _COMMANDS[args.command](args)
     except SoficGibbsError as exc:

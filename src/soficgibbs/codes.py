@@ -1,14 +1,17 @@
 """Sliding block codes and factor-code analysis.
 
 Codes are normalized to one-block form before analysis; the conjugacy used in
-the recoding is retained so that results transport back.  Degree is computed
-by minimizing, over image words and coordinates, the number of distinct
-domain symbols occurring among preimage paths, with a subset-construction
-bound as the stabilization horizon.
+the recoding is retained so that results transport back.  Degree and magic
+word come from one search over (forward subset, backward subset, symbol)
+triples of the label subset automaton: a triple's multiplicity is the
+popcount of the AND of two bit masks over the symbol's edges in sorted-id
+order, and the least (multiplicity, word length, word) wins, the first of
+equal keys in the order fronts, backs, symbols.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -87,12 +90,14 @@ class SlidingBlockCode:
         return tuple(self.table[word[i:i + n]] for i in range(len(word) - n + 1))
 
 
-def higher_block_shift(shift: EdgeShift, n: int):
+def higher_block_shift(shift: EdgeShift, n: int, paths: list | None = None):
     """The n-th higher block recoding of an edge shift.
 
     Returns the recoded shift (vertices the paths of length n-1, edges the
     paths of length n) and the one-block conjugacy back to the original,
-    which reads off the first edge of each composite symbol.
+    which reads off the first edge of each composite symbol.  When n > 1 and
+    a list is passed as `paths`, each length-n path (a tuple of edge ids, whose
+    composite symbol is its PATH_SEP join) is appended to it.
     """
     if n < 1:
         raise ValueError("block length must be positive")
@@ -106,9 +111,12 @@ def higher_block_shift(shift: EdgeShift, n: int):
         vertex = PATH_SEP.join(path)
         vertices.append(vertex)
         for e in shift.out_edges(at):
-            eid = PATH_SEP.join(path + (e.id,))
-            edges.append(Edge(vertex, PATH_SEP.join(path[1:] + (e.id,)), eid))
+            full = path + (e.id,)
+            eid = PATH_SEP.join(full)
+            edges.append(Edge(vertex, PATH_SEP.join(full[1:]), eid))
             decode_map[eid] = path[0]
+            if paths is not None:
+                paths.append(full)
     if not vertices:
         empty = EdgeShift((), ())
         return empty, SlidingBlockCode.identity(empty)
@@ -119,10 +127,11 @@ def higher_block_shift(shift: EdgeShift, n: int):
 
 def higher_block_encoder(shift: EdgeShift, n: int) -> SlidingBlockCode:
     """The block map from the original shift onto its n-th higher block shift."""
-    recoded, _ = higher_block_shift(shift, n)
+    paths = []
+    recoded, _ = higher_block_shift(shift, n, paths)
     if n == 1:
         return SlidingBlockCode.identity(shift)
-    table = {path: PATH_SEP.join(path) for path, _, _ in _paths_of_length(shift, n)}
+    table = {path: PATH_SEP.join(path) for path in paths}
     return SlidingBlockCode(shift, recoded.alphabet(), 0, n - 1, table)
 
 
@@ -135,10 +144,9 @@ def recode_to_one_block(code: SlidingBlockCode):
     """
     if code.is_one_block:
         return code.domain, code
-    n = code.block_size
-    recoded, _ = higher_block_shift(code.domain, n)
-    symbol_map = {PATH_SEP.join(path): code.table[path]
-                  for path, _, _ in _paths_of_length(code.domain, n)}
+    paths = []
+    recoded, _ = higher_block_shift(code.domain, code.block_size, paths)
+    symbol_map = {PATH_SEP.join(path): code.table[path] for path in paths}
     one_block = SlidingBlockCode.one_block(recoded, symbol_map, code.codomain)
     return recoded, one_block
 
@@ -210,32 +218,6 @@ def _label_edges(code):
     return by_label
 
 
-def coordinate_edge_sets(code: SlidingBlockCode, word: Word) -> list[set[str]] | None:
-    """For each coordinate of an image word, the set of domain symbols that
-    occur there among preimage paths; None when the word has no preimage."""
-    _require_one_block(code)
-    by_label = _label_edges(code)
-    n = len(word)
-    all_v = set(code.domain.vertices)
-    fwd = [all_v]
-    for s in word:
-        cur = fwd[-1]
-        fwd.append({e.target for e in by_label.get(s, ()) if e.source in cur})
-    bwd = [all_v]
-    for s in reversed(word):
-        cur = bwd[-1]
-        bwd.append({e.source for e in by_label.get(s, ()) if e.target in cur})
-    bwd.reverse()
-    sets = []
-    for i, s in enumerate(word):
-        at = {e.id for e in by_label.get(s, ())
-              if e.source in fwd[i] and e.target in bwd[i + 1]}
-        if not at:
-            return None
-        sets.append(at)
-    return sets
-
-
 def preimage_words(code: SlidingBlockCode, word: Word) -> list[Word]:
     """Brute enumeration of the preimage paths of an image word."""
     _require_one_block(code)
@@ -254,15 +236,6 @@ def preimage_words(code: SlidingBlockCode, word: Word) -> list[Word]:
                     nxt_at[q] = e.target
         paths, at = nxt, nxt_at
     return sorted(paths)
-
-
-def d_star(code: SlidingBlockCode, word: Word):
-    """(min coordinate multiplicity, coordinate, symbols there) for an image word."""
-    sets = coordinate_edge_sets(code, word)
-    if sets is None:
-        raise NotInLanguageError(f"{word!r} has no preimage path")
-    best = min(range(len(sets)), key=lambda i: (len(sets[i]), i))
-    return len(sets[best]), best, tuple(sorted(sets[best]))
 
 
 @dataclass(frozen=True)
@@ -305,12 +278,12 @@ def _reachable_subsets(code, forward, cap):
 def degree(code: SlidingBlockCode, cap: int = DEFAULT_WORD_SEARCH_CAP) -> int:
     """Number of preimages of every doubly transitive image point.
 
-    Defined for finite-to-one codes on irreducible domains; computed as the
-    stabilized minimum over image words and coordinates of the number of
-    distinct domain symbols occurring there among preimage paths.  The
-    minimum is exact: the multiplicity at a coordinate depends only on the
-    forward-reachable subset from the prefix, the backward-reachable subset
-    from the suffix, and the symbol, and every such triple is realized.
+    Defined for finite-to-one codes on irreducible domains: the minimum over
+    image words and coordinates of the number of distinct domain symbols
+    there among preimage paths (Lind & Marcus, §9.1).  That number depends
+    only on the forward-reachable subset from the prefix, the
+    backward-reachable subset from the suffix, and the symbol, and every such
+    triple is realized, so the mask search over triples is exact.
     """
     return _degree_search(code, cap)[0]
 
@@ -326,25 +299,49 @@ def _degree_search(code, cap):
     if not is_finite_to_one(code):
         raise NotFiniteToOneError("degree undefined (infinite)")
     by_label = _label_edges(code)
-    fwd = _reachable_subsets(code, True, cap)
-    bwd = _reachable_subsets(code, False, cap)
-    best = None
-    best_key = None
-    best_witness = None
-    for front, prefix in fwd.items():
-        for back, suffix in bwd.items():
-            for s in sorted(by_label):
-                hits = tuple(sorted(e.id for e in by_label[s]
-                                    if e.source in front and e.target in back))
-                if not hits:
+    symbols = sorted(by_label)
+    edges_of = [sorted(by_label[s], key=lambda e: e.id) for s in symbols]
+
+    def masks(subsets, end):
+        # bit i of a vertex's mask for symbol j: the i-th edge of j in
+        # sorted-id order has the vertex as its `end`; these masks are
+        # disjoint, so a subset's union of them is their sum
+        at = {v: [0] * len(symbols) for v in code.domain.vertices}
+        for j, edges in enumerate(edges_of):
+            for i, e in enumerate(edges):
+                at[getattr(e, end)][j] |= 1 << i
+        return [(word, len(word), [sum(col) for col in zip(*map(at.get, subset))])
+                for subset, word in subsets.items()]
+
+    fronts = masks(_reachable_subsets(code, True, cap), "source")
+    backs = masks(_reachable_subsets(code, False, cap), "target")
+    # A triple whose multiplicity or word length already loses to the best
+    # key is skipped before its word is built.  Suffixes come in
+    # nondecreasing length and no multiplicity is below 1, so once 1 is
+    # reached the rest of a front's longer pairs are cut off.
+    best = best_len = math.inf
+    best_key, best_at = (math.inf,), None
+    for prefix, front_len, front_row in fronts:
+        for suffix, back_len, back_row in backs:
+            length = front_len + 1 + back_len
+            if length > best_len and best == 1:
+                break
+            for j, hit in enumerate(map(int.__and__, front_row, back_row)):
+                if not hit:
                     continue
-                word = prefix + (s,) + suffix
-                key = (len(hits), len(word), word)
-                if best is None or key < best_key:
-                    best = len(hits)
-                    best_key = key
-                    best_witness = MagicWord(word, len(prefix), hits)
-    return best, best_witness
+                m = hit.bit_count()
+                if m > best or m == best and length > best_len:
+                    continue
+                word = prefix + (symbols[j],) + suffix
+                key = (m, length, word)
+                if key < best_key:
+                    best, best_len, best_key = m, length, key
+                    best_at = (word, front_len, j, hit)
+    if best_at is None:
+        return None, None
+    word, coordinate, j, hit = best_at
+    hits = tuple(e.id for i, e in enumerate(edges_of[j]) if hit >> i & 1)
+    return best, MagicWord(word, coordinate, hits)
 
 
 @dataclass(frozen=True)

@@ -240,3 +240,35 @@ def test_out_of_range_option_exits_2(argv):
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert "Traceback" not in proc.stderr
+
+
+def test_in_process_runs_match_fresh_processes(monkeypatch, capsys):
+    # main reuses one parser across calls: each in-process run, in sequence
+    # with the others, must give the exit code and output of a fresh process
+    root = Path(__file__).resolve().parent.parent
+    monkeypatch.chdir(root)
+    runs = [
+        ["analyze", "scripts/data/golden_mean.shift", "--format", "machine"],
+        ["verify", "dobrushin", "scripts/data/even_shift.shift", "--depth", "1"],
+        ["pressure", "scripts/data/even_shift.shift",
+         "--potential", "scripts/data/f_log2.pot", "--format", "machine"],
+        ["fischer", "scripts/data/even_shift.shift"],
+        ["verify", "finite-to-one", "scripts/data/full2_xor.shift",
+         "--cmax", "4", "--tol", "1e-5", "--format", "machine"],
+        ["verify", "dobrushin", "scripts/data/even_shift.shift", "--depth", "3"],
+    ]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    fresh = []
+    for argv in runs:
+        proc = subprocess.run([sys.executable, "-m", "soficgibbs.cli", *argv],
+                              env=env, capture_output=True, text=True,
+                              timeout=60)
+        fresh.append((proc.returncode, proc.stdout, proc.stderr))
+    for _ in range(2):
+        for argv, expected in zip(runs, fresh):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            captured = capsys.readouterr()
+            assert (code, captured.out, captured.err) == expected

@@ -166,15 +166,27 @@ class TestDegree:
 
     def test_degree_monotone_under_extension(self, even_cover):
         # the coordinate minimum never increases when a word is extended
-        from soficgibbs.codes import d_star
-
         code = even_cover.labeling_code()
         image = sg.image_presentation(code.domain, code)
+
+        def coordinate_minimum(word):
+            paths = sg.preimage_words(code, word)
+            return min(len({path[i] for path in paths})
+                       for i in range(len(word)))
+
         for w in image.words_of_length(3):
-            dw = d_star(code, w)[0]
+            dw = coordinate_minimum(w)
             for s in ("0", "1"):
                 if image.in_language(w + (s,)):
-                    assert d_star(code, w + (s,))[0] <= dw
+                    assert coordinate_minimum(w + (s,)) <= dw
+
+    def test_subset_cap_raises(self, golden_mean):
+        # the full vertex set is the first subset; each edge of the golden
+        # mean shift leads from it to a single vertex, exceeding a cap of one
+        code = sg.SlidingBlockCode.identity(golden_mean)
+        with pytest.raises(sg.EnumerationCapError):
+            sg.degree(code, cap=1)
+        assert sg.degree(code, cap=3) == 1
 
 
 class TestMagicWord:

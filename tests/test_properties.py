@@ -3,7 +3,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import soficgibbs as sg
 from soficgibbs import gibbs
@@ -233,6 +233,103 @@ def test_analysis_agrees_with_degree_and_magic_word(presentation):
     assert analysis.degree == sg.degree(code) == magic.multiplicity
     assert analysis.magic_word == magic
     assert analysis.almost_invertible == (analysis.degree == 1)
+
+
+@st.composite
+def labeled_covers(draw):
+    """One-block codes on k-sheeted covers (k = 1, 2, 3) of small labeled
+    graphs.  A base edge is labeled by its rank among the out-edges of its
+    source (or the in-edges of its target) under a drawn naming of ranks, so
+    the base is right- (left-) resolving, unless a drawn rank also takes the
+    label of rank 0; then the base may be infinite-to-one.  Each base edge
+    lifts along a random permutation of the sheets and keeps its label, so
+    an irreducible cover of a finite-to-one base has k times its degree (the
+    xor code is the 2-sheeted cover of the full 2-shift)."""
+    n = draw(st.integers(min_value=1, max_value=3))
+    vertices = [f"v{i}" for i in range(n)]
+    pairs = [(a, b) for a in vertices for b in vertices]
+    base = draw(st.lists(st.sampled_from(pairs), min_size=n, max_size=3 * n))
+    end = draw(st.sampled_from((0, 1)))
+    names = draw(st.permutations("abcdefghi"))
+    merged = draw(st.integers(min_value=0, max_value=3))
+    k = draw(st.integers(min_value=1, max_value=3))
+    edges, labels, rank = [], {}, Counter()
+    for j, pair in enumerate(base):
+        label = names[0 if rank[pair[end]] == merged else rank[pair[end]]]
+        rank[pair[end]] += 1
+        for sheet, image in enumerate(draw(st.permutations(range(k)))):
+            eid = f"e{j}s{sheet}"
+            edges.append(sg.Edge(f"{pair[0]}s{sheet}", f"{pair[1]}s{image}", eid))
+            labels[eid] = label
+    shift = sg.EdgeShift(tuple(f"{v}s{i}" for v in vertices for i in range(k)),
+                         tuple(edges))
+    assume(shift.is_irreducible())
+    return sg.SlidingBlockCode.one_block(shift, labels)
+
+
+def _tuple_degree_search(code):
+    """Reference degree search without masks: one sorted tuple of edge ids
+    per (front, back, symbol) triple, in the same visiting order."""
+    from soficgibbs import codes
+
+    if not sg.is_finite_to_one(code):
+        raise sg.NotFiniteToOneError("degree undefined (infinite)")
+    cap = codes.DEFAULT_WORD_SEARCH_CAP
+    by_label = codes._label_edges(code)
+    fwd = codes._reachable_subsets(code, True, cap)
+    bwd = codes._reachable_subsets(code, False, cap)
+    best = best_key = best_witness = None
+    for front, prefix in fwd.items():
+        for back, suffix in bwd.items():
+            for s in sorted(by_label):
+                hits = tuple(sorted(e.id for e in by_label[s]
+                                    if e.source in front and e.target in back))
+                if not hits:
+                    continue
+                word = prefix + (s,) + suffix
+                key = (len(hits), len(word), word)
+                if best is None or key < best_key:
+                    best, best_key = len(hits), key
+                    best_witness = sg.MagicWord(word, len(prefix), hits)
+    return best, best_witness
+
+
+def _one_block_code(*edges):
+    """One-block code from (source, target, label) triples; edge i is e{i}."""
+    shift = sg.EdgeShift(tuple(sorted({v for a, b, _ in edges for v in (a, b)})),
+                         tuple(sg.Edge(a, b, f"e{i}")
+                               for i, (a, b, _) in enumerate(edges)))
+    return sg.SlidingBlockCode.one_block(
+        shift, {f"e{i}": label for i, (_, _, label) in enumerate(edges)})
+
+
+# Codes whose searches meet each tie-break: degree 1 first seen as
+# multiplicity 2 on a shorter word; a later word of equal multiplicity and
+# length that is smaller; equal keys at two coordinates.
+_TIE_BREAK_CODES = (
+    _one_block_code(("u", "u", "a"), ("u", "v", "a"), ("u", "v", "b"),
+                    ("v", "u", "b")),
+    _one_block_code(("u", "w", "a"), ("v", "u", "a"), ("v", "u", "b"),
+                    ("v", "u", "c"), ("w", "v", "a"), ("w", "u", "b"),
+                    ("w", "v", "c")),
+    _one_block_code(("u", "u", "a"), ("u", "w", "a"), ("u", "w", "b"),
+                    ("v", "u", "b"), ("w", "v", "a")),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(labeled_covers())
+@example(_TIE_BREAK_CODES[0])
+@example(_TIE_BREAK_CODES[1])
+@example(_TIE_BREAK_CODES[2])
+def test_mask_degree_search_matches_tuple_oracle(code):
+    try:
+        expected = _tuple_degree_search(code)
+    except sg.NotFiniteToOneError:
+        with pytest.raises(sg.NotFiniteToOneError):
+            sg.find_magic_word(code)
+        return
+    assert (sg.degree(code), sg.find_magic_word(code)) == expected
 
 
 @settings(max_examples=30, deadline=None)
