@@ -25,10 +25,10 @@ from .gibbs import (CounterexampleReport, DobrushinReport, FiniteToOneReport,
                     sunny_side_up_presentation, synchronized_battery,
                     verify_finite_to_one_preservation,
                     verify_sofic_dobrushin, verify_sofic_lanford_ruelle)
-from .measures import (EmpiricalMeasure, EntropyEstimate, HiddenMarkovMeasure,
-                       LiftResult, RestrictAverageResult, empirical_measure,
-                       entropy_estimate, equilibrium_upstairs, lift_empirical,
-                       lift_equilibrium, preimage_cylinder_sum, pushforward,
+from .measures import (EntropyEstimate, HiddenMarkovMeasure, LiftResult,
+                       RestrictAverageResult, entropy_estimate,
+                       equilibrium_upstairs, lift_equilibrium,
+                       preimage_cylinder_sum, pushforward,
                        restrict_and_average, sofic_pressure)
 from .presentations import (LabeledEdge, SoficPresentation, determinize,
                             identity_presentation, image_presentation,

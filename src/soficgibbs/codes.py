@@ -249,12 +249,18 @@ class MagicWord:
         return len(self.preimage_symbols)
 
 
-def _reachable_subsets(code, forward, cap):
+def _reachable_subsets(code, forward, cap, by_label=None):
     """Subsets of vertices reachable in the label subset automaton from the
     full vertex set, each with a shortest witness word (deterministic
-    tie-break)."""
-    by_label = _label_edges(code)
+    tie-break).  `by_label` is `_label_edges(code)`, built when not given."""
+    by_label = _label_edges(code) if by_label is None else by_label
     symbols = sorted(by_label)
+    # the vertices one step from each vertex along each symbol
+    step = {s: {v: set() for v in code.domain.vertices} for s in symbols}
+    for s in symbols:
+        for e in by_label[s]:
+            a, b = (e.source, e.target) if forward else (e.target, e.source)
+            step[s][a].add(b)
     full = frozenset(code.domain.vertices)
     seen = {full: ()}
     queue = [full]
@@ -262,10 +268,7 @@ def _reachable_subsets(code, forward, cap):
         nxt_queue = []
         for cur in queue:
             for s in symbols:
-                if forward:
-                    nxt = frozenset(e.target for e in by_label[s] if e.source in cur)
-                else:
-                    nxt = frozenset(e.source for e in by_label[s] if e.target in cur)
+                nxt = frozenset().union(*map(step[s].__getitem__, cur))
                 if nxt and nxt not in seen:
                     seen[nxt] = seen[cur] + (s,) if forward else (s,) + seen[cur]
                     nxt_queue.append(nxt)
@@ -313,8 +316,8 @@ def _degree_search(code, cap):
         return [(word, len(word), [sum(col) for col in zip(*map(at.get, subset))])
                 for subset, word in subsets.items()]
 
-    fronts = masks(_reachable_subsets(code, True, cap), "source")
-    backs = masks(_reachable_subsets(code, False, cap), "target")
+    fronts = masks(_reachable_subsets(code, True, cap, by_label), "source")
+    backs = masks(_reachable_subsets(code, False, cap, by_label), "target")
     # A triple whose multiplicity or word length already loses to the best
     # key is skipped before its word is built.  Suffixes come in
     # nondecreasing length and no multiplicity is below 1, so once 1 is

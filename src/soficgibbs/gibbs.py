@@ -26,7 +26,10 @@ levels forward once, one symbol per level, and each tested length reads a
 snapshot shared by every pair still live; a level of more than
 `shifts.DEFAULT_ENUMERATION_CAP` classes raises `EnumerationCapError`.  A pair
 is skipped at the first length without a valid exchange context, and the
-levels stop once no pair is live.
+levels stop once no pair is live.  A battery computes each push, word
+matrix, product, dot and window delta once, keyed on its exact inputs: a
+recompute is the same numpy call on the same bytes, so no bit changes (stacked
+products such as `L @ T_u @ R.T` round differently, and are not used).
 
 The pipelines take the equilibrium measure upstairs and push it down.  The
 Gibbs verdicts (Lanford-Ruelle, finite-to-one) run `synchronized_battery` on
@@ -130,6 +133,26 @@ def _sync_step(pattern, state, symbol):
     return 0
 
 
+class _Memo(dict):
+    """A dict that computes a missing value from its key, once."""
+
+    def __init__(self, compute):
+        self.compute = compute
+
+    def __missing__(self, key):
+        value = self[key] = self.compute(*key)
+        return value
+
+
+def _normalized(vec):
+    """The vector over its sum and its 13-digit key; None without mass."""
+    total = vec.sum()
+    if total <= 0.0:
+        return None
+    vec = vec / total
+    return vec, tuple(np.round(vec, 13))
+
+
 class _ContextLevels:
     """Left and right context classes of a hidden Markov measure, one sorted
     level per context length, each pushed one symbol from the level before.
@@ -138,7 +161,11 @@ class _ContextLevels:
     row pushed through the context's sub-transition matrices) rounded to 13
     digits, its last boundary_len symbols and its progress through the sync
     word; it carries the vector and its number of contexts.  Right classes
-    are symmetric with backward vectors."""
+    are symmetric with backward vectors.
+
+    Class vectors recur at every length: each is interned by its bytes and
+    each (side, vector id, symbol) pushed once per battery, as a recompute
+    would be the same numpy call on the same bytes."""
 
     def __init__(self, nu: HiddenMarkovMeasure, boundary_len: int,
                  sync_word: Word | None):
@@ -153,27 +180,38 @@ class _ContextLevels:
                       (lambda vec, s: mats[s] @ vec,
                        lambda bnd, s: ((s,) + bnd)[:b] if b else (),
                        pattern[::-1]))
+        self.ids, self.vectors = {}, []
+        self.pushes = _Memo(lambda side, vid, s: _normalized(
+            self.rules[side][0](self.vectors[vid], s)))
         starts = (nu._stationary_row, np.ones(len(nu.upstairs.shift.vertices)))
-        self.levels = tuple([((tuple(np.round(v0, 13)), (), 0), [v0, 1])]
-                            for v0 in (v / v.sum() for v in starts))
+        self.levels = tuple([((key, (), 0), [v0, 1])]
+                            for v0, key in map(_normalized, starts))
+
+    def _vector_id(self, vec) -> int:
+        """Id shared by every class vector with these bytes."""
+        vid = self.ids.setdefault(vec.tobytes(), len(self.ids))
+        if vid == len(self.vectors):
+            self.vectors.append(vec)
+        return vid
 
     def advance(self):
         """Push both sides one symbol further."""
-        self.levels = tuple(self._push(level, *rule)
-                            for level, rule in zip(self.levels, self.rules))
+        self.levels = tuple(self._push(side, level)
+                            for side, level in enumerate(self.levels))
         self.length += 1
 
-    def _push(self, level, apply_mat, boundary_update, pattern):
+    def _push(self, side, level):
+        _, boundary_update, pattern = self.rules[side]
         cap = shifts.DEFAULT_ENUMERATION_CAP
         nxt = {}
         for (_, bnd, st), (vec, count) in level:
+            vid = self._vector_id(vec)
             for s in self.symbols:
-                vec2 = apply_mat(vec, s)
-                total = vec2.sum()
-                if total <= 0.0:
+                pushed = self.pushes[side, vid, s]
+                if pushed is None:
                     continue
-                vec2 = vec2 / total
-                key = (tuple(np.round(vec2, 13)), boundary_update(bnd, s),
+                vec2, rounded = pushed
+                key = (rounded, boundary_update(bnd, s),
                        _sync_step(pattern, st, s))
                 cell = nxt.get(key)
                 if cell is not None:
@@ -247,9 +285,13 @@ def _ratio_engine(measure, potential, pairs, context_lengths, tol,
     sync = tuple(synchronizing_word) if synchronizing_word else None
     hidden = _hidden(measure)
     if hidden is not None:
-        mats = [(_word_matrix(hidden, u), _word_matrix(hidden, v))
-                for u, v in pairs]
         levels = _ContextLevels(hidden, k - 1, sync)
+        mats = {w: _word_matrix(hidden, w) for w in set().union(*pairs)}
+        products = _Memo(lambda w, lid: levels.vectors[lid] @ mats[w])
+        dots = _Memo(lambda w, lid, rid: float(products[w, lid]
+                                               @ levels.vectors[rid]))
+        deltas = _Memo(lambda pair, lbnd, rbnd: _window_delta(
+            potential, lbnd, *pair, rbnd))
     found = [[] for _ in pairs]
     dropped_at = [None] * len(pairs)
     live = range(len(pairs))
@@ -257,9 +299,11 @@ def _ratio_engine(measure, potential, pairs, context_lengths, tol,
         if not live:
             break
         if hidden is not None:
-            lefts, rights = _context_classes(levels, c)
-            results = [_max_deviation_hidden(potential, pairs[i], mats[i],
-                                             lefts, rights) for i in live]
+            lefts, rights = ([(levels._vector_id(vec), bnd, count)
+                              for vec, bnd, count in classes]
+                             for classes in _context_classes(levels, c))
+            results = [_max_deviation_hidden(pairs[i], lefts, rights, mats,
+                                             dots, deltas) for i in live]
         else:
             words = [w for w in measure.words_of_length(c)
                      if not sync or _contains(w, sync)]
@@ -295,23 +339,23 @@ def _word_matrix(nu, word):
     return m
 
 
-def _max_deviation_hidden(potential, pair, mats, lefts, rights):
-    (u, v), (tu, tv) = pair, mats
-    if tu is None or tv is None:
+def _max_deviation_hidden(pair, lefts, rights, mats, dots, deltas):
+    """Worst deviation of a pair over (vector id, boundary, count) classes,
+    reading the battery's word matrices, dots and window deltas."""
+    u, v = pair
+    if mats[u] is None or mats[v] is None:
         return 0.0, 0
     worst, count = 0.0, 0
-    for lvec, lbnd, lcount in lefts:
-        lu, lv = lvec @ tu, lvec @ tv
-        for rvec, rbnd, rcount in rights:
-            num = float(lu @ rvec)
-            den = float(lv @ rvec)
+    for lid, lbnd, lcount in lefts:
+        for rid, rbnd, rcount in rights:
+            num, den = dots[u, lid, rid], dots[v, lid, rid]
             # positive mass is equivalent to language membership here (the
             # upstairs measure has full support), so a context is a valid
             # exchange exactly when both sides carry mass
             if num <= 0.0 or den <= 0.0:
                 continue
             count += lcount * rcount
-            delta = _window_delta(potential, lbnd, u, v, rbnd)
+            delta = deltas[pair, lbnd, rbnd]
             worst = max(worst, abs(math.log(num) - math.log(den) - delta))
     return worst, count
 

@@ -12,8 +12,7 @@ pulled-back potential, and return the code that pushes it onto the image.
 `lift_equilibrium` applies it to the minimal right-resolving cover; the
 variational pressure certificate on the image is computed by
 `gibbs.verify_sofic_dobrushin`, its only verdict.  The module also restricts
-and averages measures across cyclically moving classes and handles
-finite-horizon empirical measures.
+and averages measures across cyclically moving classes.
 """
 
 from __future__ import annotations
@@ -27,7 +26,7 @@ import numpy as np
 
 from .codes import (SlidingBlockCode, compose_one_block, preimage_words,
                     pullback_potential)
-from .errors import EnumerationCapError, NotInLanguageError
+from .errors import EnumerationCapError
 from . import shifts
 from .presentations import SoficPresentation, minimize_fischer
 from .shifts import CyclicStructure, Word, cyclic_class_shift
@@ -267,52 +266,3 @@ def restrict_and_average(measure: MarkovMeasure, structure: CyclicStructure,
     support = (all(v > 0 for v in measure.transitions.values())
                == all(v > 0 for v in restricted.transitions.values()))
     return RestrictAverageResult(restricted, p, max_dev, checked, support)
-
-
-@dataclass(frozen=True)
-class EmpiricalMeasure:
-    """Cylinder frequencies read off a single finite word."""
-
-    word: Word
-
-    def frequency(self, sub: Word) -> float:
-        sub = tuple(sub)
-        n = len(self.word) - len(sub) + 1
-        if n <= 0 or not sub:
-            return 0.0
-        hits = sum(1 for i in range(n) if self.word[i:i + len(sub)] == sub)
-        return hits / n
-
-
-def empirical_measure(word: Word) -> EmpiricalMeasure:
-    return EmpiricalMeasure(tuple(word))
-
-
-def lift_empirical(y_prefix: Word, code: SlidingBlockCode) -> Word:
-    """Lexicographically least preimage word of an image word under a
-    one-block code; its empirical measure pushes forward to the empirical
-    measure of the image word."""
-    if not code.is_one_block:
-        raise ValueError("lifting requires a one-block code")
-    shift = code.domain
-    word = tuple(y_prefix)
-    by_label = {}
-    for e in shift.edges:
-        by_label.setdefault(code.label(e.id), []).append(e)
-    # backward viability sets
-    viable = [set(shift.vertices)]
-    for s in reversed(word):
-        cur = viable[-1]
-        viable.append({e.source for e in by_label.get(s, ()) if e.target in cur})
-    viable.reverse()
-    lifted = []
-    at = None
-    for j, s in enumerate(word):
-        options = [e for e in by_label.get(s, ())
-                   if (at is None or e.source == at) and e.target in viable[j + 1]]
-        if not options:
-            raise NotInLanguageError(f"{word!r} has no preimage path")
-        e = min(options, key=lambda e: e.id)
-        lifted.append(e.id)
-        at = e.target
-    return tuple(lifted)

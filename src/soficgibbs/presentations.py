@@ -78,6 +78,10 @@ class SoficPresentation:
         return True
 
     def underlying_edge_shift(self) -> EdgeShift:
+        return self._edge_shift
+
+    @cached_property
+    def _edge_shift(self) -> EdgeShift:
         return EdgeShift(self.vertices,
                          tuple(Edge(e.source, e.target, e.id) for e in self.edges))
 

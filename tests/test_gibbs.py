@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -162,6 +163,25 @@ class TestRatioTestDownstairs:
         assert report.final_deviation < 1e-12
 
 
+class _SpyMatrix:
+    """A sub-transition matrix that records each vector pushed through it:
+    (side, vector bytes, symbol)."""
+
+    __array_ufunc__ = None  # numpy defers `vec @ spy` to __rmatmul__
+
+    def __init__(self, mat, symbol, pushes):
+        self.mat, self.symbol, self.pushes = mat, symbol, pushes
+
+    def __matmul__(self, vec):
+        if vec.ndim == 1:
+            self.pushes.append(("right", vec.tobytes(), self.symbol))
+        return self.mat @ vec
+
+    def __rmatmul__(self, vec):
+        if vec.ndim == 1:
+            self.pushes.append(("left", vec.tobytes(), self.symbol))
+        return vec @ self.mat
+
 class TestRatioEngine:
     @pytest.fixture
     def pushed(self, monkeypatch):
@@ -210,6 +230,23 @@ class TestRatioEngine:
         assert (info.value.count, info.value.cap) == (11, 10)
         monkeypatch.setattr(shifts, "DEFAULT_ENUMERATION_CAP", 12)
         assert sg.run_ratio_battery(nu, f, range(1, 7), 1e-6).reports
+
+    def test_each_class_vector_pushed_once_per_symbol(self, even_cover):
+        # synchronized classes recur with the same vectors at every length;
+        # each (side, vector, symbol) goes through its sub-matrix once
+        table = {w: 0.1 * i for i, w in enumerate(even_cover.words_of_length(2))}
+        f = sg.LocallyConstantPotential(even_cover, 2, table)
+        nu = sg.lift_equilibrium(even_cover, f).downstairs
+        pairs = gibbs.exchangeable_pairs(nu.words_of_length)
+        expected = gibbs._ratio_engine(nu, f, pairs, range(1, 10), 1e-6,
+                                       ("1",))
+        pushes = []
+        vars(nu)["_sub_matrices"] = {s: _SpyMatrix(m, s, pushes)
+                                     for s, m in nu._sub_matrices.items()}
+        got = gibbs._ratio_engine(nu, f, pairs, range(1, 10), 1e-6, ("1",))
+        assert repr(got) == repr(expected)
+        assert len(pushes) > 2 * len(nu.symbols)
+        assert max(Counter(pushes).values()) == 1
 
     def test_empty_length_range_rejected(self, even_cover):
         f = sg.LocallyConstantPotential.zero(even_cover)

@@ -239,46 +239,3 @@ class TestRestrictAverage:
         structure = sg.cyclic_structure(period2_parallel)
         result = sg.restrict_and_average(mu, structure, max_length=6)
         assert result.reconstruction_max_deviation < 1e-10
-
-
-class TestEmpirical:
-    def test_direct_counts(self):
-        emp = sg.empirical_measure(("0", "1", "0", "1"))
-        assert emp.frequency(("0",)) == pytest.approx(0.5)
-        assert emp.frequency(("0", "1")) == pytest.approx(2 / 3)
-        assert emp.frequency(("1", "1")) == 0.0
-
-    def test_identity_lift(self, golden_mean):
-        ident = sg.SlidingBlockCode.identity(golden_mean)
-        word = golden_mean.words_of_length(5)[2]
-        assert sg.lift_empirical(word, ident) == word
-
-    def test_even_shift_lift_unique(self, even_cover):
-        _, cover = sg.minimize_fischer(even_cover)
-        lifted = sg.lift_empirical(("1", "0", "0", "1"), cover)
-        assert cover.apply_to_word(lifted) == ("1", "0", "0", "1")
-        assert sg.preimage_words(cover, ("1", "0", "0", "1")) == [lifted]
-
-    def test_lift_is_lex_least(self, xor_code):
-        word = ("0", "1", "1")
-        lifted = sg.lift_empirical(word, xor_code)
-        paths = sg.preimage_words(xor_code, word)
-        assert lifted == min(paths)
-
-    def test_lift_pushes_empirical_forward(self, xor_code):
-        word = ("0", "1", "1", "0", "1")
-        lifted = sg.lift_empirical(word, xor_code)
-        up = sg.empirical_measure(lifted)
-        down = sg.empirical_measure(word)
-        # pushforward of the empirical measure: sum over preimage words
-        for n in (1, 2):
-            for w in {word[i:i + n] for i in range(len(word) - n + 1)}:
-                mass = sum(up.frequency(u)
-                           for u in xor_code.domain.words_of_length(n)
-                           if xor_code.apply_to_word(u) == w)
-                assert mass == pytest.approx(down.frequency(w), abs=1e-12)
-
-    def test_no_preimage_raises(self, even_cover):
-        _, cover = sg.minimize_fischer(even_cover)
-        with pytest.raises(sg.NotInLanguageError):
-            sg.lift_empirical(("1", "0", "1"), cover)

@@ -46,6 +46,14 @@ class TestImagePresentation:
             assert len(image.words_of_length(n)) == 2 ** n
 
 
+    def test_underlying_edge_shift_is_the_labeling_domain(self, nondet_even):
+        shift = nondet_even.underlying_edge_shift()
+        assert nondet_even.underlying_edge_shift() == shift
+        assert nondet_even.labeling_code().domain == shift
+        assert shift.vertices == nondet_even.vertices
+        assert [(e.source, e.target, e.id) for e in shift.edges] == [
+            (e.source, e.target, e.id) for e in nondet_even.edges]
+
 class TestDeterminize:
     def test_already_deterministic(self, even_cover):
         det = sg.determinize(even_cover)

@@ -157,18 +157,6 @@ def test_variational_inequality(shift, seed):
     assert sg.entropy(mu) + sg.integrate(f, mu) == pytest.approx(p, abs=1e-9)
 
 
-@settings(max_examples=40, deadline=None)
-@given(st.lists(st.sampled_from("01"), min_size=2, max_size=30))
-def test_empirical_frequencies_sum_to_one(symbols):
-    word = tuple(symbols)
-    emp = sg.empirical_measure(word)
-    for n in (1, 2):
-        if len(word) >= n:
-            total = sum(emp.frequency(sub) for sub in
-                        {word[i:i + n] for i in range(len(word) - n + 1)})
-            assert total == pytest.approx(1.0, abs=1e-12)
-
-
 @settings(max_examples=30, deadline=None)
 @given(st.dictionaries(st.sampled_from([("0",), ("1",)]),
                        st.floats(min_value=-5, max_value=5,
@@ -454,6 +442,110 @@ def test_incremental_context_classes_match_fresh_propagation(
                 got[bnd] += count
             assert got == boundaries
 
+
+
+def _unmemoized_battery(nu, potential, lengths, tol, sync, max_word_length):
+    """The ratio battery with nothing reused: every class is pushed, and
+    every word matrix, left product, dot and window delta is computed, where
+    it is used."""
+    b, mats = potential.k - 1, nu._sub_matrices
+    pattern = tuple(sync) if sync else ()
+    rules = ((lambda vec, s: vec @ mats[s],
+              lambda bnd, s: (bnd + (s,))[-b:] if b else (), pattern),
+             (lambda vec, s: mats[s] @ vec,
+              lambda bnd, s: ((s,) + bnd)[:b] if b else (), pattern[::-1]))
+
+    def push(level, apply_mat, boundary_update, pattern):
+        nxt = {}
+        for (_, bnd, st), (vec, count) in level:
+            for s in nu.symbols:
+                vec2 = apply_mat(vec, s)
+                total = vec2.sum()
+                if total <= 0.0:
+                    continue
+                vec2 = vec2 / total
+                key = (tuple(np.round(vec2, 13)), boundary_update(bnd, s),
+                       gibbs._sync_step(pattern, st, s))
+                if key in nxt:
+                    nxt[key][1] += count
+                else:
+                    nxt[key] = [vec2, count]
+        return sorted(nxt.items())
+
+    def word_matrix(word):
+        m = np.eye(len(nu.upstairs.shift.vertices))
+        for s in word:
+            if s not in mats:
+                return None
+            m = m @ mats[s]
+        return m
+
+    def max_deviation(u, v, lefts, rights):
+        tu, tv = word_matrix(u), word_matrix(v)
+        if tu is None or tv is None:
+            return 0.0, 0
+        worst, count = 0.0, 0
+        for lvec, lbnd, lcount in lefts:
+            lu, lv = lvec @ tu, lvec @ tv
+            for rvec, rbnd, rcount in rights:
+                num, den = float(lu @ rvec), float(lv @ rvec)
+                if num <= 0.0 or den <= 0.0:
+                    continue
+                count += lcount * rcount
+                delta = gibbs._window_delta(potential, lbnd, u, v, rbnd)
+                worst = max(worst, abs(math.log(num) - math.log(den) - delta))
+        return worst, count
+
+    starts = (nu._stationary_row, np.ones(len(nu.upstairs.shift.vertices)))
+    levels = [[((tuple(np.round(v0, 13)), (), 0), [v0, 1])]
+              for v0 in (v / v.sum() for v in starts)]
+    pairs = gibbs.exchangeable_pairs(nu.words_of_length, max_word_length)
+    rows, dropped, reached = {pair: [] for pair in pairs}, {}, 0
+    for c in lengths:
+        live = [pair for pair in pairs if pair not in dropped]
+        if not live:
+            break
+        for _ in range(c - reached):
+            levels = [push(level, *rule) for level, rule in zip(levels, rules)]
+        reached = c
+        lefts, rights = ([(vec, bnd, count) for (_, bnd, st), (vec, count)
+                          in level if st == len(rule[2])]
+                         for level, rule in zip(levels, rules))
+        for pair in live:
+            dev, count = max_deviation(*pair, lefts, rights)
+            if count == 0:
+                dropped[pair] = c
+            else:
+                rows[pair].append((dev, count))
+    reports = []
+    for pair in pairs:
+        if pair in dropped:
+            continue
+        devs, counts = zip(*rows[pair])
+        passed = (math.isfinite(devs[-1]) and devs[-1] < tol
+                  and gibbs._trend_non_increasing(devs))
+        reports.append(gibbs.GibbsRatioReport(
+            *pair, tuple(lengths), devs, counts, pattern or None, tol, passed))
+    return sg.RatioBattery(tuple(reports),
+                           tuple(pair for pair in pairs if pair in dropped),
+                           bool(reports) and all(r.passed for r in reports))
+
+
+@settings(max_examples=60, deadline=None)
+@given(labeled_graphs(), st.integers(min_value=1, max_value=3),
+       st.integers(min_value=0, max_value=3),
+       st.integers(min_value=0, max_value=1_000_000))
+def test_memoized_battery_matches_unmemoized_oracle(presentation, k, sync_len,
+                                                    seed):
+    nu = _image_measure(presentation, k, seed)
+    f = random_potential(presentation, k, seed)
+    candidates = nu.words_of_length(sync_len)
+    sync = candidates[seed % len(candidates)] if sync_len else None
+    lengths = tuple(range(max(k - 1, 1, sync_len), 7))
+    battery = sg.run_ratio_battery(nu, f, lengths, 1e-6, sync,
+                                   max_word_length=3)
+    oracle = _unmemoized_battery(nu, f, lengths, 1e-6, sync, 3)
+    assert repr(battery) == repr(oracle)
 
 @st.composite
 def periodic_graphs(draw):
