@@ -182,6 +182,7 @@ class _SpyMatrix:
             self.pushes.append(("left", vec.tobytes(), self.symbol))
         return vec @ self.mat
 
+
 class TestRatioEngine:
     @pytest.fixture
     def pushed(self, monkeypatch):

@@ -45,7 +45,6 @@ class TestImagePresentation:
         for n in range(1, 8):
             assert len(image.words_of_length(n)) == 2 ** n
 
-
     def test_underlying_edge_shift_is_the_labeling_domain(self, nondet_even):
         shift = nondet_even.underlying_edge_shift()
         assert nondet_even.underlying_edge_shift() == shift
@@ -53,6 +52,7 @@ class TestImagePresentation:
         assert shift.vertices == nondet_even.vertices
         assert [(e.source, e.target, e.id) for e in shift.edges] == [
             (e.source, e.target, e.id) for e in nondet_even.edges]
+
 
 class TestDeterminize:
     def test_already_deterministic(self, even_cover):

@@ -443,7 +443,6 @@ def test_incremental_context_classes_match_fresh_propagation(
             assert got == boundaries
 
 
-
 def _unmemoized_battery(nu, potential, lengths, tol, sync, max_word_length):
     """The ratio battery with nothing reused: every class is pushed, and
     every word matrix, left product, dot and window delta is computed, where
