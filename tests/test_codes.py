@@ -3,6 +3,7 @@ import math
 import pytest
 
 import soficgibbs as sg
+from soficgibbs import codes
 
 from conftest import loop_shift
 
@@ -179,6 +180,19 @@ class TestDegree:
             for s in ("0", "1"):
                 if image.in_language(w + (s,)):
                     assert coordinate_minimum(w + (s,)) <= dw
+
+    def test_search_groups_edges_by_label_once(self, xor_code, monkeypatch):
+        # both subset searches and the mask search share one grouping
+        calls = []
+        label_edges = codes._label_edges
+
+        def counting(code):
+            calls.append(code)
+            return label_edges(code)
+
+        monkeypatch.setattr(codes, "_label_edges", counting)
+        assert sg.degree(xor_code) == 2
+        assert calls == [xor_code]
 
     def test_subset_cap_raises(self, golden_mean):
         # the full vertex set is the first subset; each edge of the golden

@@ -232,15 +232,22 @@ class TestRatioEngine:
         monkeypatch.setattr(shifts, "DEFAULT_ENUMERATION_CAP", 12)
         assert sg.run_ratio_battery(nu, f, range(1, 7), 1e-6).reports
 
-    def test_each_class_vector_pushed_once_per_symbol(self, even_cover):
-        # synchronized classes recur with the same vectors at every length;
-        # each (side, vector, symbol) goes through its sub-matrix once
+    @pytest.fixture
+    def synced(self, even_cover):
+        """An image measure, its window-2 potential, its exchangeable pairs
+        and their battery at lengths 1..9 next to the sync word 1."""
         table = {w: 0.1 * i for i, w in enumerate(even_cover.words_of_length(2))}
         f = sg.LocallyConstantPotential(even_cover, 2, table)
         nu = sg.lift_equilibrium(even_cover, f).downstairs
         pairs = gibbs.exchangeable_pairs(nu.words_of_length)
         expected = gibbs._ratio_engine(nu, f, pairs, range(1, 10), 1e-6,
                                        ("1",))
+        return nu, f, pairs, expected
+
+    def test_each_class_vector_pushed_once_per_symbol(self, synced):
+        # synchronized classes recur with the same vectors at every length;
+        # each (side, vector, symbol) goes through its sub-matrix once
+        nu, f, pairs, expected = synced
         pushes = []
         vars(nu)["_sub_matrices"] = {s: _SpyMatrix(m, s, pushes)
                                      for s, m in nu._sub_matrices.items()}
@@ -248,6 +255,41 @@ class TestRatioEngine:
         assert repr(got) == repr(expected)
         assert len(pushes) > 2 * len(nu.symbols)
         assert max(Counter(pushes).values()) == 1
+
+    def test_each_word_product_computed_once(self, synced, monkeypatch):
+        # a word sits in many pairs: its matrix is built once per battery and
+        # each left class vector goes through it once
+        nu, f, pairs, expected = synced
+        built, products = [], []
+        word_matrix = gibbs._word_matrix
+
+        def spying(hidden, word):
+            built.append(word)
+            m = word_matrix(hidden, word)
+            return None if m is None else _SpyMatrix(m, word, products)
+
+        monkeypatch.setattr(gibbs, "_word_matrix", spying)
+        got = gibbs._ratio_engine(nu, f, pairs, range(1, 10), 1e-6, ("1",))
+        assert repr(got) == repr(expected)
+        assert sorted(built) == sorted(set().union(*pairs))
+        assert len(products) > len(built)
+        assert max(Counter(products).values()) == 1
+
+    def test_each_window_delta_computed_once(self, synced, monkeypatch):
+        # boundaries recur at every length and in every class pair
+        nu, f, pairs, expected = synced
+        calls = []
+        window_delta = gibbs._window_delta
+
+        def counting(potential, left, u, v, right):
+            calls.append((left, u, v, right))
+            return window_delta(potential, left, u, v, right)
+
+        monkeypatch.setattr(gibbs, "_window_delta", counting)
+        got = gibbs._ratio_engine(nu, f, pairs, range(1, 10), 1e-6, ("1",))
+        assert repr(got) == repr(expected)
+        assert calls
+        assert max(Counter(calls).values()) == 1
 
     def test_empty_length_range_rejected(self, even_cover):
         f = sg.LocallyConstantPotential.zero(even_cover)

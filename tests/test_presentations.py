@@ -53,6 +53,11 @@ class TestImagePresentation:
         assert [(e.source, e.target, e.id) for e in shift.edges] == [
             (e.source, e.target, e.id) for e in nondet_even.edges]
 
+    def test_underlying_edge_shift_built_once(self, nondet_even):
+        shift = nondet_even.underlying_edge_shift()
+        assert nondet_even.underlying_edge_shift() is shift
+        assert nondet_even.labeling_code().domain is shift
+
 
 class TestDeterminize:
     def test_already_deterministic(self, even_cover):

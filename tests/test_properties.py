@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 import soficgibbs as sg
-from soficgibbs import gibbs
+from soficgibbs import gibbs, shifts
 
 from conftest import loop_shift, random_markov_measure
 
@@ -51,7 +51,13 @@ def test_word_counts_match_adjacency_powers(shift, n):
         power = power @ a
     expected = 1 if n == 0 else int(power.sum())
     assert shift.count_words(n) == expected
-    assert len(shift.words_of_length(n)) == expected
+    if expected > shifts.DEFAULT_ENUMERATION_CAP:
+        # the enumeration refuses, naming the exact count
+        with pytest.raises(sg.EnumerationCapError) as info:
+            shift.words_of_length(n)
+        assert info.value.count == expected
+    else:
+        assert len(shift.words_of_length(n)) == expected
 
 
 def _table_verdict(build):
@@ -318,6 +324,41 @@ def test_mask_degree_search_matches_tuple_oracle(code):
             sg.find_magic_word(code)
         return
     assert (sg.degree(code), sg.find_magic_word(code)) == expected
+
+
+def _edge_scan_subsets(code, forward):
+    """Reference subset search: each step scans every edge of the symbol."""
+    from soficgibbs import codes
+
+    by_label = codes._label_edges(code)
+    full = frozenset(code.domain.vertices)
+    seen, queue = {full: ()}, [full]
+    while queue:
+        nxt_queue = []
+        for cur in queue:
+            for s in sorted(by_label):
+                if forward:
+                    nxt = frozenset(e.target for e in by_label[s] if e.source in cur)
+                else:
+                    nxt = frozenset(e.source for e in by_label[s] if e.target in cur)
+                if nxt and nxt not in seen:
+                    seen[nxt] = seen[cur] + (s,) if forward else (s,) + seen[cur]
+                    nxt_queue.append(nxt)
+        queue = nxt_queue
+    return seen
+
+
+@settings(max_examples=60, deadline=None)
+@given(labeled_covers(), st.booleans())
+def test_reachable_subsets_match_edge_scan_oracle(code, forward):
+    from soficgibbs import codes
+
+    cap = 2 ** len(code.domain.vertices)
+    expected = list(_edge_scan_subsets(code, forward).items())
+    assert list(codes._reachable_subsets(code, forward, cap).items()) == expected
+    by_label = codes._label_edges(code)
+    assert list(codes._reachable_subsets(code, forward, cap,
+                                         by_label).items()) == expected
 
 
 @settings(max_examples=30, deadline=None)
