@@ -105,8 +105,19 @@ class SoficPresentation:
 
     # -- language queries ---------------------------------------------------
 
+    @cached_property
+    def _successors(self) -> Mapping[tuple[str, str], frozenset[str]]:
+        succ = {}
+        for e in self.edges:
+            succ.setdefault((e.source, e.label), set()).add(e.target)
+        return {key: frozenset(targets) for key, targets in succ.items()}
+
     def _step(self, states, symbol):
-        return frozenset(e.target for v in states for e in self._out[v] if e.label == symbol)
+        succ = self._successors
+        out = set()
+        for v in states:
+            out |= succ.get((v, symbol), frozenset())
+        return frozenset(out)
 
     def in_language(self, word: Word) -> bool:
         states = frozenset(self.vertices)

@@ -7,6 +7,11 @@ norm is a finite sum.  Pressure and the unique equilibrium (Gibbs-Markov)
 measure come from Perron data of the weighted transfer matrix; power
 iteration runs on M + I so periodic matrices converge too.  A brute-force
 periodic-point oracle provides an independent route to the same pressure.
+
+The periodic certificate walks the cylinders of the class-0 power shift level
+by level over numpy arrays.  Each element takes the same correctly rounded
+IEEE products, in the same order, as a word-by-word walk on Python floats,
+and a maximum does not depend on the visiting order, so the report is exact.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ import numpy as np
 
 from . import shifts
 from .codes import SlidingBlockCode, higher_block_shift
-from .errors import (ConvergenceError, EnumerationCapError,
+from .errors import (ConvergenceError, EmptyShiftError, EnumerationCapError,
                      ReducibleShiftError)
 from .shifts import (DEFAULT_ENUMERATION_CAP, PATH_SEP, CyclicStructure,
                      EdgeShift, Word, cyclic_class_shift, cyclic_structure,
@@ -54,6 +59,8 @@ class LocallyConstantPotential:
 
     @classmethod
     def zero(cls, shift) -> "LocallyConstantPotential":
+        if not shift.edges:
+            raise EmptyShiftError("the zero potential requires a shift with an edge")
         return cls(shift, 1, {w: 0.0 for w in shift.words_of_length(1)})
 
     def value(self, window: Word) -> float:
@@ -106,11 +113,11 @@ def reduce_to_edge_potential(potential: LocallyConstantPotential):
         raise TypeError("reduction requires a potential on an edge shift")
     if potential.k == 1:
         return shift, potential, SlidingBlockCode.identity(shift)
-    recoded, decode = higher_block_shift(shift, potential.k)
+    paths = []
+    recoded, decode = higher_block_shift(shift, potential.k, paths)
     # the edges of the recoded shift are the length-k paths, each a key of
-    # the table; distinct paths have distinct composite ids
-    table = {(PATH_SEP.join(w),): v for w, v in potential.table.items()
-             if len(w) == potential.k and shift.in_language(w)}
+    # the table by the constructor's check; distinct paths have distinct ids
+    table = {(PATH_SEP.join(w),): potential.table[w] for w in paths}
     return recoded, LocallyConstantPotential(recoded, 1, table), decode
 
 
@@ -126,21 +133,26 @@ class PerronData:
 
 
 def _matrix_irreducible(m: np.ndarray) -> bool:
+    """Strong connectivity of the support graph; a matrix with no positive
+    entry (the 1x1 zero matrix included) has no cycle and is reducible."""
     n = m.shape[0]
-    if n == 0:
+    rows, cols = np.nonzero(m > 0)
+    if not rows.size:
         return False
-    adj = m > 0
-    for mat in (adj, adj.T):
-        seen = np.zeros(n, dtype=bool)
-        seen[0] = True
+    succ = [[] for _ in range(n)]
+    pred = [[] for _ in range(n)]
+    for i, j in zip(rows.tolist(), cols.tolist()):
+        succ[i].append(j)
+        pred[j].append(i)
+    for adj in (succ, pred):
+        seen = [True] + [False] * (n - 1)
         todo = [0]
         while todo:
-            i = todo.pop()
-            for j in np.nonzero(mat[i])[0]:
+            for j in adj[todo.pop()]:
                 if not seen[j]:
                     seen[j] = True
-                    todo.append(int(j))
-        if not seen.all():
+                    todo.append(j)
+        if not all(seen):
             return False
     return True
 
@@ -444,28 +456,36 @@ def cyclic_pressure_check(shift: EdgeShift, potential: LocallyConstantPotential,
         count = power0.count_words(length)
         if count > shifts.DEFAULT_ENUMERATION_CAP:
             raise EnumerationCapError(count, shifts.DEFAULT_ENUMERATION_CAP)
-    # One depth-first walk of the words of power0 from the empty word at each
-    # vertex.  Each word carries its cylinder probability under mu0 and that
-    # of its expansion under mu, both multiplied left to right as
-    # `cylinder_prob` does; the maximum of the finite deviations does not
-    # depend on the visiting order.
-    def extend(e, prob0, prob, length):
-        for sym in expansion[e.id]:
-            prob *= mu.transitions[sym]
-        return e.target, prob0 * mu0.transitions[e.id], prob, length
-
-    stack = [(v, mu0.stationary[v], mu.stationary[v], 0)
-             for v in power0.vertices]
+    # Walk the words of power0 level by level, one array element per word,
+    # from the empty word at each vertex; each word is repeated once per
+    # out-edge of its end vertex (edges grouped by source).  The walk is
+    # exact: every element takes the correctly rounded products, left to
+    # right, that `cylinder_prob` takes, and the maximum ignores the order.
+    edges = [e for v in power0.vertices for e in power0.out_edges(v)]
+    degree = np.array([len(power0.out_edges(v)) for v in power0.vertices])
+    first = np.cumsum(degree) - degree
+    target = np.array([power0.vertex_index[e.target] for e in edges])
+    t0 = np.array([mu0.transitions[e.id] for e in edges])
+    steps = np.array([[mu.transitions[sym] for sym in expansion[e.id]]
+                      for e in edges]).T
+    at = np.arange(len(power0.vertices))
+    prob0 = np.array([mu0.stationary[v] for v in power0.vertices])
+    prob = np.array([mu.stationary[v] for v in power0.vertices])
     max_dev = 0.0
     checked = 0
-    while stack:
-        at, prob0, prob, length = stack.pop()
-        if length:
-            max_dev = max(max_dev, abs(prob0 - p * prob))
-            checked += 1
-        if length < cylinder_length:
-            stack += [extend(e, prob0, prob, length + 1)
-                      for e in power0.out_edges(at)]
+    for _ in range(cylinder_length):
+        fan = degree[at]
+        # copy j of word i sits at start_i + j and takes edge first[at_i] + j
+        edge = np.repeat(first[at] - (np.cumsum(fan) - fan), fan)
+        edge += np.arange(edge.size)
+        prob0 = np.repeat(prob0, fan)
+        prob0 *= t0[edge]
+        prob = np.repeat(prob, fan)
+        for step in steps:
+            prob *= step[edge]
+        max_dev = max(max_dev, float(np.max(np.abs(prob0 - p * prob))))
+        checked += edge.size
+        at = target[edge]
     support_ok = all(v > 0 for v in mu.transitions.values()) and all(
         v > 0 for v in mu0.transitions.values())
     passed = identity_dev < tol and max_dev < tol

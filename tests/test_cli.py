@@ -215,6 +215,15 @@ class TestMoreErrors:
         p.write_text(text)
         assert main(["fischer", str(p)]) == 2
 
+    @pytest.mark.parametrize("kind", ["edge", "labeled"])
+    def test_pressure_on_edgeless_shift_exit_2(self, tmp_path, capsys, kind):
+        p = tmp_path / "edgeless.shift"
+        p.write_text(f"[alphabet] 0\n[shift] kind={kind} vertices=A\n")
+        assert main(["pressure", str(p), "--format", "machine"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+
     def test_context_class_cap_exit_2(self, files, capsys, monkeypatch):
         # both length-1 left contexts of the even shift are classes of their
         # own, so a cap of one class is exceeded at the first level

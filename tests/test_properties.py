@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 import soficgibbs as sg
-from soficgibbs import gibbs, shifts
+from soficgibbs import gibbs, shifts, thermo
 
 from conftest import loop_shift, random_markov_measure
 
@@ -124,6 +124,34 @@ def test_cyclic_classes_advance(shift):
     for e in shift.edges:
         assert (structure.class_of[e.source] + 1) % p == \
             structure.class_of[e.target]
+
+
+@st.composite
+def nonnegative_matrices(draw):
+    """Square nonnegative matrices, n from 1 to 10, with a free random zero
+    pattern, all zeros, or zeros below a diagonal block (block triangular)."""
+    n = draw(st.integers(min_value=1, max_value=10))
+    entries = draw(st.lists(st.sampled_from((0.0, 0.0, 0.25, 1.0, 3.5)),
+                            min_size=n * n, max_size=n * n))
+    m = np.array(entries).reshape(n, n)
+    shape = draw(st.sampled_from(("free", "zero", "block")))
+    if shape == "zero":
+        m[:] = 0.0
+    elif shape == "block":
+        cut = draw(st.integers(min_value=1, max_value=n))
+        m[cut:, :cut] = 0.0
+    return m
+
+
+@settings(max_examples=200, deadline=None)
+@given(nonnegative_matrices())
+def test_matrix_irreducible_matches_support_graph(m):
+    n = m.shape[0]
+    support = sg.EdgeShift(
+        tuple(f"v{i}" for i in range(n)),
+        tuple(sg.Edge(f"v{i}", f"v{j}", f"e{i}_{j}")
+              for i in range(n) for j in range(n) if m[i, j] > 0))
+    assert thermo._matrix_irreducible(m) == support.is_irreducible()
 
 
 @settings(max_examples=30, deadline=None)
@@ -359,6 +387,19 @@ def test_reachable_subsets_match_edge_scan_oracle(code, forward):
     by_label = codes._label_edges(code)
     assert list(codes._reachable_subsets(code, forward, cap,
                                          by_label).items()) == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(labeled_graphs(), st.data())
+def test_step_matches_edge_scan_oracle(presentation, data):
+    states = frozenset(data.draw(st.sets(st.sampled_from(presentation.vertices))))
+    for symbol in "012":
+        # oracle: scan every out-edge of every state, filtering by label
+        expected = frozenset(e.target for v in states
+                             for e in presentation.out_edges(v)
+                             if e.label == symbol)
+        step = presentation._step(states, symbol)
+        assert isinstance(step, frozenset) and step == expected
 
 
 @settings(max_examples=30, deadline=None)
@@ -669,6 +710,44 @@ def _restrict_average_oracle(measure, structure, max_length):
     support = (all(v > 0 for v in measure.transitions.values())
                == all(v > 0 for v in restricted.transitions.values()))
     return sg.RestrictAverageResult(restricted, p, max_dev, checked, support)
+
+
+def _period3_graph():
+    """Period-3 graph on classes of 2, 1 and 2 vertices, every vertex joined
+    to every vertex of the next class, with one parallel edge: each class-0
+    vertex starts 5 paths of length 3, so the class-0 power shift has 2
+    vertices of out-degree 5."""
+    pairs = [("a0", "b"), ("a1", "b"), ("b", "c0"), ("b", "c1"),
+             ("c0", "a0"), ("c0", "a1"), ("c1", "a0"), ("c1", "a1"),
+             ("c1", "a1")]
+    return sg.EdgeShift(("a0", "a1", "b", "c0", "c1"),
+                        tuple(sg.Edge(u, v, f"e{i}")
+                              for i, (u, v) in enumerate(pairs)))
+
+
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("length", [4, 5])
+def test_cyclic_walk_matches_per_word_oracle_at_long_lengths(k, length):
+    shift = _period3_graph()
+    rng = np.random.default_rng(10 * k + length)
+    words = shift.words_of_length(k)
+    f = sg.LocallyConstantPotential(
+        shift, k, dict(zip(words, rng.uniform(-1.0, 1.0, len(words)))))
+    report = sg.cyclic_pressure_check(shift, f, cylinder_length=length)
+    assert report.period == 3
+    assert report.cylinders_checked == sum(2 * 5 ** n for n in range(1, length + 1))
+    assert report == _cyclic_report_oracle(shift, f, length)
+
+
+def test_cyclic_walk_refuses_a_level_over_the_cap(monkeypatch):
+    shift = _period3_graph()
+    power0, _ = sg.cyclic_class_shift(sg.cyclic_structure(shift), 0)
+    # the cap admits the 10 words of length 1 and refuses the 50 of length 2
+    assert [power0.count_words(n) for n in (1, 2)] == [10, 50]
+    monkeypatch.setattr(shifts, "DEFAULT_ENUMERATION_CAP", 10)
+    with pytest.raises(sg.EnumerationCapError) as info:
+        sg.cyclic_pressure_check(shift, sg.LocallyConstantPotential.zero(shift))
+    assert (info.value.count, info.value.cap) == (50, 10)
 
 
 @settings(max_examples=40, deadline=None)

@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 import soficgibbs as sg
+from soficgibbs import thermo
+from soficgibbs.shifts import PATH_SEP
 
 from conftest import PHI, loop_shift, random_markov_measure
 
@@ -70,6 +72,12 @@ class TestPerron:
         with pytest.raises(sg.ReducibleShiftError):
             sg.perron(np.array([[1.0, 1.0], [0.0, 1.0]]))
 
+    def test_zero_one_by_one_is_reducible(self):
+        # one vertex without a loop carries no cycle, hence no Perron data
+        assert not thermo._matrix_irreducible(np.zeros((1, 1)))
+        with pytest.raises(sg.ReducibleShiftError):
+            sg.perron(np.zeros((1, 1)))
+
     def test_eigvector_against_numpy(self):
         m = np.array([[0.0, 2.0, 1.0], [1.0, 0.0, 0.0], [0.5, 1.0, 0.0]])
         data = sg.perron(m)
@@ -102,6 +110,32 @@ class TestPressure:
         assert sg.pressure(shift2, f2) == pytest.approx(direct, abs=1e-12)
         oracle = sg.pressure_periodic_oracle(full2_2block, f, 30)
         assert abs(direct - oracle) < 1e-3
+
+    def test_reduction_makes_no_language_queries(self, full2_2block,
+                                                 monkeypatch):
+        table = {w: 0.2 * i for i, w in enumerate(full2_2block.words_of_length(2))}
+        # a key outside the language is accepted and dropped by the recoding
+        f = sg.LocallyConstantPotential(full2_2block, 2,
+                                        {**table, ("00", "00", "00"): 9.0})
+        queried = []
+        in_language = sg.EdgeShift.in_language
+
+        def spy(self, word):
+            if self is full2_2block:
+                queried.append(word)
+            return in_language(self, word)
+
+        monkeypatch.setattr(sg.EdgeShift, "in_language", spy)
+        _, f2, _ = sg.reduce_to_edge_potential(f)
+        assert queried == []
+        assert f2.table == {(PATH_SEP.join(w),): v for w, v in table.items()}
+
+    def test_edgeless_shift_has_no_pressure(self):
+        shift = sg.EdgeShift(("a",), ())
+        with pytest.raises(sg.EmptyShiftError):
+            sg.LocallyConstantPotential.zero(shift)
+        with pytest.raises(sg.ReducibleShiftError):
+            sg.pressure(shift, sg.LocallyConstantPotential(shift, 1, {}))
 
     def test_window6_full3_matches_de_bruijn(self):
         # a window-6 potential on the full 3-shift recodes to 729 vertices
