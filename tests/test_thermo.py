@@ -114,7 +114,7 @@ class TestPressure:
     def test_reduction_makes_no_language_queries(self, full2_2block,
                                                  monkeypatch):
         table = {w: 0.2 * i for i, w in enumerate(full2_2block.words_of_length(2))}
-        # a key outside the language is accepted and dropped by the recoding
+        # a key that is no length-2 path is accepted, and dropped by the recoding
         f = sg.LocallyConstantPotential(full2_2block, 2,
                                         {**table, ("00", "00", "00"): 9.0})
         queried = []
