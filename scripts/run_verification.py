@@ -48,7 +48,7 @@ def main():
     full2 = sg.sft_from_forbidden_words(sg.Alphabet(("0", "1")), set(), 2)
     xor = sg.SlidingBlockCode.one_block(
         full2, {e.id: str(int(e.id[0] != e.id[1])) for e in full2.edges})
-    image = sg.image_presentation(full2, xor)
+    image = sg.image_presentation(xor)
     f = sg.LocallyConstantPotential(image, 1,
                                     {("0",): 0.0, ("1",): math.log(2)})
     rep = sg.verify_finite_to_one_preservation(xor, f, tol=1e-6, c_max=20)

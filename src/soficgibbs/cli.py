@@ -207,7 +207,7 @@ def cmd_verify(args):
     if what == "finite-to-one":
         code = build_code(spec, system)
         _, one_block = recode_to_one_block(code)
-        image = image_presentation(one_block.domain, one_block)
+        image = image_presentation(one_block)
         potential = _load_potential(args.potential, image)
         report = verify_finite_to_one_preservation(one_block, potential,
                                                    tol=args.tol, c_max=args.cmax)
@@ -222,6 +222,25 @@ def cmd_verify(args):
     raise SpecFileError(f"unknown verification {what!r}")
 
 
+# Each option with its argparse settings; a subcommand takes only those it reads.
+_OPTIONS = {
+    "--potential": dict(default=None, help="potential file, or 'zero' (default)"),
+    "--depth": dict(type=int, default=12, help="cylinder depth / entropy horizon"),
+    "--cmax": dict(type=int, default=20, help="largest exchange context length"),
+    "--tol": dict(type=float, default=1e-6, help="verdict tolerance"),
+}
+
+_SUBCOMMANDS = (
+    ("analyze", "irreducibility, period, classes", ()),
+    ("fischer", "minimal right-resolving presentation and degree", ()),
+    ("pressure", "topological pressure", ("--potential",)),
+    ("eqmeasure", "equilibrium measure and cylinder table",
+     ("--potential", "--depth")),
+    ("pushforward", "image measure cylinder table", ("--potential", "--depth")),
+    ("gibbs-check", "cylinder ratio battery", ("--potential", "--cmax", "--tol")),
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="soficgibbs",
@@ -229,39 +248,23 @@ def build_parser() -> argparse.ArgumentParser:
                     "measure certification.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, file_required=True):
-        if file_required:
-            p.add_argument("file", help="shift description file")
-        p.add_argument("--potential", default=None,
-                       help="potential file, or 'zero' (default)")
-        p.add_argument("--depth", type=int, default=12,
-                       help="cylinder depth / entropy horizon")
-        p.add_argument("--cmax", type=int, default=20,
-                       help="largest exchange context length")
-        p.add_argument("--tol", type=float, default=1e-6,
-                       help="verdict tolerance")
+    def add_options(p, options):
+        for option in options:
+            p.add_argument(option, **_OPTIONS[option])
         p.add_argument("--format", choices=("human", "machine"),
                        default="human")
 
-    common(sub.add_parser("analyze", help="irreducibility, period, classes"))
-    common(sub.add_parser("fischer",
-                          help="minimal right-resolving presentation and degree"))
-    common(sub.add_parser("pressure", help="topological pressure"))
-    common(sub.add_parser("eqmeasure",
-                          help="equilibrium measure and cylinder table"))
-    common(sub.add_parser("pushforward",
-                          help="image measure cylinder table"))
-    common(sub.add_parser("gibbs-check", help="cylinder ratio battery"))
+    for name, help_text, options in _SUBCOMMANDS:
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("file", help="shift description file")
+        add_options(p, options)
     verify = sub.add_parser("verify", help="end-to-end certification pipelines")
     verify.add_argument("what", choices=("lanford-ruelle", "dobrushin",
                                          "finite-to-one", "counterexample"))
     verify.add_argument("file", nargs="?", default=None)
-    verify.add_argument("--potential", default=None)
-    verify.add_argument("--depth", type=int, default=12)
-    verify.add_argument("--cmax", type=int, default=20)
-    verify.add_argument("--tol", type=float, default=None)
-    verify.add_argument("--format", choices=("human", "machine"),
-                        default="human")
+    add_options(verify, _OPTIONS)
+    # 0.01 for dobrushin and 1e-6 otherwise, filled in by main
+    verify.set_defaults(tol=None)
     return parser
 
 

@@ -1,12 +1,15 @@
 """Sliding block codes and factor-code analysis.
 
 Codes are normalized to one-block form before analysis; the conjugacy used in
-the recoding is retained so that results transport back.  Degree and magic
+the recoding is retained so that results transport back.  The label subset
+automaton of a labeled graph (Lind & Marcus, §3.3 and §9.1) lives here too:
+successor sets, a subset step, and a breadth-first closure with one state
+cap, shared by the subset construction of `presentations`.  Degree and magic
 word come from one search over (forward subset, backward subset, symbol)
-triples of the label subset automaton: a triple's multiplicity is the
-popcount of the AND of two bit masks over the symbol's edges in sorted-id
-order, and the least (multiplicity, word length, word) wins, the first of
-equal keys in the order fronts, backs, symbols.
+triples of the automaton: a triple's multiplicity is the popcount of the AND
+of two bit masks over the symbol's edges in sorted-id order, and the least
+(multiplicity, word length, word) wins, the first of equal keys in the order
+fronts, backs, symbols.
 """
 
 from __future__ import annotations
@@ -20,7 +23,8 @@ from .errors import (EnumerationCapError, NotFiniteToOneError,
 from .shifts import (PATH_SEP, Alphabet, Edge, EdgeShift, Word,
                      _paths_of_length, missing_word)
 
-DEFAULT_WORD_SEARCH_CAP = 500_000
+# Most subsets one closure of the label subset automaton may reach.
+SUBSET_STATE_CAP = 10_000
 
 
 @dataclass(frozen=True)
@@ -167,11 +171,7 @@ def compose_one_block(outer: SlidingBlockCode,
 def is_right_resolving(code: SlidingBlockCode) -> bool:
     """True iff out-edge labels are pairwise distinct at every domain vertex."""
     _require_one_block(code)
-    for v in code.domain.vertices:
-        labels = [code.label(e.id) for e in code.domain.out_edges(v)]
-        if len(labels) != len(set(labels)):
-            return False
-    return True
+    return _right_resolving(_labeled_triples(code))
 
 
 def is_finite_to_one(code: SlidingBlockCode) -> bool:
@@ -209,6 +209,10 @@ def is_finite_to_one(code: SlidingBlockCode) -> bool:
 def _require_one_block(code):
     if not code.is_one_block:
         raise ValueError("operation requires a one-block code; recode first")
+
+
+def _labeled_triples(code):
+    return [(e.source, code.label(e.id), e.target) for e in code.domain.edges]
 
 
 def _label_edges(code):
@@ -249,27 +253,48 @@ class MagicWord:
         return len(self.preimage_symbols)
 
 
-def _reachable_subsets(code, forward, cap, by_label=None):
-    """Subsets of vertices reachable in the label subset automaton from the
-    full vertex set, each with a shortest witness word (deterministic
-    tie-break).  `by_label` is `_label_edges(code)`, built when not given."""
-    by_label = _label_edges(code) if by_label is None else by_label
-    symbols = sorted(by_label)
-    # the vertices one step from each vertex along each symbol
-    step = {s: {v: set() for v in code.domain.vertices} for s in symbols}
-    for s in symbols:
-        for e in by_label[s]:
-            a, b = (e.source, e.target) if forward else (e.target, e.source)
-            step[s][a].add(b)
-    full = frozenset(code.domain.vertices)
+def _right_resolving(triples) -> bool:
+    """True iff no two (source, label, target) triples share source and label."""
+    keys = [(a, s) for a, s, _ in triples]
+    return len(keys) == len(set(keys))
+
+
+def _successor_sets(triples, forward=True):
+    """Per label, the targets (sources when not `forward`) of each vertex
+    with an edge of that label, among (source, label, target) triples."""
+    succ = {}
+    for a, s, b in triples:
+        if not forward:
+            a, b = b, a
+        succ.setdefault(s, {}).setdefault(a, set()).add(b)
+    return succ
+
+
+def _subset_step(succ, states, symbol):
+    at = succ.get(symbol, {})
+    return frozenset().union(*[at[v] for v in states if v in at])
+
+
+def _subset_closure(vertices, succ, forward=True, transitions=None):
+    """Nonempty subsets reachable from the full vertex set, breadth first, each
+    with a shortest witness word (the first in label order), read backward
+    when not `forward`.  Fills `transitions` with every nonempty step when
+    given; raises EnumerationCapError past SUBSET_STATE_CAP subsets."""
+    cap = SUBSET_STATE_CAP
+    symbols = sorted(succ)
+    full = frozenset(vertices)
     seen = {full: ()}
     queue = [full]
     while queue:
         nxt_queue = []
         for cur in queue:
             for s in symbols:
-                nxt = frozenset().union(*map(step[s].__getitem__, cur))
-                if nxt and nxt not in seen:
+                nxt = _subset_step(succ, cur, s)
+                if not nxt:
+                    continue
+                if transitions is not None:
+                    transitions[(cur, s)] = nxt
+                if nxt not in seen:
                     seen[nxt] = seen[cur] + (s,) if forward else (s,) + seen[cur]
                     nxt_queue.append(nxt)
                     if len(seen) > cap:
@@ -278,7 +303,12 @@ def _reachable_subsets(code, forward, cap, by_label=None):
     return seen
 
 
-def degree(code: SlidingBlockCode, cap: int = DEFAULT_WORD_SEARCH_CAP) -> int:
+def _reachable_subsets(code, forward):
+    return _subset_closure(code.domain.vertices,
+                           _successor_sets(_labeled_triples(code), forward), forward)
+
+
+def degree(code: SlidingBlockCode) -> int:
     """Number of preimages of every doubly transitive image point.
 
     Defined for finite-to-one codes on irreducible domains: the minimum over
@@ -288,16 +318,16 @@ def degree(code: SlidingBlockCode, cap: int = DEFAULT_WORD_SEARCH_CAP) -> int:
     backward-reachable subset from the suffix, and the symbol, and every such
     triple is realized, so the mask search over triples is exact.
     """
-    return _degree_search(code, cap)[0]
+    return _degree_search(code)[0]
 
 
-def find_magic_word(code: SlidingBlockCode, cap: int = DEFAULT_WORD_SEARCH_CAP) -> MagicWord:
+def find_magic_word(code: SlidingBlockCode) -> MagicWord:
     """A shortest image word and coordinate achieving d*(w) = degree."""
-    _, magic = _degree_search(code, cap)
+    _, magic = _degree_search(code)
     return magic
 
 
-def _degree_search(code, cap):
+def _degree_search(code):
     _require_one_block(code)
     if not is_finite_to_one(code):
         raise NotFiniteToOneError("degree undefined (infinite)")
@@ -316,8 +346,8 @@ def _degree_search(code, cap):
         return [(word, len(word), [sum(col) for col in zip(*map(at.get, subset))])
                 for subset, word in subsets.items()]
 
-    fronts = masks(_reachable_subsets(code, True, cap, by_label), "source")
-    backs = masks(_reachable_subsets(code, False, cap, by_label), "target")
+    fronts = masks(_reachable_subsets(code, True), "source")
+    backs = masks(_reachable_subsets(code, False), "target")
     # A triple whose multiplicity or word length already loses to the best
     # key is skipped before its word is built.  Suffixes come in
     # nondecreasing length and no multiplicity is below 1, so once 1 is

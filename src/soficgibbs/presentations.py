@@ -2,11 +2,13 @@
 
 A :class:`SoficPresentation` is an edge shift whose edges carry symbols from
 a label alphabet; the presented sofic shift is the set of bi-infinite label
-sequences along paths.  Determinization uses the subset construction
-restricted to reachable nonempty subsets, and the minimal right-resolving
-presentation of an irreducible sofic shift is obtained by merging states with
-equal follower sets (partition refinement) and extracting the strongly
-connected component that still presents the whole language.
+sequences along paths.  Language queries and determinization run on the
+label subset automaton kept in `codes`: its successor sets, its subset step,
+and its breadth-first closure over the reachable nonempty subsets, with its
+one state cap.  The minimal right-resolving presentation of an irreducible
+sofic shift is obtained by merging states with equal follower sets (partition
+refinement) and extracting the strongly connected component that still
+presents the whole language.
 """
 
 from __future__ import annotations
@@ -15,12 +17,11 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping
 
-from .codes import SlidingBlockCode
+from .codes import (SlidingBlockCode, _right_resolving, _subset_closure,
+                    _subset_step, _successor_sets)
 from .errors import (EmptyShiftError, EnumerationCapError,
                      ReducibleShiftError)
 from .shifts import Alphabet, Edge, EdgeShift, Word, DEFAULT_ENUMERATION_CAP
-
-DEFAULT_STATE_CAP = 10_000
 
 
 @dataclass(frozen=True)
@@ -35,7 +36,6 @@ class LabeledEdge:
 class SoficPresentation:
     vertices: tuple[str, ...]
     edges: tuple[LabeledEdge, ...]
-    minimal: bool = False
 
     def __post_init__(self):
         vertices = tuple(sorted(str(v) for v in self.vertices))
@@ -71,11 +71,11 @@ class SoficPresentation:
     @cached_property
     def is_deterministic(self) -> bool:
         """Right-resolving: per-vertex out-labels pairwise distinct."""
-        for v in self.vertices:
-            labels = [e.label for e in self._out[v]]
-            if len(labels) != len(set(labels)):
-                return False
-        return True
+        return _right_resolving(self._triples)
+
+    @cached_property
+    def _triples(self) -> tuple[tuple[str, str, str], ...]:
+        return tuple((e.source, e.label, e.target) for e in self.edges)
 
     def underlying_edge_shift(self) -> EdgeShift:
         return self._edge_shift
@@ -106,18 +106,11 @@ class SoficPresentation:
     # -- language queries ---------------------------------------------------
 
     @cached_property
-    def _successors(self) -> Mapping[tuple[str, str], frozenset[str]]:
-        succ = {}
-        for e in self.edges:
-            succ.setdefault((e.source, e.label), set()).add(e.target)
-        return {key: frozenset(targets) for key, targets in succ.items()}
+    def _successors(self) -> Mapping[str, Mapping[str, set[str]]]:
+        return _successor_sets(self._triples)
 
     def _step(self, states, symbol):
-        succ = self._successors
-        out = set()
-        for v in states:
-            out |= succ.get((v, symbol), frozenset())
-        return frozenset(out)
+        return _subset_step(self._successors, states, symbol)
 
     def in_language(self, word: Word) -> bool:
         states = frozenset(self.vertices)
@@ -150,55 +143,37 @@ class SoficPresentation:
         return sorted(out)
 
 
-def image_presentation(domain: EdgeShift, code: SlidingBlockCode) -> SoficPresentation:
+def image_presentation(code: SlidingBlockCode) -> SoficPresentation:
     """Label every domain edge with its image symbol; presents the image shift."""
     if not code.is_one_block:
         raise ValueError("image presentation requires a one-block code")
     edges = tuple(LabeledEdge(e.source, e.target, code.label(e.id), e.id)
-                  for e in domain.edges)
-    return SoficPresentation(domain.vertices, edges)
+                  for e in code.domain.edges)
+    return SoficPresentation(code.domain.vertices, edges)
 
 
 def identity_presentation(shift: EdgeShift) -> SoficPresentation:
     """Each edge labeled by its own id."""
-    return image_presentation(shift, SlidingBlockCode.identity(shift))
+    return image_presentation(SlidingBlockCode.identity(shift))
 
 
 def _subset_name(states) -> str:
     return "{" + ",".join(sorted(states)) + "}"
 
 
-def determinize(presentation: SoficPresentation,
-                state_cap: int = DEFAULT_STATE_CAP) -> SoficPresentation:
+def determinize(presentation: SoficPresentation) -> SoficPresentation:
     """Right-resolving presentation of the same language via the subset
-    construction on reachable nonempty subsets, trimmed to its essential part."""
+    construction on reachable nonempty subsets of the essential part, trimmed
+    to its essential part."""
     p = presentation.essential()
     if p.is_empty:
         return p
-    symbols = tuple(p.label_alphabet)
-    start = frozenset(p.vertices)
-    reached = {start}
-    order = [start]
     transitions = {}
-    todo = [start]
-    while todo:
-        states = todo.pop()
-        for s in symbols:
-            nxt = p._step(states, s)
-            if not nxt:
-                continue
-            transitions[(states, s)] = nxt
-            if nxt not in reached:
-                reached.add(nxt)
-                order.append(nxt)
-                todo.append(nxt)
-                if len(reached) > state_cap:
-                    raise EnumerationCapError(len(reached), state_cap)
-    edges = tuple(
-        LabeledEdge(_subset_name(src), _subset_name(tgt), s, f"{_subset_name(src)}.{s}")
-        for (src, s), tgt in transitions.items())
-    det = SoficPresentation(tuple(_subset_name(x) for x in order), edges)
-    return det.essential()
+    reached = _subset_closure(p.vertices, p._successors, transitions=transitions)
+    name = {states: _subset_name(states) for states in reached}
+    edges = tuple(LabeledEdge(name[src], name[tgt], s, f"{name[src]}.{s}")
+                  for (src, s), tgt in transitions.items())
+    return SoficPresentation(tuple(name.values()), edges).essential()
 
 
 def _follower_partition(presentation: SoficPresentation):
@@ -273,11 +248,10 @@ def _rename_canonical(presentation: SoficPresentation) -> SoficPresentation:
     edges = tuple(LabeledEdge(names[e.source], names[e.target], e.label,
                               f"{names[e.source]}.{e.label}")
                   for e in presentation.edges)
-    return SoficPresentation(tuple(names.values()), edges, minimal=True)
+    return SoficPresentation(tuple(names.values()), edges)
 
 
-def minimize_fischer(presentation: SoficPresentation,
-                     state_cap: int = DEFAULT_STATE_CAP):
+def minimize_fischer(presentation: SoficPresentation):
     """Minimal right-resolving presentation of an irreducible sofic shift.
 
     Returns the presentation together with its cover code (the one-block
@@ -285,7 +259,7 @@ def minimize_fischer(presentation: SoficPresentation,
     has degree one.  Raises ReducibleShiftError when no strongly connected
     component of the merged deterministic graph presents the full language.
     """
-    det = determinize(presentation, state_cap)
+    det = determinize(presentation)
     if det.is_empty:
         raise EmptyShiftError("requires a nonempty sofic shift")
     merged = _merge_followers(det)

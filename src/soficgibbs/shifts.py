@@ -276,16 +276,7 @@ class EdgeShift:
         count = self.count_words(n)
         if count > cap:
             raise EnumerationCapError(count, cap)
-        words = []
-        stack = [((), v) for v in reversed(self.vertices)]
-        while stack:
-            prefix, v = stack.pop()
-            if len(prefix) == n:
-                words.append(prefix)
-                continue
-            for e in reversed(self._out[v]):
-                stack.append((prefix + (e.id,), e.target))
-        return sorted(words)
+        return sorted(path for path, _, _ in _paths_of_length(self, n))
 
     def in_language(self, word: Word) -> bool:
         """True iff the word is an edge path (all words of an essential graph

@@ -164,7 +164,10 @@ def perron(m: np.ndarray, tol: float = PERRON_TOL,
     The shift makes the iteration matrix primitive whenever M is irreducible;
     the eigenvalue is shifted back by one.  Iteration stops when successive
     eigenvalue estimates differ by less than tol and the residual
-    ||M r - lambda r||_inf is below tol * ||r||_inf.
+    ||M r - lambda r||_inf is below tol * ||r||_inf, where tol is raised to
+    the rounding floor 8 eps ||M||_inf >= 4 eps (||M||_inf + lambda) when that
+    is larger: near a lambda of a few hundred the estimates keep moving by
+    an ulp or two, so an absolute tol alone is never met.
     """
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -178,15 +181,17 @@ def perron(m: np.ndarray, tol: float = PERRON_TOL,
         return float(np.max(np.abs(m @ x - lam * x)))
 
     def dominant(mat, a):
+        # mat is nonnegative, so its largest row sum is ||mat||_inf
+        bound = max(tol, 8 * np.finfo(float).eps * float(mat.sum(axis=1).max()))
         x = np.ones(a.shape[0]) / a.shape[0]
         lam = None
         for _ in range(max_iter):
             y = a @ x
             lam_new = y.sum()  # x sums to 1, so this is the Rayleigh-type estimate
             x_new = y / lam_new
-            if lam is not None and abs(lam_new - lam) < tol:
+            if lam is not None and abs(lam_new - lam) < bound:
                 res = float(np.max(np.abs(mat @ x_new - (lam_new - 1.0) * x_new)))
-                if res < tol * float(np.max(np.abs(x_new))):
+                if res < bound * float(np.max(np.abs(x_new))):
                     return lam_new - 1.0, x_new
             lam, x = lam_new, x_new
         res = float(np.max(np.abs(mat @ x - (lam - 1.0) * x)))

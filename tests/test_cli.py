@@ -251,6 +251,22 @@ def test_out_of_range_option_exits_2(argv):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("argv", [
+    ["analyze", "scripts/data/golden_mean.shift", "--tol", "1"],
+    ["fischer", "scripts/data/even_shift.shift", "--potential", "zero"],
+    ["pressure", "scripts/data/even_shift.shift", "--depth", "3"],
+    ["eqmeasure", "scripts/data/even_shift.shift", "--cmax", "3"],
+    ["gibbs-check", "scripts/data/even_shift.shift", "--depth", "3"],
+])
+def test_option_the_command_does_not_read_exits_2(argv, capsys):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments: " + " ".join(argv[2:]) in captured.err
+
+
 def test_in_process_runs_match_fresh_processes(monkeypatch, capsys):
     # main reuses one parser across calls: each in-process run, in sequence
     # with the others, must give the exit code and output of a fresh process

@@ -113,7 +113,7 @@ class TestFiniteToOne:
                                                 amalgamation):
         # finite-to-one iff preimage counts of length-n words stay bounded
         def max_preimages(code, n):
-            image = sg.image_presentation(code.domain, code)
+            image = sg.image_presentation(code)
             return max(len(sg.preimage_words(code, w))
                        for w in image.words_of_length(n))
 
@@ -137,7 +137,7 @@ class TestDegree:
         assert sg.degree(xor_code) == 2
 
     def test_xor_every_word_has_two_preimages(self, xor_code):
-        image = sg.image_presentation(xor_code.domain, xor_code)
+        image = sg.image_presentation(xor_code)
         for n in range(1, 9):
             for w in image.words_of_length(n):
                 assert len(sg.preimage_words(xor_code, w)) == 2
@@ -156,7 +156,7 @@ class TestDegree:
                                                            xor_code):
         for code in (even_cover.labeling_code(), xor_code):
             d = sg.degree(code)
-            image = sg.image_presentation(code.domain, code)
+            image = sg.image_presentation(code)
             best = math.inf
             for n in range(1, 7):
                 for w in image.words_of_length(n):
@@ -168,7 +168,7 @@ class TestDegree:
     def test_degree_monotone_under_extension(self, even_cover):
         # the coordinate minimum never increases when a word is extended
         code = even_cover.labeling_code()
-        image = sg.image_presentation(code.domain, code)
+        image = sg.image_presentation(code)
 
         def coordinate_minimum(word):
             paths = sg.preimage_words(code, word)
@@ -194,13 +194,16 @@ class TestDegree:
         assert sg.degree(xor_code) == 2
         assert calls == [xor_code]
 
-    def test_subset_cap_raises(self, golden_mean):
+    def test_subset_cap_raises(self, golden_mean, monkeypatch):
         # the full vertex set is the first subset; each edge of the golden
         # mean shift leads from it to a single vertex, exceeding a cap of one
         code = sg.SlidingBlockCode.identity(golden_mean)
-        with pytest.raises(sg.EnumerationCapError):
-            sg.degree(code, cap=1)
-        assert sg.degree(code, cap=3) == 1
+        monkeypatch.setattr(codes, "SUBSET_STATE_CAP", 1)
+        with pytest.raises(sg.EnumerationCapError) as info:
+            sg.degree(code)
+        assert (info.value.count, info.value.cap) == (2, 1)
+        monkeypatch.setattr(codes, "SUBSET_STATE_CAP", 3)
+        assert sg.degree(code) == 1
 
 
 class TestMagicWord:
@@ -229,7 +232,7 @@ class TestMagicWord:
         # words containing the magic word twice have exactly `degree` preimages
         _, cover = sg.minimize_fischer(even_cover)
         magic = sg.find_magic_word(cover)
-        image = sg.image_presentation(cover.domain, cover)
+        image = sg.image_presentation(cover)
         found = 0
         for n in range(2 * len(magic.word), 8):
             for w in image.words_of_length(n):
@@ -269,19 +272,19 @@ class TestPullback:
     def test_zero_pulls_back_to_zero(self, even_cover):
         _, cover = sg.minimize_fischer(even_cover)
         f = sg.LocallyConstantPotential.zero(
-            sg.image_presentation(cover.domain, cover))
+            sg.image_presentation(cover))
         g = sg.pullback_potential(cover, f)
         assert all(v == 0.0 for v in g.table.values())
 
     def test_range1_composition(self, amalgamation):
-        image = sg.image_presentation(amalgamation.domain, amalgamation)
+        image = sg.image_presentation(amalgamation)
         f = sg.LocallyConstantPotential(image, 1, {("0",): 0.0, ("1",): 1.0})
         g = sg.pullback_potential(amalgamation, f)
         assert g.table == {("0",): 0.0, ("1",): 1.0, ("2",): 1.0}
 
     def test_range2_pullback_on_even_cover(self, even_cover):
         _, cover = sg.minimize_fischer(even_cover)
-        image = sg.image_presentation(cover.domain, cover)
+        image = sg.image_presentation(cover)
         table = {w: float(i) for i, w in enumerate(image.words_of_length(2))}
         f = sg.LocallyConstantPotential(image, 2, table)
         g = sg.pullback_potential(cover, f)
@@ -290,7 +293,7 @@ class TestPullback:
 
     def test_sv_norm_never_grows(self, even_cover):
         _, cover = sg.minimize_fischer(even_cover)
-        image = sg.image_presentation(cover.domain, cover)
+        image = sg.image_presentation(cover)
         table = {w: 0.3 * i - 0.5 for i, w in enumerate(image.words_of_length(2))}
         f = sg.LocallyConstantPotential(image, 2, table)
         g = sg.pullback_potential(cover, f)

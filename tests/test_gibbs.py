@@ -150,7 +150,7 @@ class TestRatioTestDownstairs:
                                 range(1, 6), 1e-6, synchronizing_word=("1",))
 
     def test_bernoulli_image_of_xor_is_exactly_gibbs(self, xor_code):
-        image = sg.image_presentation(xor_code.domain, xor_code)
+        image = sg.image_presentation(xor_code)
         f = sg.LocallyConstantPotential(
             image, 1, {("0",): 0.0, ("1",): math.log(2)})
         g = sg.pullback_potential(xor_code, f)
@@ -349,7 +349,7 @@ class TestDobrushin:
 class TestFiniteToOne:
     def test_identity_code_exact(self, golden_mean):
         ident = sg.SlidingBlockCode.identity(golden_mean)
-        image = sg.image_presentation(golden_mean, ident)
+        image = sg.image_presentation(ident)
         f = sg.LocallyConstantPotential(
             image, 1, {(e.id,): 0.1 for e in golden_mean.edges})
         report = sg.verify_finite_to_one_preservation(ident, f, c_max=8)
@@ -357,7 +357,7 @@ class TestFiniteToOne:
         assert report.analysis.degree == 1
 
     def test_degree_two_xor_bernoulli(self, xor_code):
-        image = sg.image_presentation(xor_code.domain, xor_code)
+        image = sg.image_presentation(xor_code)
         f = sg.LocallyConstantPotential(
             image, 1, {("0",): 0.0, ("1",): math.log(2)})
         report = sg.verify_finite_to_one_preservation(xor_code, f,
@@ -375,7 +375,7 @@ class TestFiniteToOne:
         assert report.analysis.degree == 1
 
     def test_infinite_to_one_rejected(self, amalgamation):
-        image = sg.image_presentation(amalgamation.domain, amalgamation)
+        image = sg.image_presentation(amalgamation)
         f = sg.LocallyConstantPotential.zero(image)
         with pytest.raises(sg.NotFiniteToOneError):
             sg.verify_finite_to_one_preservation(amalgamation, f)

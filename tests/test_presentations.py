@@ -1,6 +1,7 @@
 import pytest
 
 import soficgibbs as sg
+from soficgibbs import codes
 
 from conftest import loop_shift
 
@@ -41,7 +42,7 @@ class TestImagePresentation:
         assert even_cover.in_language(())
 
     def test_amalgamation_image_is_full_shift(self, amalgamation):
-        image = sg.image_presentation(amalgamation.domain, amalgamation)
+        image = sg.image_presentation(amalgamation)
         for n in range(1, 8):
             assert len(image.words_of_length(n)) == 2 ** n
 
@@ -88,9 +89,13 @@ class TestDeterminize:
         for n in range(7):
             assert len(det.words_of_length(n)) == 2 ** n
 
-    def test_state_cap(self, nondet_even):
-        with pytest.raises(sg.EnumerationCapError):
-            sg.determinize(nondet_even, state_cap=1)
+    def test_state_cap(self, nondet_even, monkeypatch):
+        # the full vertex set is the first subset; any second one exceeds a
+        # cap of one
+        monkeypatch.setattr(codes, "SUBSET_STATE_CAP", 1)
+        with pytest.raises(sg.EnumerationCapError) as info:
+            sg.determinize(nondet_even)
+        assert (info.value.count, info.value.cap) == (2, 1)
 
 
 class TestMinimizeFischer:
@@ -110,11 +115,14 @@ class TestMinimizeFischer:
     def test_golden_mean_is_its_own_cover(self, golden_mean):
         labels = {e.id: e.id[-1] for e in golden_mean.edges}
         p = sg.image_presentation(
-            golden_mean,
             sg.SlidingBlockCode.one_block(golden_mean, labels))
         fischer, cover = sg.minimize_fischer(p)
         assert len(fischer.vertices) == 2
         assert sg.degree(cover) == 1
+
+    def test_cover_equals_the_same_graph_built_by_hand(self, even_cover):
+        fischer, _ = sg.minimize_fischer(even_cover)
+        assert fischer == sg.SoficPresentation(fischer.vertices, fischer.edges)
 
     def test_language_preserved(self, nondet_even, even_cover):
         fischer, _ = sg.minimize_fischer(nondet_even)

@@ -296,10 +296,9 @@ def _tuple_degree_search(code):
 
     if not sg.is_finite_to_one(code):
         raise sg.NotFiniteToOneError("degree undefined (infinite)")
-    cap = codes.DEFAULT_WORD_SEARCH_CAP
     by_label = codes._label_edges(code)
-    fwd = codes._reachable_subsets(code, True, cap)
-    bwd = codes._reachable_subsets(code, False, cap)
+    fwd = codes._reachable_subsets(code, True)
+    bwd = codes._reachable_subsets(code, False)
     best = best_key = best_witness = None
     for front, prefix in fwd.items():
         for back, suffix in bwd.items():
@@ -381,12 +380,72 @@ def _edge_scan_subsets(code, forward):
 def test_reachable_subsets_match_edge_scan_oracle(code, forward):
     from soficgibbs import codes
 
-    cap = 2 ** len(code.domain.vertices)
     expected = list(_edge_scan_subsets(code, forward).items())
-    assert list(codes._reachable_subsets(code, forward, cap).items()) == expected
-    by_label = codes._label_edges(code)
-    assert list(codes._reachable_subsets(code, forward, cap,
-                                         by_label).items()) == expected
+    with pytest.MonkeyPatch.context() as mp:
+        # a cap of exactly the number of reachable subsets is met; one fewer
+        # is exceeded by the last of them (the full set is never refused)
+        mp.setattr(codes, "SUBSET_STATE_CAP", len(expected))
+        assert list(codes._reachable_subsets(code, forward).items()) == expected
+        if len(expected) > 1:
+            mp.setattr(codes, "SUBSET_STATE_CAP", len(expected) - 1)
+            with pytest.raises(sg.EnumerationCapError) as info:
+                codes._reachable_subsets(code, forward)
+            assert (info.value.count, info.value.cap) == (len(expected),
+                                                          len(expected) - 1)
+
+
+@st.composite
+def untrimmed_labeled_graphs(draw):
+    """Labeled graphs over {0, 1} as drawn, not trimmed to their essential
+    part: vertices without in- or out-edges, vertices with two out-edges of
+    one label, and, when a drawn edge is repeated, parallel edges with the
+    same label."""
+    n = draw(st.integers(min_value=1, max_value=5))
+    vertices = [f"v{i}" for i in range(n)]
+    triples = draw(st.lists(st.tuples(st.sampled_from(vertices),
+                                      st.sampled_from(vertices),
+                                      st.sampled_from("01")),
+                            max_size=3 * n))
+    if triples and draw(st.booleans()):
+        triples.append(draw(st.sampled_from(triples)))
+    return sg.SoficPresentation(tuple(vertices), tuple(
+        sg.LabeledEdge(a, b, s, f"e{i}") for i, (a, b, s) in enumerate(triples)))
+
+
+def _depth_first_determinize(presentation):
+    """The subset construction as a depth-first walk whose step scans every
+    out-edge of each state and filters by label."""
+    from soficgibbs.presentations import _subset_name
+
+    p = presentation.essential()
+    if p.is_empty:
+        return p
+    start = frozenset(p.vertices)
+    order, transitions, todo = [start], {}, [start]
+    while todo:
+        states = todo.pop()
+        for s in p.label_alphabet:
+            nxt = frozenset(e.target for v in states for e in p.out_edges(v)
+                            if e.label == s)
+            if not nxt:
+                continue
+            transitions[(states, s)] = nxt
+            if nxt not in order:
+                order.append(nxt)
+                todo.append(nxt)
+    edges = tuple(sg.LabeledEdge(_subset_name(src), _subset_name(tgt), s,
+                                 f"{_subset_name(src)}.{s}")
+                  for (src, s), tgt in transitions.items())
+    return sg.SoficPresentation(tuple(map(_subset_name, order)),
+                                edges).essential()
+
+
+@settings(max_examples=150, deadline=None)
+@given(untrimmed_labeled_graphs())
+def test_determinize_matches_depth_first_oracle(presentation):
+    det = sg.determinize(presentation)
+    assert det == _depth_first_determinize(presentation)
+    assert det.is_deterministic
 
 
 @settings(max_examples=60, deadline=None)
@@ -628,24 +687,30 @@ def test_memoized_battery_matches_unmemoized_oracle(presentation, k, sync_len,
     oracle = _unmemoized_battery(nu, f, lengths, 1e-6, sync, 3)
     assert repr(battery) == repr(oracle)
 
+
 @st.composite
 def periodic_graphs(draw):
     """Irreducible graphs whose vertices fall in p >= 2 classes with every
     edge entering the next class, so the period is a multiple of p; parallel
-    edges allowed."""
+    edges allowed.  A backbone cycle runs through the first vertex of each
+    class, and every other vertex has an edge in from the previous class's
+    backbone vertex and an edge out to the next one's, so the graph is
+    strongly connected before one free extra edge per class is drawn (it may
+    be parallel to another; more made the per-word oracles take seconds)."""
     p = draw(st.integers(min_value=2, max_value=3))
     classes = [[f"c{c}v{i}" for i in range(draw(st.integers(1, 2)))]
                for c in range(p)]
     pairs = []
     for c in range(p):
-        choices = [(u, v) for u in classes[c] for v in classes[(c + 1) % p]]
-        pairs += draw(st.lists(st.sampled_from(choices), min_size=1,
-                               max_size=len(choices) + 1))
-    shift = sg.EdgeShift(
+        here, ahead = classes[c], classes[(c + 1) % p]
+        pairs.append((here[0], ahead[0]))
+        pairs += [(here[0], v) for v in ahead[1:]]
+        pairs += [(u, ahead[0]) for u in here[1:]]
+        choices = [(u, v) for u in here for v in ahead]
+        pairs += draw(st.lists(st.sampled_from(choices), max_size=1))
+    return sg.EdgeShift(
         tuple(v for cls in classes for v in cls),
         tuple(sg.Edge(u, v, f"e{i}") for i, (u, v) in enumerate(pairs)))
-    assume(shift.is_irreducible())
-    return shift
 
 
 def _cyclic_report_oracle(shift, potential, cylinder_length):
