@@ -12,8 +12,7 @@ counterexample where the equivalence fails.
 from .codes import (CodeAnalysis, MagicWord, SlidingBlockCode, analyze_code,
                     compose_one_block, degree, find_magic_word,
                     higher_block_encoder, higher_block_shift, is_finite_to_one,
-                    is_right_resolving, preimage_words, pullback_potential,
-                    recode_to_one_block)
+                    is_right_resolving, preimage_words, recode_to_one_block)
 from .errors import (ConvergenceError, EmptyShiftError, EnumerationCapError,
                      InsufficientContextError, NoExchangeableContextError,
                      NotFiniteToOneError, NotInLanguageError,
@@ -41,7 +40,7 @@ from .thermo import (CyclicPressureReport, LocallyConstantPotential,
                      MarkovMeasure, PerronData, cyclic_pressure_check,
                      entropy, equilibrium_measure, integrate, period_sum_potential,
                      perron, pressure, pressure_periodic_oracle,
-                     reduce_to_edge_potential, sv_norm, transfer_matrix,
-                     variation)
+                     pullback_potential, reduce_to_edge_potential, sv_norm,
+                     transfer_matrix, variation)
 
 __version__ = "0.1.0"

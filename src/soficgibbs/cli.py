@@ -14,18 +14,19 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .codes import analyze_code, pullback_potential, recode_to_one_block
+from .codes import analyze_code, recode_to_one_block
 from .errors import SoficGibbsError, SpecFileError
 from .gibbs import (sunny_side_up_counterexample, synchronized_battery,
                     verify_finite_to_one_preservation, verify_sofic_dobrushin,
                     verify_sofic_lanford_ruelle)
-from .measures import (HiddenMarkovMeasure, _equilibrium_upstairs,
-                       equilibrium_upstairs, sofic_pressure)
+from .measures import (HiddenMarkovMeasure, equilibrium_upstairs,
+                       sofic_pressure)
 from .presentations import image_presentation, minimize_fischer
 from .shifts import component_periods, cyclic_structure, format_word
 from .specfile import (LoadedSystem, build_code, build_potential, build_system,
                        parse_spec)
-from .thermo import LocallyConstantPotential, entropy, pressure
+from .thermo import (LocallyConstantPotential, entropy, pressure,
+                     pullback_potential)
 
 
 def _fmt(value, machine: bool) -> str:
@@ -116,8 +117,7 @@ def cmd_pressure(args):
 def cmd_eqmeasure(args):
     system = _load_system(args.file)
     potential = _load_potential(args.potential, system.presentation)
-    mu, _, _, pressure_value = _equilibrium_upstairs(system.labeling,
-                                                     potential)
+    mu, _, _, pressure_value = equilibrium_upstairs(system.labeling, potential)
     lines = [("shift_vertices", len(mu.shift.vertices)),
              ("shift_edges", len(mu.shift.edges)),
              ("entropy", entropy(mu)),
@@ -135,7 +135,7 @@ def cmd_eqmeasure(args):
 def cmd_pushforward(args):
     system = _load_system(args.file)
     potential = _load_potential(args.potential, system.presentation)
-    mu, _, push_code = equilibrium_upstairs(system.labeling, potential)
+    mu, _, push_code, _ = equilibrium_upstairs(system.labeling, potential)
     nu = HiddenMarkovMeasure(mu, push_code)
     lines = [("image_symbols", " ".join(nu.symbols))]
     for n in range(1, args.depth + 1):
@@ -147,7 +147,7 @@ def cmd_pushforward(args):
 def cmd_gibbs_check(args):
     system = _load_system(args.file)
     potential = _load_potential(args.potential, system.presentation)
-    mu, _, push_code = equilibrium_upstairs(system.labeling, potential)
+    mu, _, push_code, _ = equilibrium_upstairs(system.labeling, potential)
     battery = synchronized_battery(HiddenMarkovMeasure(mu, push_code),
                                    potential, analyze_code(push_code),
                                    args.tol, args.cmax)

@@ -400,19 +400,3 @@ def analyze_code(code: SlidingBlockCode) -> CodeAnalysis:
     d = magic.multiplicity if magic else None
     return CodeAnalysis(rr, True, d, magic, d == 1)
 
-
-def pullback_potential(code: SlidingBlockCode, potential):
-    """Compose a locally constant potential on the image with the code.
-
-    The result reads domain words of the same window length; its summable
-    variation norm never exceeds that of the original potential.
-    """
-    from .thermo import LocallyConstantPotential
-
-    _require_one_block(code)
-    k = potential.k
-    table = {}
-    for w in code.domain.words_of_length(k):
-        image = tuple(code.label(s) for s in w)
-        table[w] = potential.value(image)
-    return LocallyConstantPotential(code.domain, k, table)

@@ -24,9 +24,10 @@ classes do not depend on the exchanged pair: one engine serves
 `gibbs_ratio_test` and `run_ratio_battery`.  Each battery pushes its context
 levels forward once, one symbol per level, and each tested length reads a
 snapshot shared by every pair still live; a level of more than
-`shifts.DEFAULT_ENUMERATION_CAP` classes raises `EnumerationCapError`.  A pair
-is skipped at the first length without a valid exchange context, and the
-levels stop once no pair is live.  A battery computes each push, word
+`shifts.DEFAULT_ENUMERATION_CAP` classes raises `EnumerationCapError`; the
+limits below are module constants too, read when called.  A pair is skipped
+at the first length without a valid exchange context, and the levels stop
+once no pair is live.  A battery computes each push, word
 matrix, product, dot and window delta once, keyed on its exact inputs: a
 recompute is the same numpy call on the same bytes, so no bit changes (stacked
 products such as `L @ T_u @ R.T` round differently, and are not used).
@@ -53,9 +54,18 @@ from .errors import (EnumerationCapError, InsufficientContextError,
 from .measures import (HiddenMarkovMeasure, LiftResult, entropy_estimate,
                        equilibrium_upstairs, lift_equilibrium,
                        preimage_cylinder_sum, pushforward)
-from .presentations import (LabeledEdge, SoficPresentation, minimize_fischer)
+from .presentations import (LabeledEdge, SoficPresentation,
+                            is_irreducible_sofic)
 from .shifts import Word
 from .thermo import LocallyConstantPotential, MarkovMeasure
+
+PAIR_CAP = 200  # most exchangeable word pairs one battery tests
+# a passing trend lets each deviation exceed the one before by TREND_SLACK of
+# it plus TREND_FLOOR, which absorbs rounding drift near zero deviation
+TREND_SLACK = 0.10
+TREND_FLOOR = 1e-12
+CROSS_CHECK_LENGTH = 6  # longest image word checked against its preimages
+COUNTEREXAMPLE_COUNT_LENGTH = 30  # longest length whose n + 1 words are counted
 
 
 def cocycle_delta(potential: LocallyConstantPotential, left: Word, u: Word,
@@ -117,8 +127,9 @@ class GibbsRatioReport:
         return _trend_non_increasing(self.max_deviations)
 
 
-def _trend_non_increasing(devs, slack=0.10, floor=1e-12):
-    return all(b <= (1.0 + slack) * a + floor for a, b in zip(devs, devs[1:]))
+def _trend_non_increasing(devs):
+    return all(b <= (1.0 + TREND_SLACK) * a + TREND_FLOOR
+               for a, b in zip(devs, devs[1:]))
 
 
 def _sync_step(pattern, state, symbol):
@@ -398,27 +409,25 @@ class RatioBattery:
         return max((r.final_deviation for r in self.reports), default=float("nan"))
 
 
-def exchangeable_pairs(language_words, max_word_length: int = 3,
-                       pair_cap: int = 200):
-    """Candidate equal-length word pairs, lexicographic, capped."""
+def exchangeable_pairs(language_words, max_word_length: int = 3):
+    """Candidate equal-length word pairs, lexicographic, at most PAIR_CAP."""
     pairs = []
     for length in range(1, max_word_length + 1):
         words = language_words(length)
         for i, a in enumerate(words):
             for b in words[i + 1:]:
                 pairs.append((a, b))
-                if len(pairs) >= pair_cap:
+                if len(pairs) >= PAIR_CAP:
                     return pairs
     return pairs
 
 
 def run_ratio_battery(measure, potential, context_lengths, tol,
-                      synchronizing_word=None, max_word_length: int = 3,
-                      pair_cap: int = 200) -> RatioBattery:
+                      synchronizing_word=None,
+                      max_word_length: int = 3) -> RatioBattery:
     """Ratio tests over an enumerated battery of exchangeable word pairs;
     a pair with no valid exchange context at some tested length is skipped."""
-    pairs = exchangeable_pairs(measure.words_of_length, max_word_length,
-                               pair_cap)
+    pairs = exchangeable_pairs(measure.words_of_length, max_word_length)
     reports, skipped = _ratio_engine(measure, potential, pairs,
                                      context_lengths, tol, synchronizing_word)
     passed = bool(reports) and all(r.passed for r in reports)
@@ -428,9 +437,8 @@ def run_ratio_battery(measure, potential, context_lengths, tol,
 
 def synchronized_battery(nu: HiddenMarkovMeasure,
                          potential: LocallyConstantPotential,
-                         analysis: CodeAnalysis, tol: float, c_max: int,
-                         max_word_length: int = 3,
-                         pair_cap: int = 200) -> RatioBattery:
+                         analysis: CodeAnalysis, tol: float,
+                         c_max: int) -> RatioBattery:
     """Ratio battery on the image of a Markov measure, with contexts
     synchronized by the magic word of the pushing code's `analysis`.
 
@@ -441,9 +449,7 @@ def synchronized_battery(nu: HiddenMarkovMeasure,
     sync = analysis.magic_word.word if analysis.magic_word else None
     start = max(potential.k - 1, 1, len(sync) if sync else 1)
     return run_ratio_battery(nu, potential, list(range(start, c_max + 1)), tol,
-                             synchronizing_word=sync,
-                             max_word_length=max_word_length,
-                             pair_cap=pair_cap)
+                             synchronizing_word=sync)
 
 
 @dataclass(frozen=True)
@@ -458,16 +464,15 @@ class LanfordRuelleReport:
 
 def verify_sofic_lanford_ruelle(presentation: SoficPresentation,
                                 potential: LocallyConstantPotential,
-                                tol: float = 1e-6, c_max: int = 20,
-                                max_word_length: int = 3,
-                                pair_cap: int = 200) -> LanfordRuelleReport:
+                                tol: float = 1e-6,
+                                c_max: int = 20) -> LanfordRuelleReport:
     """Lift the equilibrium measure through the minimal right-resolving cover
     (degree one, certified), push it back down, and run the Gibbs ratio
     battery on the image with magic-word-synchronized contexts."""
     lift = lift_equilibrium(presentation, potential)
     analysis = analyze_code(lift.downstairs.code)
     battery = synchronized_battery(lift.downstairs, potential, analysis, tol,
-                                   c_max, max_word_length, pair_cap)
+                                   c_max)
     passed = battery.passed and analysis.almost_invertible
     return LanfordRuelleReport(lift, analysis, battery, passed)
 
@@ -513,10 +518,8 @@ class FiniteToOneReport:
 
 def verify_finite_to_one_preservation(code: SlidingBlockCode,
                                       potential: LocallyConstantPotential,
-                                      tol: float = 1e-6, c_max: int = 20,
-                                      max_word_length: int = 3,
-                                      pair_cap: int = 200,
-                                      cross_check_length: int = 6) -> FiniteToOneReport:
+                                      tol: float = 1e-6,
+                                      c_max: int = 20) -> FiniteToOneReport:
     """Push the Gibbs-Markov measure for the pulled-back potential through a
     finite-to-one code and certify the image is Gibbs for the potential;
     the lift direction is confirmed by matching the image cylinders against
@@ -525,14 +528,12 @@ def verify_finite_to_one_preservation(code: SlidingBlockCode,
         raise ReducibleShiftError("requires an irreducible domain")
     if not is_finite_to_one(code):
         raise NotFiniteToOneError("code is not finite-to-one")
-    mu, _, push_code = equilibrium_upstairs(code, potential)
+    mu, _, push_code, _ = equilibrium_upstairs(code, potential)
     nu = pushforward(mu, push_code)
     push_analysis = analyze_code(push_code)
-    battery = synchronized_battery(nu, potential, push_analysis, tol, c_max,
-                                   max_word_length, pair_cap)
+    battery = synchronized_battery(nu, potential, push_analysis, tol, c_max)
     cross_dev = 0.0
-    for w, p in nu.forward_walk(cross_check_length,
-                                shifts.DEFAULT_ENUMERATION_CAP):
+    for w, p in nu.forward_walk(CROSS_CHECK_LENGTH):
         if w:
             cross_dev = max(cross_dev, abs(p - preimage_cylinder_sum(nu, w)))
     passed = battery.passed and cross_dev < 1e-10
@@ -588,7 +589,7 @@ class CounterexampleReport:
     passed: bool
 
 
-def sunny_side_up_counterexample(max_count_length: int = 30) -> CounterexampleReport:
+def sunny_side_up_counterexample() -> CounterexampleReport:
     """Certify that the invariant measure of the sunny-side-up shift is an
     equilibrium measure for the zero potential but not a Gibbs measure.
 
@@ -601,7 +602,7 @@ def sunny_side_up_counterexample(max_count_length: int = 30) -> CounterexampleRe
     nu = SunnySideUpMeasure()
     presentation = sunny_side_up_presentation()
     counts_ok = all(len(nu.words_of_length(n)) == n + 1
-                    for n in range(1, max_count_length + 1))
+                    for n in range(1, COUNTEREXAMPLE_COUNT_LENGTH + 1))
     counts_ok = counts_ok and all(
         nu.words_of_length(n) == presentation.words_of_length(n)
         for n in range(0, 13))
@@ -620,11 +621,7 @@ def sunny_side_up_counterexample(max_count_length: int = 30) -> CounterexampleRe
                               list(range(1, 7)), 1e-6)
     gibbs_ok = (not report.passed) and math.isinf(report.final_deviation)
     irreducible_graph = presentation.is_irreducible_graph()
-    try:
-        minimize_fischer(presentation)
-        irreducible_language = True
-    except ReducibleShiftError:
-        irreducible_language = False
+    irreducible_language = is_irreducible_sofic(presentation)
     passed = (equilibrium_ok and gibbs_ok and not irreducible_graph
               and not irreducible_language)
     return CounterexampleReport(counts_ok, growth, h, equilibrium_ok, report,

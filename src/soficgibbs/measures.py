@@ -3,12 +3,13 @@
 A hidden Markov measure evaluates cylinders with label-restricted transfer
 operators (a forward pass of sub-transition matrices), which is exact and
 linear in the word length; its forward walk pushes the vector once per prefix
-of the image language.  Brute-force preimage enumeration is kept alongside as
-an independent oracle.
+of the image language, up to `shifts.DEFAULT_ENUMERATION_CAP` words of one
+length.  Brute-force preimage enumeration is kept as an independent oracle.
 
 `equilibrium_upstairs` is the one upstairs step of every pipeline: pull a
 potential back through a one-block code, take the equilibrium measure of the
-pulled-back potential, and return the code that pushes it onto the image.
+pulled-back potential, and return the code that pushes it onto the image and
+the pressure.
 `lift_equilibrium` applies it to the minimal right-resolving cover; the
 variational pressure certificate on the image is computed by
 `gibbs.verify_sofic_dobrushin`, its only verdict.  The module also restricts
@@ -24,14 +25,14 @@ from typing import Mapping
 
 import numpy as np
 
-from .codes import (SlidingBlockCode, compose_one_block, preimage_words,
-                    pullback_potential)
+from .codes import SlidingBlockCode, compose_one_block, preimage_words
 from .errors import EnumerationCapError
 from . import shifts
 from .presentations import SoficPresentation, minimize_fischer
 from .shifts import CyclicStructure, Word, cyclic_class_shift
 from .thermo import (LocallyConstantPotential, MarkovMeasure, _equilibrium,
-                     entropy, pressure, reduce_to_edge_potential)
+                     entropy, pressure, pullback_potential,
+                     reduce_to_edge_potential)
 
 
 @dataclass(frozen=True)
@@ -79,15 +80,16 @@ class HiddenMarkovMeasure:
         # the upstairs measure has full support, so positivity is exact
         return self.cylinder_prob(word) > 0.0
 
-    def words_of_length(self, n: int,
-                        cap: int = shifts.DEFAULT_ENUMERATION_CAP) -> list[Word]:
-        return [word for word, _ in self.forward_walk(n, cap) if len(word) == n]
+    def words_of_length(self, n: int) -> list[Word]:
+        return [word for word, _ in self.forward_walk(n) if len(word) == n]
 
-    def forward_walk(self, n_max: int, cap: int):
+    def forward_walk(self, n_max: int):
         """Words of the image language up to length n_max with their cylinder
         probabilities, in lexicographic preorder.  The forward vector is
         pushed once per prefix, by the products of `cylinder_prob`; more than
-        `cap` words of one length raise `EnumerationCapError`."""
+        `shifts.DEFAULT_ENUMERATION_CAP` words of one length raise
+        `EnumerationCapError`."""
+        cap = shifts.DEFAULT_ENUMERATION_CAP
         counts = [0] * (n_max + 1)
         stack = [((), self._stationary_row, float(self._stationary_row.sum()))]
         while stack:
@@ -136,7 +138,7 @@ def entropy_estimate(nu: HiddenMarkovMeasure, n_max: int) -> EntropyEstimate:
     if n_max < 2:
         raise ValueError("n_max must be at least 2")
     block = [0.0] * (n_max + 1)
-    for word, p in nu.forward_walk(n_max, shifts.DEFAULT_ENUMERATION_CAP):
+    for word, p in nu.forward_walk(n_max):
         if word:
             block[len(word)] -= p * math.log(p)
     hs = [b - a for a, b in zip(block, block[1:])]
@@ -149,16 +151,10 @@ def equilibrium_upstairs(code: SlidingBlockCode,
     code, with the one-block code pushing it onto the image.
 
     The pulled-back potential is recoded to read a single edge; returns the
-    Markov measure on the recoded shift, the edge potential there, and the
-    code through the recoding conjugacy (the code itself for window-1
-    potentials).
+    Markov measure on the recoded shift, the edge potential there, the code
+    through the recoding conjugacy (the code itself for window-1 potentials)
+    and the pressure, read off the Perron data of the measure.
     """
-    return _equilibrium_upstairs(code, potential)[:3]
-
-
-def _equilibrium_upstairs(code, potential):
-    """`equilibrium_upstairs` followed by the pressure, read off the Perron
-    data of the equilibrium measure."""
     lifted = pullback_potential(code, potential)
     shift, edge_potential, decode = reduce_to_edge_potential(lifted)
     mu, pressure_value = _equilibrium(shift, edge_potential)
@@ -186,7 +182,7 @@ def lift_equilibrium(presentation: SoficPresentation,
     right-resolving cover, take the equilibrium measure there, and push it
     back down."""
     fischer, cover_code = minimize_fischer(presentation)
-    mu, edge_potential, push_code, pressure_value = _equilibrium_upstairs(
+    mu, edge_potential, push_code, pressure_value = equilibrium_upstairs(
         cover_code, potential)
     return LiftResult(fischer, cover_code, mu, HiddenMarkovMeasure(mu, push_code),
                       edge_potential, pressure_value, entropy(mu))

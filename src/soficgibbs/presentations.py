@@ -19,9 +19,10 @@ from typing import Mapping
 
 from .codes import (SlidingBlockCode, _right_resolving, _subset_closure,
                     _subset_step, _successor_sets)
+from . import shifts
 from .errors import (EmptyShiftError, EnumerationCapError,
                      ReducibleShiftError)
-from .shifts import Alphabet, Edge, EdgeShift, Word, DEFAULT_ENUMERATION_CAP
+from .shifts import Alphabet, Edge, EdgeShift, Word
 
 
 @dataclass(frozen=True)
@@ -120,12 +121,14 @@ class SoficPresentation:
                 return False
         return bool(self.vertices)
 
-    def words_of_length(self, n: int, cap: int = DEFAULT_ENUMERATION_CAP) -> list[Word]:
-        """B_n of the presented shift, sorted lexicographically."""
+    def words_of_length(self, n: int) -> list[Word]:
+        """B_n of the presented shift, sorted lexicographically; more than
+        `shifts.DEFAULT_ENUMERATION_CAP` words raise `EnumerationCapError`."""
         if self.is_empty:
             return []
         if n == 0:
             return [()]
+        cap = shifts.DEFAULT_ENUMERATION_CAP
         symbols = tuple(self.label_alphabet)
         out = []
         stack = [((), frozenset(self.vertices))]

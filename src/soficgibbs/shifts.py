@@ -26,6 +26,7 @@ from .errors import EnumerationCapError, ReducibleShiftError
 
 Word = tuple[str, ...]
 
+# Most words (or context classes) one enumeration may list; read when called.
 DEFAULT_ENUMERATION_CAP = 500_000
 
 # Separator used when composite ids are formed from paths of edges.
@@ -267,20 +268,23 @@ class EdgeShift:
             ending_at = nxt
         return sum(ending_at)
 
-    def words_of_length(self, n: int, cap: int = DEFAULT_ENUMERATION_CAP) -> list[Word]:
+    def words_of_length(self, n: int) -> list[Word]:
         """All length-n edge-id words, sorted lexicographically."""
         if self.is_empty:
             return []
         if n == 0:
             return [()]
         count = self.count_words(n)
-        if count > cap:
-            raise EnumerationCapError(count, cap)
+        if count > DEFAULT_ENUMERATION_CAP:
+            raise EnumerationCapError(count, DEFAULT_ENUMERATION_CAP)
         return sorted(path for path, _, _ in _paths_of_length(self, n))
 
     def in_language(self, word: Word) -> bool:
         """True iff the word is an edge path (all words of an essential graph
-        extend to bi-infinite paths)."""
+        extend to bi-infinite paths); the empty word is in the language of
+        every nonempty graph."""
+        if not word:
+            return not self.is_empty
         return self.path_endpoints(word) is not None
 
     def path_endpoints(self, word: Word):
@@ -370,19 +374,18 @@ def component_periods(shift: EdgeShift) -> dict[tuple[str, ...], int]:
 
 
 def sft_from_forbidden_words(alphabet: Alphabet, forbidden: Iterable[Word],
-                             window: int,
-                             cap: int = DEFAULT_ENUMERATION_CAP) -> EdgeShift:
+                             window: int) -> EdgeShift:
     """Essential edge shift of the SFT over `alphabet` avoiding the given words.
 
     Vertices are the clean words of length window-1; an edge joins u to v when
     they overlap progressively and the combined window of length `window`
     avoids every forbidden word.  The result may be empty.
     """
-    shift, _ = _forbidden_graph(alphabet, forbidden, window, cap)
+    shift, _ = _forbidden_graph(alphabet, forbidden, window)
     return shift
 
 
-def _forbidden_graph(alphabet, forbidden, window, cap=DEFAULT_ENUMERATION_CAP):
+def _forbidden_graph(alphabet, forbidden, window):
     if window < 2:
         raise ValueError("window must be at least 2")
     forbidden = {tuple(w) for w in forbidden}
@@ -403,8 +406,8 @@ def _forbidden_graph(alphabet, forbidden, window, cap=DEFAULT_ENUMERATION_CAP):
         return True
 
     count = len(alphabet) ** (window - 1)
-    if count > cap:
-        raise EnumerationCapError(count, cap)
+    if count > DEFAULT_ENUMERATION_CAP:
+        raise EnumerationCapError(count, DEFAULT_ENUMERATION_CAP)
     prefixes = [()]
     for _ in range(window - 1):
         prefixes = [p + (s,) for p in prefixes for s in alphabet if clean(p + (s,))]

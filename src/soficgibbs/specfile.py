@@ -34,6 +34,7 @@ from .codes import SlidingBlockCode
 from .errors import SpecFileError
 from .presentations import LabeledEdge, SoficPresentation
 from .shifts import Alphabet, Edge, EdgeShift, Word, _forbidden_graph
+from .thermo import LocallyConstantPotential
 
 _EDGE_RE = re.compile(
     r"^edge\s+(?P<id>\S+)\s*:\s*(?P<src>\S+)\s*->\s*(?P<tgt>\S+)"
@@ -300,8 +301,6 @@ def build_system(spec: ShiftSpecFile) -> LoadedSystem:
 
 def build_potential(spec: ShiftSpecFile, presentation: SoficPresentation):
     """Potential over the label alphabet of a presented shift."""
-    from .thermo import LocallyConstantPotential
-
     if spec.potential_range is None:
         raise SpecFileError("missing [potential] section")
     alphabet = presentation.label_alphabet

@@ -5,8 +5,10 @@ Variations are taken with respect to symmetric windows [-j, j] by embedding
 the anchored table, so v_j vanishes for j >= k-1 and the summable-variation
 norm is a finite sum.  Pressure and the unique equilibrium (Gibbs-Markov)
 measure come from Perron data of the weighted transfer matrix; power
-iteration runs on M + I so periodic matrices converge too.  A brute-force
-periodic-point oracle provides an independent route to the same pressure.
+iteration runs on M + I so periodic matrices converge too, within the limits
+`PERRON_TOL` and `PERRON_MAX_ITER`, read when called.  Potentials on an image
+pull back through a one-block code.  A brute-force periodic-point oracle
+provides an independent route to the same pressure.
 
 The periodic certificate walks the cylinders of the class-0 power shift level
 by level over numpy arrays.  Each element takes the same correctly rounded
@@ -23,12 +25,11 @@ from typing import Mapping
 import numpy as np
 
 from . import shifts
-from .codes import SlidingBlockCode, higher_block_shift
+from .codes import SlidingBlockCode, _require_one_block, higher_block_shift
 from .errors import (ConvergenceError, EmptyShiftError, EnumerationCapError,
                      ReducibleShiftError)
-from .shifts import (DEFAULT_ENUMERATION_CAP, PATH_SEP, CyclicStructure,
-                     EdgeShift, Word, cyclic_class_shift, cyclic_structure,
-                     missing_word)
+from .shifts import (PATH_SEP, CyclicStructure, EdgeShift, Word,
+                     cyclic_class_shift, cyclic_structure, missing_word)
 
 PERRON_TOL = 1e-13
 PERRON_MAX_ITER = 10 ** 6
@@ -101,6 +102,21 @@ def sv_norm(potential: LocallyConstantPotential) -> float:
         variation(potential, j) for j in range(potential.k - 1))
 
 
+def pullback_potential(code: SlidingBlockCode, potential):
+    """Compose a locally constant potential on the image with the code.
+
+    The result reads domain words of the same window length; its summable
+    variation norm never exceeds that of the original potential.
+    """
+    _require_one_block(code)
+    k = potential.k
+    table = {}
+    for w in code.domain.words_of_length(k):
+        image = tuple(code.label(s) for s in w)
+        table[w] = potential.value(image)
+    return LocallyConstantPotential(code.domain, k, table)
+
+
 def reduce_to_edge_potential(potential: LocallyConstantPotential):
     """Recode the shift so the potential reads a single edge.
 
@@ -157,17 +173,17 @@ def _matrix_irreducible(m: np.ndarray) -> bool:
     return True
 
 
-def perron(m: np.ndarray, tol: float = PERRON_TOL,
-           max_iter: int = PERRON_MAX_ITER) -> PerronData:
+def perron(m: np.ndarray) -> PerronData:
     """Perron eigendata by power iteration on M + I.
 
     The shift makes the iteration matrix primitive whenever M is irreducible;
     the eigenvalue is shifted back by one.  Iteration stops when successive
     eigenvalue estimates differ by less than tol and the residual
-    ||M r - lambda r||_inf is below tol * ||r||_inf, where tol is raised to
-    the rounding floor 8 eps ||M||_inf >= 4 eps (||M||_inf + lambda) when that
-    is larger: near a lambda of a few hundred the estimates keep moving by
-    an ulp or two, so an absolute tol alone is never met.
+    ||M r - lambda r||_inf is below tol * ||r||_inf, where tol is PERRON_TOL
+    raised to the rounding floor 8 eps ||M||_inf >= 4 eps (||M||_inf + lambda)
+    when that is larger: near a lambda of a few hundred the estimates keep
+    moving by an ulp or two, so an absolute tol alone is never met.  It
+    gives up after PERRON_MAX_ITER steps.
     """
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -182,10 +198,10 @@ def perron(m: np.ndarray, tol: float = PERRON_TOL,
 
     def dominant(mat, a):
         # mat is nonnegative, so its largest row sum is ||mat||_inf
-        bound = max(tol, 8 * np.finfo(float).eps * float(mat.sum(axis=1).max()))
+        bound = max(PERRON_TOL, 8 * np.finfo(float).eps * float(mat.sum(axis=1).max()))
         x = np.ones(a.shape[0]) / a.shape[0]
         lam = None
-        for _ in range(max_iter):
+        for _ in range(PERRON_MAX_ITER):
             y = a @ x
             lam_new = y.sum()  # x sums to 1, so this is the Rayleigh-type estimate
             x_new = y / lam_new
@@ -196,7 +212,7 @@ def perron(m: np.ndarray, tol: float = PERRON_TOL,
             lam, x = lam_new, x_new
         res = float(np.max(np.abs(mat @ x - (lam - 1.0) * x)))
         raise ConvergenceError(
-            f"power iteration did not converge within {max_iter} iterations "
+            f"power iteration did not converge within {PERRON_MAX_ITER} iterations "
             f"(residual {res:.3e})", residual=res)
 
     shifted = m + np.eye(m.shape[0])
@@ -232,15 +248,14 @@ def _require_edge_potential(shift, potential):
         raise ValueError("edge potential (window 1) required; reduce first")
 
 
-def pressure(shift: EdgeShift, potential: LocallyConstantPotential,
-             tol: float = PERRON_TOL) -> float:
+def pressure(shift: EdgeShift, potential: LocallyConstantPotential) -> float:
     """Topological pressure of a locally constant potential: log of the
     Perron eigenvalue of the transfer matrix.  Potentials with window > 1
     are recoded to edge potentials first (pressure is conjugacy-invariant)."""
     _require_same_shift(shift, potential)
     if potential.k > 1:
         shift, potential, _ = reduce_to_edge_potential(potential)
-    return math.log(perron(transfer_matrix(shift, potential), tol).eigenvalue)
+    return math.log(perron(transfer_matrix(shift, potential)).eigenvalue)
 
 
 @dataclass(frozen=True)
@@ -292,28 +307,28 @@ class MarkovMeasure:
         return p
 
     def in_language(self, word: Word) -> bool:
-        return self.shift.in_language(word) if word else True
+        return self.shift.in_language(word)
 
-    def words_of_length(self, n: int, cap: int = DEFAULT_ENUMERATION_CAP) -> list[Word]:
-        return self.shift.words_of_length(n, cap)
+    def words_of_length(self, n: int) -> list[Word]:
+        return self.shift.words_of_length(n)
 
     def stationary_vector(self) -> np.ndarray:
         return np.array([self.stationary[v] for v in self.shift.vertices])
 
 
-def equilibrium_measure(shift: EdgeShift, potential: LocallyConstantPotential,
-                        tol: float = PERRON_TOL) -> MarkovMeasure:
+def equilibrium_measure(shift: EdgeShift,
+                        potential: LocallyConstantPotential) -> MarkovMeasure:
     """The unique equilibrium = Gibbs-Markov measure of an edge potential on
     an irreducible shift: P(e: i->j) = exp(f(e)) r_j / (lambda r_i), with
     stationary vector l_i r_i."""
-    return _equilibrium(shift, potential, tol)[0]
+    return _equilibrium(shift, potential)[0]
 
 
-def _equilibrium(shift, potential, tol=PERRON_TOL):
+def _equilibrium(shift, potential):
     """The equilibrium measure and the pressure log(lambda), from one Perron
     solve: the same value `pressure` returns."""
     _require_edge_potential(shift, potential)
-    data = perron(transfer_matrix(shift, potential), tol)
+    data = perron(transfer_matrix(shift, potential))
     idx = shift.vertex_index
     transitions = {}
     for v in shift.vertices:
@@ -325,22 +340,21 @@ def _equilibrium(shift, potential, tol=PERRON_TOL):
         for eid, w in weights.items():
             transitions[eid] = w / total
     stationary = _polished_stationary(shift, transitions,
-                                      seed=data.left * data.right)
+                                      data.left * data.right)
     return (MarkovMeasure(shift, stationary, transitions),
             math.log(data.eigenvalue))
 
 
-def _polished_stationary(shift, transitions, seed=None):
-    """Refine a stationary vector to near machine precision by iterating the
-    aperiodic half-step chain (T + I)/2."""
+def _polished_stationary(shift, transitions, seed):
+    """Refine a positive seed to the stationary vector, to near machine
+    precision, by iterating the aperiodic half-step chain (T + I)/2."""
     n = len(shift.vertices)
     idx = shift.vertex_index
     t = np.zeros((n, n))
     for e in shift.edges:
         t[idx[e.source], idx[e.target]] += transitions[e.id]
     half = 0.5 * (t + np.eye(n))
-    x = np.ones(n) / n if seed is None else np.asarray(seed, dtype=float)
-    x = x / x.sum()
+    x = seed / seed.sum()
     for _ in range(100_000):
         y = x @ half
         y /= y.sum()

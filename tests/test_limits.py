@@ -1,0 +1,95 @@
+"""Each limit of the package is one module constant, read when the code runs:
+lowering it reaches every entry point that it bounds."""
+
+import ast
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import soficgibbs as sg
+from soficgibbs import shifts, thermo
+
+from conftest import loop_shift
+
+SOURCES = sorted(Path(sg.__file__).parent.glob("*.py"))
+
+LIMITS = {"DEFAULT_ENUMERATION_CAP", "SUBSET_STATE_CAP", "PERRON_TOL",
+          "PERRON_MAX_ITER", "PAIR_CAP", "TREND_SLACK", "TREND_FLOOR",
+          "CROSS_CHECK_LENGTH", "COUNTEREXAMPLE_COUNT_LENGTH"}
+
+
+def _full2_languages():
+    """The full 2-shift as each of the four language objects; each has 4
+    words of length 2."""
+    shift = loop_shift(2)
+    mu = sg.equilibrium_measure(shift, sg.LocallyConstantPotential.zero(shift))
+    return {"EdgeShift": shift, "MarkovMeasure": mu,
+            "SoficPresentation": sg.identity_presentation(shift),
+            "HiddenMarkovMeasure": sg.pushforward(
+                mu, sg.SlidingBlockCode.identity(shift))}
+
+
+ENUMERATIONS = {
+    **{f"{name}.words_of_length": (lambda name=name: _full2_languages()[name]
+                                   .words_of_length(2))
+       for name in ("EdgeShift", "MarkovMeasure", "SoficPresentation",
+                    "HiddenMarkovMeasure")},
+    "HiddenMarkovMeasure.forward_walk": lambda: list(
+        _full2_languages()["HiddenMarkovMeasure"].forward_walk(2)),
+    "sft_from_forbidden_words": lambda: sg.sft_from_forbidden_words(
+        sg.Alphabet(("0", "1")), (), 3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ENUMERATIONS))
+def test_enumeration_reads_the_cap_when_called(name, monkeypatch):
+    # 4 words (or 4 vertex words of the forbidden-word graph) meet a cap of 4
+    # and exceed a cap of 3
+    enumerate_ = ENUMERATIONS[name]
+    monkeypatch.setattr(shifts, "DEFAULT_ENUMERATION_CAP", 4)
+    enumerate_()
+    monkeypatch.setattr(shifts, "DEFAULT_ENUMERATION_CAP", 3)
+    with pytest.raises(sg.EnumerationCapError) as info:
+        enumerate_()
+    assert (info.value.count, info.value.cap) == (4, 3)
+
+
+def test_perron_reads_the_iteration_limit_when_called(monkeypatch):
+    golden = np.array([[1.0, 1.0], [1.0, 0.0]])
+    assert sg.perron(golden).eigenvalue == pytest.approx((1 + 5 ** 0.5) / 2)
+    monkeypatch.setattr(thermo, "PERRON_MAX_ITER", 1)
+    with pytest.raises(sg.ConvergenceError):
+        sg.perron(golden)
+
+
+def _names(node):
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            yield sub.id
+        elif isinstance(sub, ast.Attribute):
+            yield sub.attr
+
+
+def test_no_default_names_a_limit():
+    # a default is evaluated once, at import, so a limit copied into one
+    # would not follow the constant
+    found = []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.Lambda)):
+                defaults = node.args.defaults + [
+                    d for d in node.args.kw_defaults if d is not None]
+                if LIMITS.intersection(n for d in defaults for n in _names(d)):
+                    found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
+def test_no_function_level_package_import():
+    found = []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.FunctionDef):
+                found += [f"{path.name}:{sub.lineno}" for sub in ast.walk(node)
+                          if isinstance(sub, ast.ImportFrom) and sub.level]
+    assert found == []

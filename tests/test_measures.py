@@ -92,16 +92,18 @@ class TestPushforward:
                 total = sum(nu.cylinder_prob(w + (s,)) for s in nu.symbols)
                 assert total == pytest.approx(nu.cylinder_prob(w), abs=1e-10)
 
-    def test_enumeration_cap_counts_every_word(self, even_cover):
+    def test_enumeration_cap_counts_every_word(self, even_cover, monkeypatch):
         # the cap is checked as each word is appended, not only when an
         # interior node is expanded
         nu = sg.lift_equilibrium(
             even_cover, sg.LocallyConstantPotential.zero(even_cover)).downstairs
+        monkeypatch.setattr(shifts, "DEFAULT_ENUMERATION_CAP", 1)
         with pytest.raises(sg.EnumerationCapError) as info:
-            nu.words_of_length(1, cap=1)
+            nu.words_of_length(1)
         assert info.value.count == 2
+        monkeypatch.setattr(shifts, "DEFAULT_ENUMERATION_CAP", 2)
         with pytest.raises(sg.EnumerationCapError) as info:
-            nu.words_of_length(3, cap=2)
+            nu.words_of_length(3)
         assert info.value.count == 3
 
     @pytest.mark.parametrize("cap", [0, 1, 2, 4, 7, 12, 20, 33])
@@ -112,15 +114,15 @@ class TestPushforward:
         # shift has 2, 3, 5, 8, 13, 21, 34 words of lengths 1..7
         nu = sg.lift_equilibrium(
             even_cover, sg.LocallyConstantPotential.zero(even_cover)).downstairs
+        counts = {n: len(even_cover.words_of_length(n)) for n in range(1, 8)}
         monkeypatch.setattr(shifts, "DEFAULT_ENUMERATION_CAP", cap)
         for n_max in range(2, 8):
-            over = [n for n in range(1, n_max + 1)
-                    if len(even_cover.words_of_length(n)) > cap]
+            over = [n for n in range(1, n_max + 1) if counts[n] > cap]
             if not over:
                 sg.entropy_estimate(nu, n_max)
                 continue
             with pytest.raises(sg.EnumerationCapError) as per_length:
-                nu.words_of_length(over[0], cap=cap)
+                nu.words_of_length(over[0])
             with pytest.raises(sg.EnumerationCapError) as walk:
                 sg.entropy_estimate(nu, n_max)
             assert ((walk.value.count, walk.value.cap)

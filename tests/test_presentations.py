@@ -1,7 +1,7 @@
 import pytest
 
 import soficgibbs as sg
-from soficgibbs import codes
+from soficgibbs import codes, shifts
 
 from conftest import loop_shift
 
@@ -168,11 +168,12 @@ class TestMergeAndEdgeCases:
         assert sg.determinize(dead).is_empty
 
 
-def test_enumeration_cap_reports_integer_count():
+def test_enumeration_cap_reports_integer_count(monkeypatch):
     full2 = sg.SoficPresentation(
         ("*",), (sg.LabeledEdge("*", "*", "0", "a"),
                  sg.LabeledEdge("*", "*", "1", "b")))
+    monkeypatch.setattr(shifts, "DEFAULT_ENUMERATION_CAP", 10)
     with pytest.raises(sg.EnumerationCapError) as info:
-        full2.words_of_length(5, cap=10)
+        full2.words_of_length(5)
     assert isinstance(info.value.count, int)
     assert info.value.count > info.value.cap == 10

@@ -1,3 +1,4 @@
+import itertools
 import math
 from collections import Counter
 
@@ -461,11 +462,29 @@ def test_step_matches_edge_scan_oracle(presentation, data):
         assert isinstance(step, frozenset) and step == expected
 
 
+@settings(max_examples=40, deadline=None)
+@given(labeled_graphs())
+def test_membership_matches_word_lists(presentation):
+    # every word over the alphabet, the empty word included, is in the
+    # language exactly when it is listed by words_of_length
+    shift = presentation.underlying_edge_shift()
+    mu = sg.equilibrium_measure(shift, sg.LocallyConstantPotential.zero(shift))
+    nu = sg.pushforward(mu, presentation.labeling_code())
+    for language, alphabet in ((shift, shift.alphabet()),
+                               (mu, shift.alphabet()),
+                               (presentation, presentation.label_alphabet),
+                               (nu, presentation.label_alphabet)):
+        for n in range(4):
+            members = [w for w in itertools.product(alphabet, repeat=n)
+                       if language.in_language(w)]
+            assert members == language.words_of_length(n)
+
+
 @settings(max_examples=30, deadline=None)
 @given(labeled_graphs(), st.integers(min_value=0, max_value=1_000_000))
 def test_upstairs_image_matches_preimage_sums(presentation, seed):
     f = random_potential(presentation, 2, seed)
-    mu, edge_potential, push_code = sg.equilibrium_upstairs(
+    mu, edge_potential, push_code, _ = sg.equilibrium_upstairs(
         presentation.labeling_code(), f)
     assert edge_potential.k == 1 and push_code.domain == mu.shift
     nu = sg.pushforward(mu, push_code)
@@ -481,7 +500,7 @@ def test_upstairs_image_matches_preimage_sums(presentation, seed):
 @given(labeled_graphs(), st.integers(min_value=0, max_value=1_000_000))
 def test_window_one_push_code_is_the_code(presentation, seed):
     code = presentation.labeling_code()
-    mu, _, push_code = sg.equilibrium_upstairs(
+    mu, _, push_code, _ = sg.equilibrium_upstairs(
         code, random_potential(presentation, 1, seed))
     assert push_code == code
     assert mu.shift == code.domain
@@ -504,7 +523,8 @@ class _WordsOnly:
 def test_ratio_engine_classes_match_word_oracle(presentation, k, sync_len,
                                                 seed):
     f = random_potential(presentation, k, seed)
-    mu, _, push_code = sg.equilibrium_upstairs(presentation.labeling_code(), f)
+    mu, _, push_code, _ = sg.equilibrium_upstairs(presentation.labeling_code(),
+                                                  f)
     nu = sg.pushforward(mu, push_code)
     candidates = nu.words_of_length(sync_len)
     sync = candidates[seed % len(candidates)] if sync_len else None
@@ -525,7 +545,8 @@ def test_ratio_engine_classes_match_word_oracle(presentation, k, sync_len,
 
 def _image_measure(presentation, k, seed):
     f = random_potential(presentation, k, seed)
-    mu, _, push_code = sg.equilibrium_upstairs(presentation.labeling_code(), f)
+    mu, _, push_code, _ = sg.equilibrium_upstairs(presentation.labeling_code(),
+                                                  f)
     return sg.pushforward(mu, push_code)
 
 

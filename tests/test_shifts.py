@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import soficgibbs as sg
+from soficgibbs import shifts
 
 from conftest import brute_sft_language, loop_shift
 
@@ -198,10 +199,13 @@ class TestWordCounts:
 
     def test_empty_word(self, golden_mean):
         assert golden_mean.words_of_length(0) == [()]
+        assert golden_mean.in_language(())
+        assert not sg.EdgeShift((), ()).in_language(())
 
-    def test_enumeration_cap(self, golden_mean):
+    def test_enumeration_cap(self, golden_mean, monkeypatch):
+        monkeypatch.setattr(shifts, "DEFAULT_ENUMERATION_CAP", 5)
         with pytest.raises(sg.EnumerationCapError):
-            golden_mean.words_of_length(10, cap=5)
+            golden_mean.words_of_length(10)
 
     def test_lexicographic_order(self, golden_mean):
         words = golden_mean.words_of_length(3)

@@ -84,7 +84,7 @@ class TestPerron:
         w = np.linalg.eigvals(m)
         assert data.eigenvalue == pytest.approx(float(max(w.real)), abs=1e-10)
 
-    def test_large_eigenvalue_stops_at_the_rounding_floor(self):
+    def test_large_eigenvalue_stops_at_the_rounding_floor(self, monkeypatch):
         # a positive matrix with dominant eigenvalue about 437: successive
         # estimates of lambda + 1 keep differing by an ulp or two, above an
         # absolute 1e-13, so only the rounding floor 8 eps ||M||_inf stops it
@@ -92,7 +92,8 @@ class TestPerron:
         m = rng.uniform(0.0, 1.0, (3, 3)) + 1e-3
         m *= rng.uniform(250, 450) / max(abs(np.linalg.eigvals(m)))
         lam = float(max(np.linalg.eigvals(m).real))
-        data = sg.perron(m, max_iter=10_000)
+        monkeypatch.setattr(thermo, "PERRON_MAX_ITER", 10_000)
+        data = sg.perron(m)
         assert data.eigenvalue == pytest.approx(lam, rel=1e-14)
         assert data.residual < 8 * np.finfo(float).eps * m.sum(axis=1).max()
 
