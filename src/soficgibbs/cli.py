@@ -2,7 +2,9 @@
 
 Subcommands map one-to-one onto the library pipelines: `analyze`, `fischer`,
 `pressure`, `eqmeasure`, `pushforward`, `gibbs-check`, and
-`verify lanford-ruelle|dobrushin|finite-to-one|counterexample`.
+`verify lanford-ruelle|dobrushin|finite-to-one|counterexample`.  The
+weighted commands read the fields of the one `measures.LiftResult` of
+`equilibrium_upstairs`.
 
 Reports are flat `key = value` lines followed by a final `verdict` line;
 identical inputs produce byte-identical machine reports.  Exit codes:
@@ -19,8 +21,7 @@ from .errors import SoficGibbsError, SpecFileError
 from .gibbs import (sunny_side_up_counterexample, synchronized_battery,
                     verify_finite_to_one_preservation, verify_sofic_dobrushin,
                     verify_sofic_lanford_ruelle)
-from .measures import (HiddenMarkovMeasure, equilibrium_upstairs,
-                       sofic_pressure)
+from .measures import equilibrium_upstairs, sofic_pressure
 from .presentations import image_presentation, minimize_fischer
 from .shifts import component_periods, cyclic_structure, format_word
 from .specfile import (LoadedSystem, build_code, build_potential, build_system,
@@ -117,11 +118,12 @@ def cmd_pressure(args):
 def cmd_eqmeasure(args):
     system = _load_system(args.file)
     potential = _load_potential(args.potential, system.presentation)
-    mu, _, _, pressure_value = equilibrium_upstairs(system.labeling, potential)
+    lift = equilibrium_upstairs(system.labeling, potential)
+    mu = lift.downstairs.upstairs
     lines = [("shift_vertices", len(mu.shift.vertices)),
              ("shift_edges", len(mu.shift.edges)),
              ("entropy", entropy(mu)),
-             ("pressure", pressure_value)]
+             ("pressure", lift.pressure_value)]
     for v in mu.shift.vertices:
         lines.append((f"stationary({v})", mu.stationary[v]))
     for e in mu.shift.edges:
@@ -135,8 +137,7 @@ def cmd_eqmeasure(args):
 def cmd_pushforward(args):
     system = _load_system(args.file)
     potential = _load_potential(args.potential, system.presentation)
-    mu, _, push_code, _ = equilibrium_upstairs(system.labeling, potential)
-    nu = HiddenMarkovMeasure(mu, push_code)
+    nu = equilibrium_upstairs(system.labeling, potential).downstairs
     lines = [("image_symbols", " ".join(nu.symbols))]
     for n in range(1, args.depth + 1):
         for w in nu.words_of_length(n):
@@ -147,10 +148,8 @@ def cmd_pushforward(args):
 def cmd_gibbs_check(args):
     system = _load_system(args.file)
     potential = _load_potential(args.potential, system.presentation)
-    mu, _, push_code, _ = equilibrium_upstairs(system.labeling, potential)
-    battery = synchronized_battery(HiddenMarkovMeasure(mu, push_code),
-                                   potential, analyze_code(push_code),
-                                   args.tol, args.cmax)
+    nu = equilibrium_upstairs(system.labeling, potential).downstairs
+    _, battery = synchronized_battery(nu, potential, args.tol, args.cmax)
     lines = [("pairs_tested", len(battery.reports)),
              ("pairs_skipped", len(battery.skipped_pairs)),
              ("max_final_deviation", battery.max_final_deviation)]

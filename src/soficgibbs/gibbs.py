@@ -32,9 +32,10 @@ matrix, product, dot and window delta once, keyed on its exact inputs: a
 recompute is the same numpy call on the same bytes, so no bit changes (stacked
 products such as `L @ T_u @ R.T` round differently, and are not used).
 
-The pipelines take the equilibrium measure upstairs and push it down.  The
-Gibbs verdicts (Lanford-Ruelle, finite-to-one) run `synchronized_battery` on
-the image; the Dobrushin verdict holds the variational pressure certificate.
+The pipelines read one `measures.LiftResult`, the equilibrium measure
+upstairs pushed down.  The Gibbs verdicts (Lanford-Ruelle, finite-to-one)
+run `synchronized_battery` on the image, which also analyzes its push code;
+the Dobrushin verdict holds the variational pressure certificate.
 """
 
 from __future__ import annotations
@@ -51,13 +52,13 @@ from . import shifts
 from .errors import (EnumerationCapError, InsufficientContextError,
                      NoExchangeableContextError, NotFiniteToOneError,
                      NotInLanguageError, ReducibleShiftError)
-from .measures import (HiddenMarkovMeasure, LiftResult, entropy_estimate,
-                       equilibrium_upstairs, lift_equilibrium,
-                       preimage_cylinder_sum, pushforward)
+from .measures import (HiddenMarkovMeasure, LiftResult, _hidden,
+                       entropy_estimate, equilibrium_upstairs,
+                       lift_equilibrium, preimage_cylinder_sum)
 from .presentations import (LabeledEdge, SoficPresentation,
                             is_irreducible_sofic)
 from .shifts import Word
-from .thermo import LocallyConstantPotential, MarkovMeasure
+from .thermo import LocallyConstantPotential
 
 PAIR_CAP = 200  # most exchangeable word pairs one battery tests
 # a passing trend lets each deviation exceed the one before by TREND_SLACK of
@@ -245,14 +246,6 @@ def _context_classes(levels: _ContextLevels, length: int):
                  for level, (_, _, pattern) in zip(levels.levels, levels.rules))
 
 
-def _hidden(measure) -> HiddenMarkovMeasure:
-    if isinstance(measure, HiddenMarkovMeasure):
-        return measure
-    if isinstance(measure, MarkovMeasure):
-        return HiddenMarkovMeasure(measure, SlidingBlockCode.identity(measure.shift))
-    return None
-
-
 def gibbs_ratio_test(measure, potential: LocallyConstantPotential, u: Word,
                      v: Word, context_lengths: Sequence[int], tol: float,
                      synchronizing_word: Word | None = None) -> GibbsRatioReport:
@@ -436,20 +429,22 @@ def run_ratio_battery(measure, potential, context_lengths, tol,
 
 
 def synchronized_battery(nu: HiddenMarkovMeasure,
-                         potential: LocallyConstantPotential,
-                         analysis: CodeAnalysis, tol: float,
-                         c_max: int) -> RatioBattery:
-    """Ratio battery on the image of a Markov measure, with contexts
-    synchronized by the magic word of the pushing code's `analysis`.
+                         potential: LocallyConstantPotential, tol: float,
+                         c_max: int) -> tuple[CodeAnalysis, RatioBattery]:
+    """The analysis of `nu.code`, the code pushing a Markov measure onto
+    `nu`, and the ratio battery on `nu` with contexts synchronized by its
+    magic word.
 
     Context lengths run from the longest of k-1, 1 and the magic word up to
     c_max; without a magic word (infinite-to-one code) all valid contexts
     are tested.
     """
+    analysis = analyze_code(nu.code)
     sync = analysis.magic_word.word if analysis.magic_word else None
     start = max(potential.k - 1, 1, len(sync) if sync else 1)
-    return run_ratio_battery(nu, potential, list(range(start, c_max + 1)), tol,
-                             synchronizing_word=sync)
+    return analysis, run_ratio_battery(nu, potential,
+                                       list(range(start, c_max + 1)), tol,
+                                       synchronizing_word=sync)
 
 
 @dataclass(frozen=True)
@@ -470,9 +465,8 @@ def verify_sofic_lanford_ruelle(presentation: SoficPresentation,
     (degree one, certified), push it back down, and run the Gibbs ratio
     battery on the image with magic-word-synchronized contexts."""
     lift = lift_equilibrium(presentation, potential)
-    analysis = analyze_code(lift.downstairs.code)
-    battery = synchronized_battery(lift.downstairs, potential, analysis, tol,
-                                   c_max)
+    analysis, battery = synchronized_battery(lift.downstairs, potential, tol,
+                                             c_max)
     passed = battery.passed and analysis.almost_invertible
     return LanfordRuelleReport(lift, analysis, battery, passed)
 
@@ -528,16 +522,14 @@ def verify_finite_to_one_preservation(code: SlidingBlockCode,
         raise ReducibleShiftError("requires an irreducible domain")
     if not is_finite_to_one(code):
         raise NotFiniteToOneError("code is not finite-to-one")
-    mu, _, push_code, _ = equilibrium_upstairs(code, potential)
-    nu = pushforward(mu, push_code)
-    push_analysis = analyze_code(push_code)
-    battery = synchronized_battery(nu, potential, push_analysis, tol, c_max)
+    nu = equilibrium_upstairs(code, potential).downstairs
+    analysis, battery = synchronized_battery(nu, potential, tol, c_max)
     cross_dev = 0.0
     for w, p in nu.forward_walk(CROSS_CHECK_LENGTH):
         if w:
             cross_dev = max(cross_dev, abs(p - preimage_cylinder_sum(nu, w)))
     passed = battery.passed and cross_dev < 1e-10
-    return FiniteToOneReport(push_analysis, battery, cross_dev, passed)
+    return FiniteToOneReport(analysis, battery, cross_dev, passed)
 
 
 # -- the reducible counterexample ---------------------------------------------

@@ -8,12 +8,10 @@ length.  Brute-force preimage enumeration is kept as an independent oracle.
 
 `equilibrium_upstairs` is the one upstairs step of every pipeline: pull a
 potential back through a one-block code, take the equilibrium measure of the
-pulled-back potential, and return the code that pushes it onto the image and
-the pressure.
-`lift_equilibrium` applies it to the minimal right-resolving cover; the
-variational pressure certificate on the image is computed by
-`gibbs.verify_sofic_dobrushin`, its only verdict.  The module also restricts
-and averages measures across cyclically moving classes.
+pulled-back potential and push it onto the image, as one `LiftResult` that
+every certificate and CLI table reads.  `lift_equilibrium` applies it to the
+minimal right-resolving cover.  The module also restricts and averages
+measures across cyclically moving classes.
 """
 
 from __future__ import annotations
@@ -28,11 +26,11 @@ import numpy as np
 from .codes import SlidingBlockCode, compose_one_block, preimage_words
 from .errors import EnumerationCapError
 from . import shifts
-from .presentations import SoficPresentation, minimize_fischer
+from .presentations import (SoficPresentation, image_presentation,
+                            minimize_fischer)
 from .shifts import CyclicStructure, Word, cyclic_class_shift
 from .thermo import (LocallyConstantPotential, MarkovMeasure, _equilibrium,
-                     entropy, pressure, pullback_potential,
-                     reduce_to_edge_potential)
+                     pressure, pullback_potential, reduce_to_edge_potential)
 
 
 @dataclass(frozen=True)
@@ -145,35 +143,35 @@ def entropy_estimate(nu: HiddenMarkovMeasure, n_max: int) -> EntropyEstimate:
     return EntropyEstimate(tuple(hs), hs[-1])
 
 
-def equilibrium_upstairs(code: SlidingBlockCode,
-                         potential: LocallyConstantPotential):
-    """Equilibrium measure for the potential pulled back through a one-block
-    code, with the one-block code pushing it onto the image.
-
-    The pulled-back potential is recoded to read a single edge; returns the
-    Markov measure on the recoded shift, the edge potential there, the code
-    through the recoding conjugacy (the code itself for window-1 potentials)
-    and the pressure, read off the Perron data of the measure.
-    """
-    lifted = pullback_potential(code, potential)
-    shift, edge_potential, decode = reduce_to_edge_potential(lifted)
-    mu, pressure_value = _equilibrium(shift, edge_potential)
-    return mu, edge_potential, compose_one_block(code, decode), pressure_value
-
-
 @dataclass(frozen=True)
 class LiftResult:
-    """Equilibrium measure upstairs on the minimal right-resolving cover and
-    its image downstairs; `potential_upstairs` is the edge potential on the
-    shift of `upstairs` whose equilibrium measure it is."""
+    """Equilibrium measure for a potential pulled back through the one-block
+    `code`, pushed onto its image: `downstairs.upstairs` is the equilibrium
+    measure of the edge potential `potential_upstairs`, and `downstairs.code`
+    is `code` through the recoding conjugacy."""
 
-    cover: SoficPresentation
-    cover_code: SlidingBlockCode
-    upstairs: MarkovMeasure
+    code: SlidingBlockCode
     downstairs: HiddenMarkovMeasure
     potential_upstairs: LocallyConstantPotential
     pressure_value: float
-    entropy_upstairs: float
+
+    @property
+    def cover(self) -> SoficPresentation:
+        """The presentation `code` labels: for `lift_equilibrium`, the cover."""
+        return image_presentation(self.code)
+
+
+def equilibrium_upstairs(code: SlidingBlockCode,
+                         potential: LocallyConstantPotential) -> LiftResult:
+    """Equilibrium measure for the potential pulled back through a one-block
+    code, recoded to read a single edge, and its image; the pressure is read
+    off the same Perron solve."""
+    lifted = pullback_potential(code, potential)
+    shift, edge_potential, decode = reduce_to_edge_potential(lifted)
+    mu, pressure_value = _equilibrium(shift, edge_potential)
+    return LiftResult(code,
+                      HiddenMarkovMeasure(mu, compose_one_block(code, decode)),
+                      edge_potential, pressure_value)
 
 
 def lift_equilibrium(presentation: SoficPresentation,
@@ -181,11 +179,17 @@ def lift_equilibrium(presentation: SoficPresentation,
     """Lift a potential on an irreducible sofic shift to its minimal
     right-resolving cover, take the equilibrium measure there, and push it
     back down."""
-    fischer, cover_code = minimize_fischer(presentation)
-    mu, edge_potential, push_code, pressure_value = equilibrium_upstairs(
-        cover_code, potential)
-    return LiftResult(fischer, cover_code, mu, HiddenMarkovMeasure(mu, push_code),
-                      edge_potential, pressure_value, entropy(mu))
+    return equilibrium_upstairs(minimize_fischer(presentation)[1], potential)
+
+
+def _hidden(measure) -> HiddenMarkovMeasure | None:
+    """A hidden Markov measure as it is, a Markov measure as its image under
+    the identity code, and None for any other cylinder evaluator."""
+    if isinstance(measure, HiddenMarkovMeasure):
+        return measure
+    if isinstance(measure, MarkovMeasure):
+        return HiddenMarkovMeasure(measure, SlidingBlockCode.identity(measure.shift))
+    return None
 
 
 def sofic_pressure(presentation: SoficPresentation,

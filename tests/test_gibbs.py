@@ -1,11 +1,14 @@
 import math
+import sys
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import soficgibbs as sg
-from soficgibbs import gibbs, shifts
+from soficgibbs import codes, gibbs, shifts, thermo
+from soficgibbs.cli import main
 
 from conftest import loop_shift, random_markov_measure
 
@@ -379,6 +382,45 @@ class TestFiniteToOne:
         f = sg.LocallyConstantPotential.zero(image)
         with pytest.raises(sg.NotFiniteToOneError):
             sg.verify_finite_to_one_preservation(amalgamation, f)
+
+
+class TestOneLift:
+    """Each Gibbs certificate reads one lift: one Perron solve, one analysis
+    of the push code, and no entropy of the measure upstairs."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """Calls of perron, analyze_code and entropy, counted in every
+        package module that holds them."""
+        counts = Counter()
+        for fn in (thermo.perron, codes.analyze_code, thermo.entropy):
+            def counting(*args, fn=fn, **kwargs):
+                counts[fn.__name__] += 1
+                return fn(*args, **kwargs)
+            for name, module in list(sys.modules.items()):
+                if name.split(".")[0] == "soficgibbs":
+                    for attr, value in list(vars(module).items()):
+                        if value is fn:
+                            monkeypatch.setattr(module, attr, counting)
+        return counts
+
+    def test_lanford_ruelle(self, even_cover, even_potentials, calls):
+        report = sg.verify_sofic_lanford_ruelle(even_cover, even_potentials[2],
+                                                c_max=8)
+        assert report.passed
+        assert calls == {"perron": 1, "analyze_code": 1}
+
+    def test_finite_to_one(self, xor_code, calls):
+        f = sg.LocallyConstantPotential.zero(sg.image_presentation(xor_code))
+        report = sg.verify_finite_to_one_preservation(xor_code, f, c_max=8)
+        assert report.passed
+        assert calls == {"perron": 1, "analyze_code": 1}
+
+    def test_gibbs_check(self, calls, capsys):
+        shift = Path(__file__).resolve().parent.parent / "scripts" / "data"
+        assert main(["gibbs-check", str(shift / "even_shift.shift"),
+                     "--cmax", "8"]) == 0
+        assert calls == {"perron": 1, "analyze_code": 1}
 
 
 class TestCounterexample:

@@ -185,14 +185,15 @@ class TestLift:
         f = sg.LocallyConstantPotential.zero(p)
         lift = sg.lift_equilibrium(p, f)
         assert lift.pressure_value == pytest.approx(math.log(2), abs=1e-12)
-        assert lift.upstairs.transitions == pytest.approx(
-            {k: 0.5 for k in lift.upstairs.transitions})
+        mu = lift.downstairs.upstairs
+        assert mu.transitions == pytest.approx({k: 0.5 for k in mu.transitions})
 
     def test_even_shift_cover_is_parry(self, even_cover):
         f = sg.LocallyConstantPotential.zero(even_cover)
         lift = sg.lift_equilibrium(even_cover, f)
         assert lift.pressure_value == pytest.approx(math.log(PHI), abs=1e-10)
-        assert lift.entropy_upstairs == pytest.approx(math.log(PHI), abs=1e-10)
+        assert sg.entropy(lift.downstairs.upstairs) == pytest.approx(
+            math.log(PHI), abs=1e-10)
         assert sg.verify_sofic_dobrushin(even_cover, f).deviation < 0.01
 
     def test_weighted_even_shift_matches_oracle(self, even_cover):
@@ -200,7 +201,7 @@ class TestLift:
                                         {("0",): 0.0, ("1",): 0.5})
         lift = sg.lift_equilibrium(even_cover, f)
         # oracle route: periodic points of the cover with the lifted weights
-        shift = lift.upstairs.shift
+        shift = lift.downstairs.upstairs.shift
         oracle = sg.pressure_periodic_oracle(shift, lift.potential_upstairs, 30)
         assert abs(lift.pressure_value - oracle) < 1e-3
         assert sg.verify_sofic_dobrushin(even_cover, f).deviation < 0.01

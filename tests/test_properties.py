@@ -484,10 +484,9 @@ def test_membership_matches_word_lists(presentation):
 @given(labeled_graphs(), st.integers(min_value=0, max_value=1_000_000))
 def test_upstairs_image_matches_preimage_sums(presentation, seed):
     f = random_potential(presentation, 2, seed)
-    mu, edge_potential, push_code, _ = sg.equilibrium_upstairs(
-        presentation.labeling_code(), f)
-    assert edge_potential.k == 1 and push_code.domain == mu.shift
-    nu = sg.pushforward(mu, push_code)
+    lift = sg.equilibrium_upstairs(presentation.labeling_code(), f)
+    nu = lift.downstairs
+    assert lift.potential_upstairs.k == 1 and nu.code.domain == nu.upstairs.shift
     for n in range(1, 5):
         words = nu.words_of_length(n)
         assert words == presentation.words_of_length(n)
@@ -500,10 +499,22 @@ def test_upstairs_image_matches_preimage_sums(presentation, seed):
 @given(labeled_graphs(), st.integers(min_value=0, max_value=1_000_000))
 def test_window_one_push_code_is_the_code(presentation, seed):
     code = presentation.labeling_code()
-    mu, _, push_code, _ = sg.equilibrium_upstairs(
-        code, random_potential(presentation, 1, seed))
-    assert push_code == code
-    assert mu.shift == code.domain
+    nu = sg.equilibrium_upstairs(
+        code, random_potential(presentation, 1, seed)).downstairs
+    assert nu.code == code
+    assert nu.upstairs.shift == code.domain
+
+
+@settings(max_examples=30, deadline=None)
+@given(labeled_graphs(), st.integers(min_value=1, max_value=2),
+       st.integers(min_value=0, max_value=1_000_000))
+def test_lift_cover_is_the_fischer_cover(presentation, k, seed):
+    # the lift keeps only the cover code; its cover is read back from it
+    lift = sg.lift_equilibrium(presentation, random_potential(presentation, k,
+                                                              seed))
+    fischer, cover_code = sg.minimize_fischer(presentation)
+    assert lift.code == cover_code
+    assert lift.cover == fischer
 
 
 class _WordsOnly:
@@ -523,9 +534,7 @@ class _WordsOnly:
 def test_ratio_engine_classes_match_word_oracle(presentation, k, sync_len,
                                                 seed):
     f = random_potential(presentation, k, seed)
-    mu, _, push_code, _ = sg.equilibrium_upstairs(presentation.labeling_code(),
-                                                  f)
-    nu = sg.pushforward(mu, push_code)
+    nu = sg.equilibrium_upstairs(presentation.labeling_code(), f).downstairs
     candidates = nu.words_of_length(sync_len)
     sync = candidates[seed % len(candidates)] if sync_len else None
     lengths = range(max(k - 1, 1, sync_len), 5)
@@ -545,9 +554,7 @@ def test_ratio_engine_classes_match_word_oracle(presentation, k, sync_len,
 
 def _image_measure(presentation, k, seed):
     f = random_potential(presentation, k, seed)
-    mu, _, push_code, _ = sg.equilibrium_upstairs(presentation.labeling_code(),
-                                                  f)
-    return sg.pushforward(mu, push_code)
+    return sg.equilibrium_upstairs(presentation.labeling_code(), f).downstairs
 
 
 @settings(max_examples=40, deadline=None)
