@@ -32,7 +32,7 @@ from fractions import Fraction
 
 from .codes import SlidingBlockCode
 from .errors import SpecFileError
-from .presentations import LabeledEdge, SoficPresentation
+from .presentations import SoficPresentation, image_presentation
 from .shifts import Alphabet, Edge, EdgeShift, Word, _forbidden_graph
 from .thermo import LocallyConstantPotential
 
@@ -94,7 +94,10 @@ def parse_real(text: str, line: int | None = None) -> float:
         value = math.log(Fraction(num, den))
         return -value if m.group("sign") else value
     if _FLOAT_RE.match(text):
-        return float(text)
+        value = float(text)
+        if not math.isfinite(value):
+            raise SpecFileError(f"real literal {text!r} is not finite", line)
+        return value
     raise SpecFileError(f"malformed real literal {text!r}", line)
 
 
@@ -263,15 +266,25 @@ class LoadedSystem:
     presented sofic shift."""
 
     kind: str
-    alphabet: Alphabet | None
     edge_shift: EdgeShift
     labeling: SlidingBlockCode
     presentation: SoficPresentation
 
 
 def build_system(spec: ShiftSpecFile) -> LoadedSystem:
+    """The shift the file declares; a file that names a vertex, symbol or
+    edge twice raises SpecFileError."""
     if spec.kind is None:
         raise SpecFileError("missing [shift] section")
+    try:
+        labeling = _build_labeling(spec)
+    except ValueError as exc:
+        raise SpecFileError(str(exc))
+    return LoadedSystem(spec.kind, labeling.domain, labeling,
+                        image_presentation(labeling))
+
+
+def _build_labeling(spec: ShiftSpecFile) -> SlidingBlockCode:
     if spec.kind == "forbidden":
         if spec.alphabet is None:
             raise SpecFileError("forbidden-words shift requires [alphabet]")
@@ -280,23 +293,18 @@ def build_system(spec: ShiftSpecFile) -> LoadedSystem:
         alphabet = Alphabet(spec.alphabet)
         words = tuple(alphabet.word(w) for w in spec.forbidden)
         shift, labels = _forbidden_graph(alphabet, words, spec.window)
-        labeling = SlidingBlockCode.one_block(shift, labels, alphabet)
-    else:
-        if spec.kind == "labeled" and any(e.label is None for e in spec.edges):
-            missing = next(e for e in spec.edges if e.label is None)
-            raise SpecFileError(f"edge {missing.id!r} needs a label")
-        shift = EdgeShift(spec.vertices,
-                          tuple(Edge(e.source, e.target, e.id) for e in spec.edges))
-        labels = {e.id: e.label if e.label is not None else e.id
-                  for e in spec.edges}
-        alphabet = Alphabet(spec.alphabet) if spec.alphabet else None
-        codomain = alphabet if alphabet and all(
-            l in alphabet for l in labels.values()) else None
-        labeling = SlidingBlockCode.one_block(shift, labels, codomain)
-    edges = tuple(LabeledEdge(e.source, e.target, labeling.label(e.id), e.id)
-                  for e in shift.edges)
-    presentation = SoficPresentation(shift.vertices, edges)
-    return LoadedSystem(spec.kind, alphabet, shift, labeling, presentation)
+        return SlidingBlockCode.one_block(shift, labels, alphabet)
+    if spec.kind == "labeled" and any(e.label is None for e in spec.edges):
+        missing = next(e for e in spec.edges if e.label is None)
+        raise SpecFileError(f"edge {missing.id!r} needs a label")
+    shift = EdgeShift(spec.vertices,
+                      tuple(Edge(e.source, e.target, e.id) for e in spec.edges))
+    labels = {e.id: e.label if e.label is not None else e.id
+              for e in spec.edges}
+    alphabet = Alphabet(spec.alphabet) if spec.alphabet else None
+    codomain = alphabet if alphabet and all(
+        l in alphabet for l in labels.values()) else None
+    return SlidingBlockCode.one_block(shift, labels, codomain)
 
 
 def build_potential(spec: ShiftSpecFile, presentation: SoficPresentation):

@@ -27,7 +27,7 @@ import numpy as np
 from . import shifts
 from .codes import SlidingBlockCode, _require_one_block, higher_block_shift
 from .errors import (ConvergenceError, EmptyShiftError, EnumerationCapError,
-                     ReducibleShiftError)
+                     ReducibleShiftError, SoficGibbsError)
 from .shifts import (PATH_SEP, CyclicStructure, EdgeShift, Word,
                      cyclic_class_shift, cyclic_structure, missing_word)
 
@@ -53,6 +53,8 @@ class LocallyConstantPotential:
         if self.k < 1:
             raise ValueError("window length must be positive")
         table = {tuple(w): float(v) for w, v in self.table.items()}
+        if not all(map(math.isfinite, table.values())):
+            raise ValueError("potential values must be finite")
         object.__setattr__(self, "table", table)
         missing = missing_word(self.shift, table, self.k)
         if missing is not None:
@@ -188,6 +190,8 @@ def perron(m: np.ndarray) -> PerronData:
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("matrix must be square")
+    if not np.isfinite(m).all():
+        raise ValueError("matrix entries must be finite")
     if (m < 0).any():
         raise ValueError("matrix must be nonnegative")
     if not _matrix_irreducible(m):
@@ -227,13 +231,18 @@ def perron(m: np.ndarray) -> PerronData:
 
 
 def transfer_matrix(shift: EdgeShift, potential: LocallyConstantPotential) -> np.ndarray:
-    """M[i, j] = sum over edges i -> j of exp(f(edge))."""
+    """M[i, j] = sum over edges i -> j of exp(f(edge)); an exp beyond the
+    largest double raises SoficGibbsError naming its edge."""
     _require_edge_potential(shift, potential)
     n = len(shift.vertices)
     idx = shift.vertex_index
     m = np.zeros((n, n))
     for e in shift.edges:
-        m[idx[e.source], idx[e.target]] += math.exp(potential.value((e.id,)))
+        try:
+            m[idx[e.source], idx[e.target]] += math.exp(potential.value((e.id,)))
+        except OverflowError:
+            raise SoficGibbsError(
+                f"exp of the potential on edge {e.id!r} overflows a double")
     return m
 
 

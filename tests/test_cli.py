@@ -267,6 +267,34 @@ def test_option_the_command_does_not_read_exits_2(argv, capsys):
     assert "unrecognized arguments: " + " ".join(argv[2:]) in captured.err
 
 
+@pytest.mark.parametrize("shift, potential, message", [
+    ("[shift] kind=edge vertices=A A\nedge e1: A -> A\n", None,
+     "duplicate vertex"),
+    ("[alphabet] 0 0\n[shift] kind=forbidden window=2\nforbid 00\n", None,
+     "alphabet symbols must be distinct"),
+    (GOLDEN_MEAN, "[potential] range=1\nf(0) = 1e400\nf(1) = 0\n",
+     "line 2: real literal '1e400' is not finite"),
+    (GOLDEN_MEAN, "[potential] range=1\nf(0) = 800\nf(1) = 0\n",
+     "exp of the potential on edge"),
+], ids=["duplicate-vertex", "duplicate-symbol", "infinite-real", "exp-overflow"])
+@pytest.mark.parametrize("command", [["pressure"], ["verify", "dobrushin"]],
+                         ids=["pressure", "dobrushin"])
+def test_malformed_input_exits_2_with_one_error_line(tmp_path, capsys, shift,
+                                                     potential, message,
+                                                     command):
+    argv = [*command, str(tmp_path / "s.shift")]
+    (tmp_path / "s.shift").write_text(shift)
+    if potential is not None:
+        (tmp_path / "f.pot").write_text(potential)
+        argv += ["--potential", str(tmp_path / "f.pot")]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
+    assert message in captured.err
+
+
 def test_in_process_runs_match_fresh_processes(monkeypatch, capsys):
     # main reuses one parser across calls: each in-process run, in sequence
     # with the others, must give the exit code and output of a fresh process

@@ -90,6 +90,18 @@ class TestParse:
         with pytest.raises(sg.SpecFileError, match="malformed real"):
             parse_spec("[potential] range=1\nf(0) = abc\n")
 
+    def test_non_finite_real_names_its_line(self):
+        with pytest.raises(sg.SpecFileError, match="line 3: .*not finite"):
+            parse_spec("[potential] range=1\nf(0) = 0\nf(1) = 1e400\n")
+
+    @pytest.mark.parametrize("text", [
+        "[shift] kind=edge vertices=A A\nedge e1: A -> A\n",
+        "[alphabet] 0 0\n[shift] kind=forbidden window=2\nforbid 00\n",
+    ])
+    def test_construction_errors_are_spec_errors(self, text):
+        with pytest.raises(sg.SpecFileError):
+            build_system(parse_spec(text))
+
     def test_malformed_edge_line(self):
         with pytest.raises(sg.SpecFileError, match="line 2"):
             parse_spec("[shift] kind=edge vertices=A\nedge oops\n")

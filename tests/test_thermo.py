@@ -78,6 +78,12 @@ class TestPerron:
         with pytest.raises(sg.ReducibleShiftError):
             sg.perron(np.zeros((1, 1)))
 
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_non_finite_matrix_rejected(self, bad):
+        # power iteration would run every step on NaN before giving up
+        with pytest.raises(ValueError, match="finite"):
+            sg.perron(np.array([[bad, 1.0], [1.0, 0.0]]))
+
     def test_eigvector_against_numpy(self):
         m = np.array([[0.0, 2.0, 1.0], [1.0, 0.0, 0.0], [0.5, 1.0, 0.0]])
         data = sg.perron(m)
@@ -142,6 +148,21 @@ class TestPressure:
         _, f2, _ = sg.reduce_to_edge_potential(f)
         assert queried == []
         assert f2.table == {(PATH_SEP.join(w),): v for w, v in table.items()}
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_potential_rejected(self, golden_mean, bad):
+        table = {(e.id,): 0.0 for e in golden_mean.edges}
+        table[(golden_mean.edges[0].id,)] = bad
+        with pytest.raises(ValueError, match="finite"):
+            sg.LocallyConstantPotential(golden_mean, 1, table)
+
+    def test_exp_overflow_names_the_edge(self, golden_mean):
+        eid = golden_mean.edges[0].id
+        table = {(e.id,): 800.0 if e.id == eid else 0.0
+                 for e in golden_mean.edges}
+        f = sg.LocallyConstantPotential(golden_mean, 1, table)
+        with pytest.raises(sg.SoficGibbsError, match=repr(eid)):
+            sg.transfer_matrix(golden_mean, f)
 
     def test_edgeless_shift_has_no_pressure(self):
         shift = sg.EdgeShift(("a",), ())
