@@ -2,8 +2,10 @@
 
 Subcommands map one-to-one onto the library pipelines: `analyze`, `fischer`,
 `pressure`, `eqmeasure`, `pushforward`, `gibbs-check`, and
-`verify lanford-ruelle|dobrushin|finite-to-one|counterexample`.  The
-weighted commands read the fields of the one `measures.LiftResult` of
+`verify lanford-ruelle|dobrushin|finite-to-one|counterexample`.  Each, every
+`verify` pipeline included, has its own parser built from one option table
+and accepts only the options it reads; `_COMMANDS` dispatches on its name.
+The weighted commands read the fields of the one `measures.LiftResult` of
 `equilibrium_upstairs`.
 
 Reports are flat `key = value` lines followed by a final `verdict` line;
@@ -159,84 +161,108 @@ def cmd_gibbs_check(args):
     return lines, battery.passed
 
 
-def cmd_verify(args):
-    what = args.what
-    if what == "counterexample":
-        report = sunny_side_up_counterexample()
-        lines = [
-            ("equilibrium", "yes" if report.equilibrium_ok else "no"),
-            ("gibbs", "no" if report.gibbs_ok else "yes"),
-            ("irreducible", report.irreducible_language),
-            ("word_counts_match", report.word_counts_match),
-            ("measure_entropy", report.measure_entropy),
-            ("ratio_deviation", report.gibbs_report.final_deviation),
-        ]
-        return lines, report.passed
-    if args.file is None:
-        raise SpecFileError(f"verify {what} requires a shift file")
+def cmd_verify_lanford_ruelle(args):
+    system = _load_system(args.file)
+    potential = _load_potential(args.potential, system.presentation)
+    report = verify_sofic_lanford_ruelle(system.presentation, potential,
+                                         tol=args.tol, c_max=args.cmax)
+    lines = [
+        ("cover_states", len(report.lift.cover.vertices)),
+        ("cover_degree", report.cover_analysis.degree),
+        ("magic_word", format_word(report.cover_analysis.magic_word.word)),
+        ("almost_invertible", report.cover_analysis.almost_invertible),
+        ("pairs_tested", len(report.battery.reports)),
+        ("pairs_skipped", len(report.battery.skipped_pairs)),
+        ("max_final_deviation", report.battery.max_final_deviation),
+    ]
+    return lines, report.passed
+
+
+def cmd_verify_dobrushin(args):
+    system = _load_system(args.file)
+    potential = _load_potential(args.potential, system.presentation)
+    report = verify_sofic_dobrushin(system.presentation, potential,
+                                    tol=args.tol, entropy_horizon=args.depth)
+    lines = [
+        ("pressure", report.pressure_value),
+        ("entropy_estimate", report.entropy_sequence[-1]),
+        ("integral", report.integral),
+        ("deviation", report.deviation),
+        ("entropy_trend", " ".join(f"{h:.6f}" for h in report.entropy_sequence)),
+    ]
+    return lines, report.passed
+
+
+def cmd_verify_finite_to_one(args):
     spec = _read_spec(args.file)
-    system = build_system(spec)
-    if what == "lanford-ruelle":
-        potential = _load_potential(args.potential, system.presentation)
-        report = verify_sofic_lanford_ruelle(system.presentation, potential,
-                                             tol=args.tol, c_max=args.cmax)
-        lines = [
-            ("cover_states", len(report.lift.cover.vertices)),
-            ("cover_degree", report.cover_analysis.degree),
-            ("magic_word", format_word(report.cover_analysis.magic_word.word)),
-            ("almost_invertible", report.cover_analysis.almost_invertible),
-            ("pairs_tested", len(report.battery.reports)),
-            ("pairs_skipped", len(report.battery.skipped_pairs)),
-            ("max_final_deviation", report.battery.max_final_deviation),
-        ]
-        return lines, report.passed
-    if what == "dobrushin":
-        potential = _load_potential(args.potential, system.presentation)
-        report = verify_sofic_dobrushin(system.presentation, potential,
-                                        tol=args.tol,
-                                        entropy_horizon=args.depth)
-        lines = [
-            ("pressure", report.pressure_value),
-            ("entropy_estimate", report.entropy_sequence[-1]),
-            ("integral", report.integral),
-            ("deviation", report.deviation),
-            ("entropy_trend", " ".join(f"{h:.6f}" for h in report.entropy_sequence)),
-        ]
-        return lines, report.passed
-    if what == "finite-to-one":
-        code = build_code(spec, system)
-        _, one_block = recode_to_one_block(code)
-        image = image_presentation(one_block)
-        potential = _load_potential(args.potential, image)
-        report = verify_finite_to_one_preservation(one_block, potential,
-                                                   tol=args.tol, c_max=args.cmax)
-        lines = [
-            ("degree", report.analysis.degree),
-            ("finite_to_one", report.analysis.finite_to_one),
-            ("pairs_tested", len(report.battery.reports)),
-            ("max_final_deviation", report.battery.max_final_deviation),
-            ("pushforward_max_deviation", report.pushforward_max_deviation),
-        ]
-        return lines, report.passed
-    raise SpecFileError(f"unknown verification {what!r}")
+    code = build_code(spec, build_system(spec))
+    _, one_block = recode_to_one_block(code)
+    potential = _load_potential(args.potential, image_presentation(one_block))
+    report = verify_finite_to_one_preservation(one_block, potential,
+                                               tol=args.tol, c_max=args.cmax)
+    lines = [
+        ("degree", report.analysis.degree),
+        ("finite_to_one", report.analysis.finite_to_one),
+        ("pairs_tested", len(report.battery.reports)),
+        ("max_final_deviation", report.battery.max_final_deviation),
+        ("pushforward_max_deviation", report.pushforward_max_deviation),
+    ]
+    return lines, report.passed
 
 
-# Each option with its argparse settings; a subcommand takes only those it reads.
+def cmd_verify_counterexample(args):
+    report = sunny_side_up_counterexample()
+    lines = [
+        ("equilibrium", "yes" if report.equilibrium_ok else "no"),
+        ("gibbs", "no" if report.gibbs_ok else "yes"),
+        ("irreducible", report.irreducible_language),
+        ("word_counts_match", report.word_counts_match),
+        ("measure_entropy", report.measure_entropy),
+        ("ratio_deviation", report.gibbs_report.final_deviation),
+    ]
+    return lines, report.passed
+
+
+def _entropy_horizon(text: str) -> int:
+    """The `--depth` of `verify dobrushin`: an integer of at least 2."""
+    if not text.isdecimal() or int(text) < 2:
+        raise argparse.ArgumentTypeError(
+            f"the entropy horizon must be an integer of at least 2, not {text!r}")
+    return int(text)
+
+
+# Each argument with its argparse settings; a subcommand takes only those it
+# reads, with the settings of `_OVERRIDES` where its own differ.
 _OPTIONS = {
+    "file": dict(help="shift description file"),
     "--potential": dict(default=None, help="potential file, or 'zero' (default)"),
     "--depth": dict(type=int, default=12, help="cylinder depth / entropy horizon"),
     "--cmax": dict(type=int, default=20, help="largest exchange context length"),
     "--tol": dict(type=float, default=1e-6, help="verdict tolerance"),
 }
 
+_OVERRIDES = {
+    ("verify dobrushin", "--depth"): dict(type=_entropy_horizon),
+    ("verify dobrushin", "--tol"): dict(default=0.01),
+}
+
 _SUBCOMMANDS = (
-    ("analyze", "irreducibility, period, classes", ()),
-    ("fischer", "minimal right-resolving presentation and degree", ()),
-    ("pressure", "topological pressure", ("--potential",)),
+    ("analyze", "irreducibility, period, classes", ("file",)),
+    ("fischer", "minimal right-resolving presentation and degree", ("file",)),
+    ("pressure", "topological pressure", ("file", "--potential")),
     ("eqmeasure", "equilibrium measure and cylinder table",
-     ("--potential", "--depth")),
-    ("pushforward", "image measure cylinder table", ("--potential", "--depth")),
-    ("gibbs-check", "cylinder ratio battery", ("--potential", "--cmax", "--tol")),
+     ("file", "--potential", "--depth")),
+    ("pushforward", "image measure cylinder table",
+     ("file", "--potential", "--depth")),
+    ("gibbs-check", "cylinder ratio battery",
+     ("file", "--potential", "--cmax", "--tol")),
+    ("verify lanford-ruelle", "equilibrium measure certified Gibbs",
+     ("file", "--potential", "--cmax", "--tol")),
+    ("verify dobrushin", "Gibbs measure certified equilibrium",
+     ("file", "--potential", "--depth", "--tol")),
+    ("verify finite-to-one", "Gibbs property pushed through a code",
+     ("file", "--potential", "--cmax", "--tol")),
+    ("verify counterexample", "reducible shift: equilibrium but not Gibbs", ()),
 )
 
 
@@ -246,24 +272,20 @@ def build_parser() -> argparse.ArgumentParser:
         description="Shifts of finite type, sofic shifts, and Gibbs/equilibrium "
                     "measure certification.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_options(p, options):
+    pipelines = None
+    for name, help_text, options in _SUBCOMMANDS:
+        group, _, leaf = name.rpartition(" ")
+        if group and pipelines is None:
+            pipelines = sub.add_parser(
+                group, help="end-to-end certification pipelines"
+            ).add_subparsers(dest="pipeline", required=True)
+        p = (pipelines if group else sub).add_parser(leaf, help=help_text)
         for option in options:
-            p.add_argument(option, **_OPTIONS[option])
+            p.add_argument(option, **{**_OPTIONS[option],
+                                      **_OVERRIDES.get((name, option), {})})
         p.add_argument("--format", choices=("human", "machine"),
                        default="human")
-
-    for name, help_text, options in _SUBCOMMANDS:
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("file", help="shift description file")
-        add_options(p, options)
-    verify = sub.add_parser("verify", help="end-to-end certification pipelines")
-    verify.add_argument("what", choices=("lanford-ruelle", "dobrushin",
-                                         "finite-to-one", "counterexample"))
-    verify.add_argument("file", nargs="?", default=None)
-    add_options(verify, _OPTIONS)
-    # 0.01 for dobrushin and 1e-6 otherwise, filled in by main
-    verify.set_defaults(tol=None)
+        p.set_defaults(command=name)
     return parser
 
 
@@ -274,7 +296,10 @@ _COMMANDS = {
     "eqmeasure": cmd_eqmeasure,
     "pushforward": cmd_pushforward,
     "gibbs-check": cmd_gibbs_check,
-    "verify": cmd_verify,
+    "verify lanford-ruelle": cmd_verify_lanford_ruelle,
+    "verify dobrushin": cmd_verify_dobrushin,
+    "verify finite-to-one": cmd_verify_finite_to_one,
+    "verify counterexample": cmd_verify_counterexample,
 }
 
 # Parsing keeps no state in the parser, so one tree serves every call.
@@ -283,10 +308,6 @@ _PARSER = build_parser()
 
 def main(argv=None) -> int:
     args = _PARSER.parse_args(argv)
-    if args.command == "verify" and args.tol is None:
-        args.tol = 0.01 if args.what == "dobrushin" else 1e-6
-    if args.command == "verify" and args.what == "dobrushin" and args.depth < 2:
-        _PARSER.error("--depth: the entropy horizon must be at least 2")
     try:
         lines, passed = _COMMANDS[args.command](args)
     except SoficGibbsError as exc:

@@ -257,14 +257,21 @@ def test_out_of_range_option_exits_2(argv):
     ["pressure", "scripts/data/even_shift.shift", "--depth", "3"],
     ["eqmeasure", "scripts/data/even_shift.shift", "--cmax", "3"],
     ["gibbs-check", "scripts/data/even_shift.shift", "--depth", "3"],
+    ["verify", "lanford-ruelle", "scripts/data/even_shift.shift", "--depth", "3"],
+    ["verify", "dobrushin", "scripts/data/even_shift.shift", "--cmax", "3"],
+    ["verify", "finite-to-one", "scripts/data/full2_xor.shift", "--depth", "3"],
+    ["verify", "counterexample", "scripts/data/even_shift.shift",
+     "--potential", "missing.pot", "--cmax", "3"],
 ])
 def test_option_the_command_does_not_read_exits_2(argv, capsys):
+    # the command reads its name and, but for counterexample, a shift file
+    read = 2 + (argv[0] == "verify" and argv[1] != "counterexample")
     with pytest.raises(SystemExit) as info:
         main(argv)
     assert info.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "unrecognized arguments: " + " ".join(argv[2:]) in captured.err
+    assert "unrecognized arguments: " + " ".join(argv[read:]) in captured.err
 
 
 @pytest.mark.parametrize("shift, potential, message", [
