@@ -4,11 +4,17 @@ Potentials read a fixed window of coordinates, anchored at [0, k-1].
 Variations are taken with respect to symmetric windows [-j, j] by embedding
 the anchored table, so v_j vanishes for j >= k-1 and the summable-variation
 norm is a finite sum.  Pressure and the unique equilibrium (Gibbs-Markov)
-measure come from Perron data of the weighted transfer matrix; power
-iteration runs on M + I so periodic matrices converge too, within the limits
-`PERRON_TOL` and `PERRON_MAX_ITER`, read when called.  Potentials on an image
-pull back through a one-block code.  A brute-force periodic-point oracle
-provides an independent route to the same pressure.
+measure come from Perron data of the weighted transfer matrix.  Up to
+`PERRON_DENSE_DIM` vertices the Perron vectors come from one dense eigen-solve
+per side; above it, power iteration runs on M + I, so periodic matrices
+converge too, for at most `PERRON_MAX_ITER` steps.  Every solve ends in a
+Collatz-Wielandt bracket on the Perron root, widened by a rounding allowance
+of (nonzeros per row + 1) eps and narrower than `PERRON_TOL` times the root;
+the limits are read when called.  Transfer-matrix weights and transition
+probabilities must be normal doubles: one that overflows or underflows raises
+`SoficGibbsError`, nothing is rescaled.  Potentials on an image pull back
+through a one-block code.  A brute-force periodic-point oracle provides an
+independent route to the same pressure.
 
 The periodic certificate walks the cylinders of the class-0 power shift level
 by level over numpy arrays.  Each element takes the same correctly rounded
@@ -19,6 +25,7 @@ and a maximum does not depend on the visiting order, so the report is exact.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -33,6 +40,8 @@ from .shifts import (PATH_SEP, CyclicStructure, EdgeShift, Word,
 
 PERRON_TOL = 1e-13
 PERRON_MAX_ITER = 10 ** 6
+PERRON_DENSE_DIM = 32
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -142,12 +151,15 @@ def reduce_to_edge_potential(potential: LocallyConstantPotential):
 @dataclass(frozen=True, eq=False)
 class PerronData:
     """Dominant eigendata of a nonnegative irreducible matrix, normalized so
-    that left . right = 1."""
+    that left . right = 1; lower <= eigenvalue <= upper brackets the Perron
+    root."""
 
     eigenvalue: float
     left: np.ndarray
     right: np.ndarray
     residual: float
+    lower: float
+    upper: float
 
 
 def _matrix_irreducible(m: np.ndarray) -> bool:
@@ -175,17 +187,81 @@ def _matrix_irreducible(m: np.ndarray) -> bool:
     return True
 
 
-def perron(m: np.ndarray) -> PerronData:
-    """Perron eigendata by power iteration on M + I.
+def _certified(a, x, allowance, tol):
+    """x scaled to sum 1 with its widened Collatz-Wielandt bracket
+    (lower, upper) on the Perron root of a, or None unless x is strictly
+    positive and the bracket is narrower than tol times lower."""
+    if not (x > 0).all():
+        return None
+    x = x / x.sum()
+    ratio = (a @ x) / x
+    lower = float(ratio.min()) * (1.0 - allowance)
+    upper = float(ratio.max()) * (1.0 + allowance)
+    return (x, lower, upper) if upper - lower < tol * lower else None
 
-    The shift makes the iteration matrix primitive whenever M is irreducible;
-    the eigenvalue is shifted back by one.  Iteration stops when successive
-    eigenvalue estimates differ by less than tol and the residual
-    ||M r - lambda r||_inf is below tol * ||r||_inf, where tol is PERRON_TOL
-    raised to the rounding floor 8 eps ||M||_inf >= 4 eps (||M||_inf + lambda)
-    when that is larger: near a lambda of a few hundred the estimates keep
-    moving by an ulp or two, so an absolute tol alone is never met.  It
-    gives up after PERRON_MAX_ITER steps.
+
+def _dense_side(a, allowance, tol):
+    """Dense route: the eigenvalue of a with the largest real part and the
+    absolute value of the real part of its vector, if certified."""
+    w, v = np.linalg.eig(a)
+    k = int(np.argmax(w.real))
+    side = _certified(a, np.abs(v[:, k].real), allowance, tol)
+    return None if side is None else (float(w[k].real), *side)
+
+
+def _power_side(a, allowance, tol):
+    """Power route: iterate on A + I, primitive whenever A is irreducible.
+    Every fourth step the spread of the ratios ((A + I)x)_i / x_i, a bracket
+    on lambda + 1, is compared with tol times lambda; once it is narrower,
+    the first certified x is returned."""
+    n = a.shape[0]
+    shifted = a + np.eye(n)
+    with np.errstate(over="ignore"):
+        sums = shifted.sum(axis=0)
+    if not np.isfinite(sums).all():
+        raise SoficGibbsError("a row or column sum of the matrix overflows a double")
+    # the column sums as one more row: one product gives (A + I)x and its sum
+    step = np.vstack((shifted, sums))
+    x = np.full(n, 1.0 / n)
+    for i in range(PERRON_MAX_ITER):
+        y = step @ x
+        if i % 4 == 3:
+            ratio = y[:n] / x
+            lo, hi = float(ratio.min()), float(ratio.max())
+            if hi - lo < tol * (lo - 1.0):
+                side = _certified(a, x, allowance, tol)
+                if side is not None:
+                    return (0.5 * (lo + hi) - 1.0, *side)
+        x = y[:n] / y[n]
+    ax = a @ x
+    ratio = ax / x
+    lo, hi = float(ratio.min()), float(ratio.max())
+    raise ConvergenceError(
+        f"power iteration did not converge within {PERRON_MAX_ITER} iterations "
+        f"(bracket [{lo:.17g}, {hi:.17g}])",
+        residual=float(np.max(np.abs(ax - 0.5 * (lo + hi) * x))))
+
+
+def perron(m: np.ndarray) -> PerronData:
+    """Perron eigendata with a two-sided certificate on the eigenvalue.
+
+    Each side, the right vector (of M) and the left one (of M.T), takes one
+    of two routes.  Up to PERRON_DENSE_DIM vertices it comes from one dense
+    `np.linalg.eig`; above that, or when the dense vector is not strictly
+    positive or not certified, from power iteration on M + I.  Both routes
+    end in one certificate.  For every positive x the Collatz-Wielandt
+    bracket min_i (Mx)_i / x_i <= lambda <= max_i (Mx)_i / x_i holds.  A
+    computed ratio, k nonnegative products summed and one division, is
+    within a relative (k + 1) eps / 2 or so of its exact value (barring
+    underflow), so the bracket is widened by the rounding allowance
+    (k + 1) eps, with k the largest nonzero count of a row; the slack covers
+    the rounding of the widening itself.  A side is accepted when its
+    vector is strictly positive and its widened bracket is narrower than
+    PERRON_TOL times lambda, or than four allowances where those are wider
+    (rows of more than 111 nonzeros).  The eigenvalue, the mean of the two
+    sides' estimates, is clamped into the intersection of the brackets.
+    Power iteration gives up after PERRON_MAX_ITER steps.  All three limits
+    are read when called.
     """
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -196,53 +272,48 @@ def perron(m: np.ndarray) -> PerronData:
         raise ValueError("matrix must be nonnegative")
     if not _matrix_irreducible(m):
         raise ReducibleShiftError("matrix is not irreducible")
-
-    def residual_of(x, lam):
-        return float(np.max(np.abs(m @ x - lam * x)))
-
-    def dominant(mat, a):
-        # mat is nonnegative, so its largest row sum is ||mat||_inf
-        bound = max(PERRON_TOL, 8 * np.finfo(float).eps * float(mat.sum(axis=1).max()))
-        x = np.ones(a.shape[0]) / a.shape[0]
-        lam = None
-        for _ in range(PERRON_MAX_ITER):
-            y = a @ x
-            lam_new = y.sum()  # x sums to 1, so this is the Rayleigh-type estimate
-            x_new = y / lam_new
-            if lam is not None and abs(lam_new - lam) < bound:
-                res = float(np.max(np.abs(mat @ x_new - (lam_new - 1.0) * x_new)))
-                if res < bound * float(np.max(np.abs(x_new))):
-                    return lam_new - 1.0, x_new
-            lam, x = lam_new, x_new
-        res = float(np.max(np.abs(mat @ x - (lam - 1.0) * x)))
-        raise ConvergenceError(
-            f"power iteration did not converge within {PERRON_MAX_ITER} iterations "
-            f"(residual {res:.3e})", residual=res)
-
-    shifted = m + np.eye(m.shape[0])
-    lam_r, right = dominant(m, shifted)
-    lam_l, left = dominant(m.T, shifted.T)
-    lam = 0.5 * (lam_r + lam_l)
-    right = right / right.sum()
+    sides = []
+    for a in (m, m.T):
+        allowance = float(np.count_nonzero(a, axis=1).max() + 1) * _EPS
+        tol = max(PERRON_TOL, 4 * allowance)
+        side = _dense_side(a, allowance, tol) if len(a) <= PERRON_DENSE_DIM else None
+        sides.append(side or _power_side(a, allowance, tol))
+    (lam_r, right, lower_r, upper_r), (lam_l, left, lower_l, upper_l) = sides
+    lower, upper = max(lower_r, lower_l), min(upper_r, upper_l)
+    lam = min(max(0.5 * (lam_r + lam_l), lower), upper)
     left = left / float(left @ right)
-    residual = max(residual_of(right, lam),
+    residual = max(float(np.max(np.abs(m @ right - lam * right))),
                    float(np.max(np.abs(m.T @ left - lam * left))))
-    return PerronData(float(lam), left, right, residual)
+    return PerronData(lam, left, right, residual, lower, upper)
 
 
 def transfer_matrix(shift: EdgeShift, potential: LocallyConstantPotential) -> np.ndarray:
-    """M[i, j] = sum over edges i -> j of exp(f(edge)); an exp beyond the
-    largest double raises SoficGibbsError naming its edge."""
+    """M[i, j] = sum over edges i -> j of exp(f(edge)).  A weight outside the
+    normal doubles raises SoficGibbsError: an exp that overflows or
+    underflows names its edge, and a sum of parallel edges that overflows
+    names its vertex pair."""
     _require_edge_potential(shift, potential)
     n = len(shift.vertices)
     idx = shift.vertex_index
-    m = np.zeros((n, n))
+    entries = {}
     for e in shift.edges:
         try:
-            m[idx[e.source], idx[e.target]] += math.exp(potential.value((e.id,)))
+            weight = math.exp(potential.value((e.id,)))
         except OverflowError:
             raise SoficGibbsError(
                 f"exp of the potential on edge {e.id!r} overflows a double")
+        if weight < sys.float_info.min:
+            raise SoficGibbsError(
+                f"exp of the potential on edge {e.id!r} underflows a double")
+        pair = (e.source, e.target)
+        entries[pair] = entries.get(pair, 0.0) + weight
+        if math.isinf(entries[pair]):
+            raise SoficGibbsError(
+                "the summed exp of the potential on the edges "
+                f"{e.source!r} -> {e.target!r} overflows a double")
+    m = np.zeros((n, n))
+    for (source, target), weight in entries.items():
+        m[idx[source], idx[target]] = weight
     return m
 
 
@@ -348,6 +419,9 @@ def _equilibrium(shift, potential):
         total = sum(weights.values())
         for eid, w in weights.items():
             transitions[eid] = w / total
+            if transitions[eid] < sys.float_info.min:
+                raise SoficGibbsError(
+                    f"the transition probability of edge {eid!r} underflows a double")
     stationary = _polished_stationary(shift, transitions,
                                       data.left * data.right)
     return (MarkovMeasure(shift, stationary, transitions),

@@ -302,6 +302,36 @@ def test_malformed_input_exits_2_with_one_error_line(tmp_path, capsys, shift,
     assert message in captured.err
 
 
+TWO_LOOPS = """\
+[alphabet] 0 1
+[shift] kind=edge vertices=A
+edge a: A -> A label 0
+edge b: A -> A label 1
+"""
+
+
+@pytest.mark.parametrize("shift, potential, command, message", [
+    (TWO_LOOPS, "f(0) = 709.5\nf(1) = 709.5\n", ["pressure"],
+     "the summed exp of the potential on the edges 'A' -> 'A' overflows"),
+    (GOLDEN_MEAN, "f(0) = 0\nf(1) = -746\n", ["pressure"],
+     "exp of the potential on edge 'e2' underflows"),
+    (EVEN_SHIFT, "f(0) = 700\nf(1) = -700\n", ["verify", "lanford-ruelle"],
+     "the transition probability of edge"),
+], ids=["parallel-edge-overflow", "exp-underflow", "transition-underflow"])
+def test_weight_outside_the_doubles_exits_2_with_one_error_line(
+        tmp_path, capsys, shift, potential, command, message):
+    (tmp_path / "s.shift").write_text(shift)
+    (tmp_path / "f.pot").write_text("[potential] range=1\n" + potential)
+    argv = [*command, str(tmp_path / "s.shift"),
+            "--potential", str(tmp_path / "f.pot")]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
+    assert message in captured.err
+
+
 def test_in_process_runs_match_fresh_processes(monkeypatch, capsys):
     # main reuses one parser across calls: each in-process run, in sequence
     # with the others, must give the exit code and output of a fresh process

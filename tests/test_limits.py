@@ -15,8 +15,8 @@ from conftest import loop_shift
 SOURCES = sorted(Path(sg.__file__).parent.glob("*.py"))
 
 LIMITS = {"DEFAULT_ENUMERATION_CAP", "SUBSET_STATE_CAP", "PERRON_TOL",
-          "PERRON_MAX_ITER", "PAIR_CAP", "TREND_SLACK", "TREND_FLOOR",
-          "CROSS_CHECK_LENGTH", "COUNTEREXAMPLE_COUNT_LENGTH"}
+          "PERRON_MAX_ITER", "PERRON_DENSE_DIM", "PAIR_CAP", "TREND_SLACK",
+          "TREND_FLOOR", "CROSS_CHECK_LENGTH", "COUNTEREXAMPLE_COUNT_LENGTH"}
 
 
 def _full2_languages():
@@ -58,9 +58,24 @@ def test_enumeration_reads_the_cap_when_called(name, monkeypatch):
 def test_perron_reads_the_iteration_limit_when_called(monkeypatch):
     golden = np.array([[1.0, 1.0], [1.0, 0.0]])
     assert sg.perron(golden).eigenvalue == pytest.approx((1 + 5 ** 0.5) / 2)
+    # with no dense route every matrix is solved by iteration
+    monkeypatch.setattr(thermo, "PERRON_DENSE_DIM", 0)
     monkeypatch.setattr(thermo, "PERRON_MAX_ITER", 1)
     with pytest.raises(sg.ConvergenceError):
         sg.perron(golden)
+
+
+def test_perron_reads_the_dense_limit_when_called(monkeypatch):
+    golden = np.array([[1.0, 1.0], [1.0, 0.0]])
+    iterated = []
+    power_side = thermo._power_side
+    monkeypatch.setattr(thermo, "_power_side", lambda *args: iterated.append(
+        len(args[0])) or power_side(*args))
+    sg.perron(golden)
+    assert iterated == []
+    monkeypatch.setattr(thermo, "PERRON_DENSE_DIM", 1)
+    assert sg.perron(golden).eigenvalue == pytest.approx((1 + 5 ** 0.5) / 2)
+    assert iterated == [2, 2]
 
 
 def _names(node):

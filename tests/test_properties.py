@@ -1,6 +1,8 @@
 import itertools
 import math
 from collections import Counter
+from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -859,3 +861,65 @@ def test_periodic_certificates_match_per_word_oracles(shift, k, length, seed):
     max_length = length * structure.period // 2 + 1
     assert sg.restrict_and_average(mu, structure, max_length) == \
         _restrict_average_oracle(mu, structure, max_length)
+
+
+WEIGHTS = st.floats(min_value=0.1, max_value=100.0)
+
+
+@st.composite
+def irreducible_matrices(draw):
+    """Irreducible nonnegative matrices up to 6 x 6: free entries over a
+    positive cycle through every vertex, or a periodic graph with a positive
+    weight on each edge (parallel edges summed)."""
+    if draw(st.booleans()):
+        shift = draw(periodic_graphs())
+        m = np.zeros((len(shift.vertices), len(shift.vertices)))
+        for e in shift.edges:
+            m[shift.vertex_index[e.source], shift.vertex_index[e.target]] += \
+                draw(WEIGHTS)
+        return m
+    n = draw(st.integers(min_value=1, max_value=6))
+    m = np.array(draw(st.lists(st.one_of(st.just(0.0), WEIGHTS),
+                               min_size=n * n, max_size=n * n))).reshape(n, n)
+    cycle = draw(st.permutations(range(n)))
+    for i in range(n):
+        m[cycle[i], cycle[(i + 1) % n]] = draw(WEIGHTS)
+    return m
+
+
+def _characteristic_polynomial(m, t):
+    """det(t I - M) in exact rationals: the float entries and t are exact
+    binary fractions, so this has no rounding at all."""
+    n = len(m)
+    a = [[Fraction(t) * (i == j) - Fraction(float(m[i, j])) for j in range(n)]
+         for i in range(n)]
+    det = Fraction(1)
+    for c in range(n):
+        pivot = next((r for r in range(c, n) if a[r][c] != 0), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != c:
+            a[c], a[pivot] = a[pivot], a[c]
+            det = -det
+        det *= a[c][c]
+        for r in range(c + 1, n):
+            factor = a[r][c] / a[c][c]
+            for j in range(c, n):
+                a[r][j] -= factor * a[c][j]
+    return det
+
+
+@settings(max_examples=100, deadline=None)
+@given(irreducible_matrices(), st.sampled_from(("dense", "power")))
+def test_perron_bracket_contains_the_perron_root(m, route):
+    # the Perron root is the largest real root of det(t I - M), which is
+    # monic: positive above the root and not positive at or just below it
+    # (np.linalg.eigvals is off by up to 2.5e-15 relative, too much for an
+    # oracle here)
+    dense_dim = thermo.PERRON_DENSE_DIM if route == "dense" else 0
+    with mock.patch.object(thermo, "PERRON_DENSE_DIM", dense_dim):
+        data = sg.perron(m)
+    assert data.lower <= data.eigenvalue <= data.upper
+    assert data.upper - data.lower < thermo.PERRON_TOL * data.eigenvalue
+    assert _characteristic_polynomial(m, data.upper) > 0
+    assert _characteristic_polynomial(m, data.lower) <= 0

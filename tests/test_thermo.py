@@ -1,5 +1,6 @@
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -57,6 +58,8 @@ class TestPerron:
     def test_golden_ratio(self):
         data = sg.perron(np.array([[1.0, 1.0], [1.0, 0.0]]))
         assert data.eigenvalue == pytest.approx(PHI, abs=1e-12)
+        assert data.lower <= PHI <= data.upper
+        assert data.upper - data.lower < thermo.PERRON_TOL * data.eigenvalue
         assert data.residual < 1e-12
         assert float(data.left @ data.right) == pytest.approx(1.0, abs=1e-12)
 
@@ -93,7 +96,7 @@ class TestPerron:
     def test_large_eigenvalue_stops_at_the_rounding_floor(self, monkeypatch):
         # a positive matrix with dominant eigenvalue about 437: successive
         # estimates of lambda + 1 keep differing by an ulp or two, above an
-        # absolute 1e-13, so only the rounding floor 8 eps ||M||_inf stops it
+        # absolute 1e-13, so an absolute stop never comes
         rng = np.random.default_rng(0)
         m = rng.uniform(0.0, 1.0, (3, 3)) + 1e-3
         m *= rng.uniform(250, 450) / max(abs(np.linalg.eigvals(m)))
@@ -102,6 +105,70 @@ class TestPerron:
         data = sg.perron(m)
         assert data.eigenvalue == pytest.approx(lam, rel=1e-14)
         assert data.residual < 8 * np.finfo(float).eps * m.sum(axis=1).max()
+
+    def test_large_eigenvalue_power_route_stops_at_the_bracket(self,
+                                                              monkeypatch):
+        # the same matrix by iteration: the stop is relative to lambda
+        rng = np.random.default_rng(0)
+        m = rng.uniform(0.0, 1.0, (3, 3)) + 1e-3
+        m *= rng.uniform(250, 450) / max(abs(np.linalg.eigvals(m)))
+        lam = float(max(np.linalg.eigvals(m).real))
+        monkeypatch.setattr(thermo, "PERRON_DENSE_DIM", 0)
+        monkeypatch.setattr(thermo, "PERRON_MAX_ITER", 10_000)
+        data = sg.perron(m)
+        assert data.eigenvalue == pytest.approx(lam, rel=1e-13)
+        assert data.upper - data.lower < thermo.PERRON_TOL * data.eigenvalue
+
+    @pytest.mark.parametrize("dense_dim", [32, 0], ids=["dense", "power"])
+    def test_periodic_large_eigenvalue_is_bracketed(self, monkeypatch,
+                                                    dense_dim):
+        # power iteration on M + I contracts the eigenvalue -lambda only by
+        # (lambda - 1) / (lambda + 1) per step; the old absolute stop never
+        # came and all 10**6 steps ran.  The dense route takes no step.
+        m = np.array([[0.0, 54.21], [67.2, 0.0]])
+        monkeypatch.setattr(thermo, "PERRON_DENSE_DIM", dense_dim)
+        monkeypatch.setattr(thermo, "PERRON_MAX_ITER", 0 if dense_dim else 10_000)
+        data = sg.perron(m)
+        assert data.lower <= data.eigenvalue <= data.upper
+        assert data.upper - data.lower <= thermo.PERRON_TOL * data.eigenvalue
+        # lambda squared is the product of the two entries, exactly
+        assert Fraction(data.lower) ** 2 <= Fraction(54.21) * Fraction(67.2) \
+            <= Fraction(data.upper) ** 2
+
+    def test_periodic_matrix_above_the_dense_limit_is_bracketed(self):
+        # period 2 on 34 vertices: the power route's bracket stop
+        rng = np.random.default_rng(5)
+        block = rng.uniform(0.5, 1.5, (17, 17)) / 17
+        m = np.kron(np.array([[0.0, 54.21], [67.2, 0.0]]), block)
+        assert len(m) > thermo.PERRON_DENSE_DIM
+        data = sg.perron(m)
+        assert data.upper - data.lower <= thermo.PERRON_TOL * data.eigenvalue
+        assert data.lower <= data.eigenvalue <= data.upper
+        assert data.eigenvalue == pytest.approx(
+            float(max(np.linalg.eigvals(m).real)), rel=1e-12)
+        assert (data.left > 0).all() and (data.right > 0).all()
+        assert np.max(np.abs(m @ data.right - data.eigenvalue * data.right)) \
+            < 1e-12 * data.eigenvalue * data.right.max()
+
+    def test_dense_vector_not_positive_falls_through(self, monkeypatch):
+        # a dense vector with a zero entry is not certified; the power route
+        # takes over for that side
+        eig = np.linalg.eig
+
+        def eig_with_a_zero(a):
+            w, v = eig(a)
+            v = v.copy()
+            v[0, int(np.argmax(w.real))] = 0.0
+            return w, v
+
+        iterated = []
+        power_side = thermo._power_side
+        monkeypatch.setattr(thermo.np.linalg, "eig", eig_with_a_zero)
+        monkeypatch.setattr(thermo, "_power_side", lambda *args: iterated.append(
+            len(args[0])) or power_side(*args))
+        data = sg.perron(np.array([[1.0, 1.0], [1.0, 0.0]]))
+        assert iterated == [2, 2]
+        assert data.lower <= PHI <= data.upper
 
 
 class TestPressure:
@@ -163,6 +230,37 @@ class TestPressure:
         f = sg.LocallyConstantPotential(golden_mean, 1, table)
         with pytest.raises(sg.SoficGibbsError, match=repr(eid)):
             sg.transfer_matrix(golden_mean, f)
+
+    def test_exp_underflow_names_the_edge(self, golden_mean):
+        # exp(-746) is 0.0: the entry would vanish and the matrix read as
+        # reducible
+        eid = golden_mean.edges[0].id
+        table = {(e.id,): -746.0 if e.id == eid else 0.0
+                 for e in golden_mean.edges}
+        f = sg.LocallyConstantPotential(golden_mean, 1, table)
+        with pytest.raises(sg.SoficGibbsError,
+                           match=f"{eid!r} underflows a double"):
+            sg.transfer_matrix(golden_mean, f)
+
+    def test_parallel_edge_sum_overflow_names_the_vertex_pair(self):
+        # each exp(709.5) is finite, their sum is not
+        shift = loop_shift(2)
+        f = range1(shift, {"0": 709.5, "1": 709.5})
+        with pytest.raises(sg.SoficGibbsError,
+                           match="'\\*' -> '\\*' overflows a double"):
+            sg.transfer_matrix(shift, f)
+
+    def test_transition_underflow_names_the_edge(self):
+        # every weight is a normal double, but P(a) = exp(-1400) r_A / r_B
+        # is not
+        shift = sg.EdgeShift(("A", "B"), (sg.Edge("A", "A", "a"),
+                                          sg.Edge("A", "B", "b"),
+                                          sg.Edge("B", "A", "c")))
+        f = range1(shift, {"a": -700.0, "b": 700.0, "c": 700.0})
+        assert sg.pressure(shift, f) == pytest.approx(700.0)
+        with pytest.raises(sg.SoficGibbsError,
+                           match="edge 'a' underflows a double"):
+            sg.equilibrium_measure(shift, f)
 
     def test_edgeless_shift_has_no_pressure(self):
         shift = sg.EdgeShift(("a",), ())
