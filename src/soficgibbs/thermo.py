@@ -41,7 +41,6 @@ from .shifts import (PATH_SEP, CyclicStructure, EdgeShift, Word,
 PERRON_TOL = 1e-13
 PERRON_MAX_ITER = 10 ** 6
 PERRON_DENSE_DIM = 32
-_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -274,7 +273,7 @@ def perron(m: np.ndarray) -> PerronData:
         raise ReducibleShiftError("matrix is not irreducible")
     sides = []
     for a in (m, m.T):
-        allowance = float(np.count_nonzero(a, axis=1).max() + 1) * _EPS
+        allowance = float(np.count_nonzero(a, axis=1).max() + 1) * np.finfo(float).eps
         tol = max(PERRON_TOL, 4 * allowance)
         side = _dense_side(a, allowance, tol) if len(a) <= PERRON_DENSE_DIM else None
         sides.append(side or _power_side(a, allowance, tol))
@@ -295,7 +294,7 @@ def transfer_matrix(shift: EdgeShift, potential: LocallyConstantPotential) -> np
     _require_edge_potential(shift, potential)
     n = len(shift.vertices)
     idx = shift.vertex_index
-    entries = {}
+    m = np.zeros((n, n))
     for e in shift.edges:
         try:
             weight = math.exp(potential.value((e.id,)))
@@ -305,15 +304,12 @@ def transfer_matrix(shift: EdgeShift, potential: LocallyConstantPotential) -> np
         if weight < sys.float_info.min:
             raise SoficGibbsError(
                 f"exp of the potential on edge {e.id!r} underflows a double")
-        pair = (e.source, e.target)
-        entries[pair] = entries.get(pair, 0.0) + weight
-        if math.isinf(entries[pair]):
+        i, j = idx[e.source], idx[e.target]
+        m[i, j] = float(m[i, j]) + weight  # a Python sum overflows to inf silently
+        if math.isinf(m[i, j]):
             raise SoficGibbsError(
                 "the summed exp of the potential on the edges "
                 f"{e.source!r} -> {e.target!r} overflows a double")
-    m = np.zeros((n, n))
-    for (source, target), weight in entries.items():
-        m[idx[source], idx[target]] = weight
     return m
 
 

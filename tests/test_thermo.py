@@ -150,6 +150,12 @@ class TestPerron:
         assert np.max(np.abs(m @ data.right - data.eigenvalue * data.right)) \
             < 1e-12 * data.eigenvalue * data.right.max()
 
+    def test_power_route_refuses_sums_beyond_a_double(self):
+        # every entry is finite, but (M + I)x and its sum would overflow
+        m = np.full((thermo.PERRON_DENSE_DIM + 1,) * 2, 1e307)
+        with pytest.raises(sg.SoficGibbsError, match="overflows a double"):
+            sg.perron(m)
+
     def test_dense_vector_not_positive_falls_through(self, monkeypatch):
         # a dense vector with a zero entry is not certified; the power route
         # takes over for that side
