@@ -210,9 +210,10 @@ def _dense_side(a, allowance, tol):
 
 def _power_side(a, allowance, tol):
     """Power route: iterate on A + I, primitive whenever A is irreducible.
-    Every fourth step the spread of the ratios ((A + I)x)_i / x_i, a bracket
-    on lambda + 1, is compared with tol times lambda; once it is narrower,
-    the first certified x is returned."""
+    Every fourth step (looking at every step costs more than the steps it
+    saves) the spread of the ratios ((A + I)x)_i / x_i, a bracket on
+    lambda + 1, is compared with tol times lambda; once it is narrower, the
+    first certified x is returned."""
     n = a.shape[0]
     shifted = a + np.eye(n)
     with np.errstate(over="ignore"):
