@@ -93,14 +93,18 @@ class TestPerron:
         w = np.linalg.eigvals(m)
         assert data.eigenvalue == pytest.approx(float(max(w.real)), abs=1e-10)
 
-    def test_large_eigenvalue_stops_at_the_rounding_floor(self, monkeypatch):
+    @staticmethod
+    def _large_eigenvalue_matrix():
         # a positive matrix with dominant eigenvalue about 437: successive
         # estimates of lambda + 1 keep differing by an ulp or two, above an
         # absolute 1e-13, so an absolute stop never comes
         rng = np.random.default_rng(0)
         m = rng.uniform(0.0, 1.0, (3, 3)) + 1e-3
         m *= rng.uniform(250, 450) / max(abs(np.linalg.eigvals(m)))
-        lam = float(max(np.linalg.eigvals(m).real))
+        return m, float(max(np.linalg.eigvals(m).real))
+
+    def test_large_eigenvalue_stops_at_the_rounding_floor(self, monkeypatch):
+        m, lam = self._large_eigenvalue_matrix()
         monkeypatch.setattr(thermo, "PERRON_MAX_ITER", 10_000)
         data = sg.perron(m)
         assert data.eigenvalue == pytest.approx(lam, rel=1e-14)
@@ -109,10 +113,7 @@ class TestPerron:
     def test_large_eigenvalue_power_route_stops_at_the_bracket(self,
                                                               monkeypatch):
         # the same matrix by iteration: the stop is relative to lambda
-        rng = np.random.default_rng(0)
-        m = rng.uniform(0.0, 1.0, (3, 3)) + 1e-3
-        m *= rng.uniform(250, 450) / max(abs(np.linalg.eigvals(m)))
-        lam = float(max(np.linalg.eigvals(m).real))
+        m, lam = self._large_eigenvalue_matrix()
         monkeypatch.setattr(thermo, "PERRON_DENSE_DIM", 0)
         monkeypatch.setattr(thermo, "PERRON_MAX_ITER", 10_000)
         data = sg.perron(m)
