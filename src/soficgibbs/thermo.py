@@ -186,52 +186,73 @@ def _matrix_irreducible(m: np.ndarray) -> bool:
     return True
 
 
-def _certified(a, x, allowance, tol):
+def _certified(a, x, allowance, tol, floor):
     """x scaled to sum 1 with its widened Collatz-Wielandt bracket
     (lower, upper) on the Perron root of a, or None unless x is strictly
-    positive and the bracket is narrower than tol times lower."""
+    positive, the bracket is narrower than tol times lower, and the residual
+    max_i |(ax)_i - mu x_i| at the bracket's midpoint mu is below floor
+    times max_i x_i."""
     if not (x > 0).all():
         return None
     x = x / x.sum()
-    ratio = (a @ x) / x
+    ax = a @ x
+    ratio = ax / x
     lower = float(ratio.min()) * (1.0 - allowance)
     upper = float(ratio.max()) * (1.0 + allowance)
-    return (x, lower, upper) if upper - lower < tol * lower else None
+    if upper - lower >= tol * lower:
+        return None
+    residual = float(np.max(np.abs(ax - 0.5 * (lower + upper) * x)))
+    return (x, lower, upper) if residual < floor * float(x.max()) else None
 
 
-def _dense_side(a, allowance, tol):
-    """Dense route: the eigenvalue of a with the largest real part and the
-    absolute value of the real part of its vector, if certified."""
+def _dense_side(a, allowance, tol, floor):
+    """Dense route: the absolute value of the real part of the vector of
+    the eigenvalue of a with the largest real part, if certified."""
     w, v = np.linalg.eig(a)
-    k = int(np.argmax(w.real))
-    side = _certified(a, np.abs(v[:, k].real), allowance, tol)
-    return None if side is None else (float(w[k].real), *side)
+    return _certified(a, np.abs(v[:, int(np.argmax(w.real))].real),
+                      allowance, tol, floor)
 
 
-def _power_side(a, allowance, tol):
-    """Power route: iterate on A + I, primitive whenever A is irreducible.
-    Every fourth step (looking at every step costs more than the steps it
-    saves) the spread of the ratios ((A + I)x)_i / x_i, a bracket on
-    lambda + 1, is compared with tol times lambda; once it is narrower, the
-    first certified x is returned."""
+def _power_side(a, allowance, tol, floor):
+    """Power route: iterate on A + sI, primitive whenever A is irreducible.
+    The shift s starts at a quarter of the geometric mean of the smallest
+    and largest row sums of A, which bracket lambda, and follows a quarter
+    of the estimate sum_i (Ax)_i of lambda when that is more than a factor
+    of 2 away.  It scales with A, so the steps, their rounding and their
+    count do not depend on the scale of A, and a shift of the order of
+    lambda damps the eigenvalues lambda e^(2 pi i k/p) of a periodic A
+    too.  Every fourth step the spread of the ratios
+    ((A + sI)x)_i / x_i, a bracket on lambda + s, is compared with tol times
+    lambda; once it is narrower, the first certified x is returned.  (On the
+    window bench matrices, looking every step instead, or summing (A + sI)x
+    apart from the product, each cost about 5 ms more per batch.)"""
     n = a.shape[0]
-    shifted = a + np.eye(n)
     with np.errstate(over="ignore"):
-        sums = shifted.sum(axis=0)
+        rows = a.sum(axis=1)
+        s = 0.25 * math.sqrt(float(rows.min())) * math.sqrt(float(rows.max()))
+        sums = a.sum(axis=0) + s
     if not np.isfinite(sums).all():
         raise SoficGibbsError("a row or column sum of the matrix overflows a double")
-    # the column sums as one more row: one product gives (A + I)x and its sum
-    step = np.vstack((shifted, sums))
+    # the column sums as one more row: one product gives (A + sI)x and its sum
+    step = np.vstack((a + s * np.eye(n), sums))
+    diagonal = np.arange(n)
     x = np.full(n, 1.0 / n)
     for i in range(PERRON_MAX_ITER):
         y = step @ x
         if i % 4 == 3:
             ratio = y[:n] / x
             lo, hi = float(ratio.min()), float(ratio.max())
-            if hi - lo < tol * (lo - 1.0):
-                side = _certified(a, x, allowance, tol)
+            if hi - lo < tol * (lo - s):
+                side = _certified(a, x, allowance, tol, floor)
                 if side is not None:
-                    return (0.5 * (lo + hi) - 1.0, *side)
+                    return side
+            # x sums to 1, so y[n] - s = sum_i (Ax)_i tends to lambda: move
+            # the shift when it is off by more than a factor of 2
+            t = 0.25 * (float(y[n]) - s)
+            if t > 2 * s or 0 < 2 * t < s:
+                step[diagonal, diagonal] += t - s
+                step[n] += t - s
+                s = t
         x = y[:n] / y[n]
     ax = a @ x
     ratio = ax / x
@@ -248,20 +269,22 @@ def perron(m: np.ndarray) -> PerronData:
     Each side, the right vector (of M) and the left one (of M.T), takes one
     of two routes.  Up to PERRON_DENSE_DIM vertices it comes from one dense
     `np.linalg.eig`; above that, or when the dense vector is not strictly
-    positive or not certified, from power iteration on M + I.  Both routes
-    end in one certificate.  For every positive x the Collatz-Wielandt
-    bracket min_i (Mx)_i / x_i <= lambda <= max_i (Mx)_i / x_i holds.  A
-    computed ratio, k nonnegative products summed and one division, is
-    within a relative (k + 1) eps / 2 or so of its exact value (barring
-    underflow), so the bracket is widened by the rounding allowance
-    (k + 1) eps, with k the largest nonzero count of a row; the slack covers
-    the rounding of the widening itself.  A side is accepted when its
-    vector is strictly positive and its widened bracket is narrower than
-    PERRON_TOL times lambda, or than four allowances where those are wider
-    (rows of more than 111 nonzeros).  The eigenvalue, the mean of the two
-    sides' estimates, is clamped into the intersection of the brackets.
-    Power iteration gives up after PERRON_MAX_ITER steps.  All three limits
-    are read when called.
+    positive or not certified, from power iteration on M + sI with s of
+    the order of lambda.  Both routes end in one
+    certificate.  For every positive x the Collatz-Wielandt bracket
+    min_i (Mx)_i / x_i <= lambda <= max_i (Mx)_i / x_i holds.  A computed
+    ratio, k nonnegative products summed and one division, is within a
+    relative (k + 1) eps / 2 or so of its exact value (barring underflow),
+    so the bracket is widened by the rounding allowance (k + 1) eps, with k
+    the largest nonzero count of a row; the slack covers the rounding of the
+    widening itself.  A side is accepted when its vector is strictly
+    positive, its widened bracket is narrower than PERRON_TOL times lambda,
+    or than four allowances where those are wider (rows of more than 111
+    nonzeros), and its residual ||Mx - mu x||_inf at the bracket's midpoint
+    mu is below max(PERRON_TOL, 8 eps ||M||_inf) ||x||_inf, the rounding
+    floor of the product Mx.  The eigenvalue is the midpoint of the
+    intersection of the two sides' brackets.  Power iteration gives up
+    after PERRON_MAX_ITER steps.  All three limits are read when called.
     """
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -272,15 +295,21 @@ def perron(m: np.ndarray) -> PerronData:
         raise ValueError("matrix must be nonnegative")
     if not _matrix_irreducible(m):
         raise ReducibleShiftError("matrix is not irreducible")
+    eps = np.finfo(float).eps
     sides = []
     for a in (m, m.T):
-        allowance = float(np.count_nonzero(a, axis=1).max() + 1) * np.finfo(float).eps
+        allowance = float(np.count_nonzero(a, axis=1).max() + 1) * eps
         tol = max(PERRON_TOL, 4 * allowance)
-        side = _dense_side(a, allowance, tol) if len(a) <= PERRON_DENSE_DIM else None
-        sides.append(side or _power_side(a, allowance, tol))
-    (lam_r, right, lower_r, upper_r), (lam_l, left, lower_l, upper_l) = sides
+        # a is nonnegative, so its largest row sum is ||a||_inf; where that
+        # overflows, the power route refuses the matrix
+        with np.errstate(over="ignore"):
+            floor = max(PERRON_TOL, 8 * eps * float(a.sum(axis=1).max()))
+        side = (_dense_side(a, allowance, tol, floor)
+                if len(a) <= PERRON_DENSE_DIM else None)
+        sides.append(side or _power_side(a, allowance, tol, floor))
+    (right, lower_r, upper_r), (left, lower_l, upper_l) = sides
     lower, upper = max(lower_r, lower_l), min(upper_r, upper_l)
-    lam = min(max(0.5 * (lam_r + lam_l), lower), upper)
+    lam = 0.5 * (lower + upper)
     left = left / float(left @ right)
     residual = max(float(np.max(np.abs(m @ right - lam * right))),
                    float(np.max(np.abs(m.T @ left - lam * left))))

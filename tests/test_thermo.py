@@ -103,29 +103,43 @@ class TestPerron:
         m *= rng.uniform(250, 450) / max(abs(np.linalg.eigvals(m)))
         return m, float(max(np.linalg.eigvals(m).real))
 
-    def test_large_eigenvalue_stops_at_the_rounding_floor(self, monkeypatch):
-        m, lam = self._large_eigenvalue_matrix()
-        monkeypatch.setattr(thermo, "PERRON_MAX_ITER", 10_000)
-        data = sg.perron(m)
-        assert data.eigenvalue == pytest.approx(lam, rel=1e-14)
-        assert data.residual < 8 * np.finfo(float).eps * m.sum(axis=1).max()
+    @staticmethod
+    def _assert_at_the_rounding_floor(m, data):
+        # the parent's accuracy: residual below 8 eps ||M||_inf (or
+        # PERRON_TOL) times the largest entry of the vector
+        floor = max(thermo.PERRON_TOL,
+                    8 * np.finfo(float).eps * max(m.sum(axis=1).max(),
+                                                  m.sum(axis=0).max()))
+        assert data.lower <= data.eigenvalue <= data.upper
+        assert data.upper - data.lower < thermo.PERRON_TOL * data.eigenvalue
+        assert (data.left > 0).all() and (data.right > 0).all()
+        assert data.residual < floor * max(data.right.max(), data.left.max())
 
-    def test_large_eigenvalue_power_route_stops_at_the_bracket(self,
-                                                              monkeypatch):
-        # the same matrix by iteration: the stop is relative to lambda
+    def test_large_eigenvalue_stops_at_the_rounding_floor(self, monkeypatch):
+        # the power route stops only once the residual is at the floor
         m, lam = self._large_eigenvalue_matrix()
         monkeypatch.setattr(thermo, "PERRON_DENSE_DIM", 0)
         monkeypatch.setattr(thermo, "PERRON_MAX_ITER", 10_000)
         data = sg.perron(m)
-        assert data.eigenvalue == pytest.approx(lam, rel=1e-13)
-        assert data.upper - data.lower < thermo.PERRON_TOL * data.eigenvalue
+        assert data.eigenvalue == pytest.approx(lam, rel=1e-14)
+        assert data.residual < 8 * np.finfo(float).eps * m.sum(axis=1).max()
+        self._assert_at_the_rounding_floor(m, data)
+
+    def test_large_eigenvalue_dense_route_reaches_the_rounding_floor(
+            self, monkeypatch):
+        m, lam = self._large_eigenvalue_matrix()
+        monkeypatch.setattr(thermo, "PERRON_MAX_ITER", 0)
+        data = sg.perron(m)
+        assert data.eigenvalue == pytest.approx(lam, rel=1e-14)
+        self._assert_at_the_rounding_floor(m, data)
 
     @pytest.mark.parametrize("dense_dim", [32, 0], ids=["dense", "power"])
     def test_periodic_large_eigenvalue_is_bracketed(self, monkeypatch,
                                                     dense_dim):
         # power iteration on M + I contracts the eigenvalue -lambda only by
-        # (lambda - 1) / (lambda + 1) per step; the old absolute stop never
-        # came and all 10**6 steps ran.  The dense route takes no step.
+        # (lambda - 1) / (lambda + 1) per step; with an absolute stop all
+        # 10**6 steps ran.  A shift of the order of lambda damps it at
+        # once, and the dense route takes no step.
         m = np.array([[0.0, 54.21], [67.2, 0.0]])
         monkeypatch.setattr(thermo, "PERRON_DENSE_DIM", dense_dim)
         monkeypatch.setattr(thermo, "PERRON_MAX_ITER", 0 if dense_dim else 10_000)
@@ -136,20 +150,35 @@ class TestPerron:
         assert Fraction(data.lower) ** 2 <= Fraction(54.21) * Fraction(67.2) \
             <= Fraction(data.upper) ** 2
 
-    def test_periodic_matrix_above_the_dense_limit_is_bracketed(self):
-        # period 2 on 34 vertices: the power route's bracket stop
+    @pytest.mark.parametrize("period2", [[[0.0, 54.21], [67.2, 0.0]],
+                                         [[0.0, 2000.0], [3000.0, 0.0]]],
+                             ids=["lambda60", "lambda2434"])
+    def test_periodic_matrix_above_the_dense_limit_is_bracketed(
+            self, monkeypatch, period2):
+        # period 2 on 34 vertices: the power route's stop
         rng = np.random.default_rng(5)
         block = rng.uniform(0.5, 1.5, (17, 17)) / 17
-        m = np.kron(np.array([[0.0, 54.21], [67.2, 0.0]]), block)
+        m = np.kron(np.array(period2), block)
         assert len(m) > thermo.PERRON_DENSE_DIM
+        monkeypatch.setattr(thermo, "PERRON_MAX_ITER", 10_000)
         data = sg.perron(m)
-        assert data.upper - data.lower <= thermo.PERRON_TOL * data.eigenvalue
-        assert data.lower <= data.eigenvalue <= data.upper
         assert data.eigenvalue == pytest.approx(
             float(max(np.linalg.eigvals(m).real)), rel=1e-12)
-        assert (data.left > 0).all() and (data.right > 0).all()
-        assert np.max(np.abs(m @ data.right - data.eigenvalue * data.right)) \
-            < 1e-12 * data.eigenvalue * data.right.max()
+        self._assert_at_the_rounding_floor(m, data)
+
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
+    def test_power_route_does_not_depend_on_the_scale(self, monkeypatch,
+                                                      scale):
+        # shifting by I, lambda = 1e-3 made the ratios of (M + I)x round
+        # to a spread far wider than PERRON_TOL * lambda, and all 10**6
+        # steps ran; a shift that scales with M stops in a few dozen
+        rng = np.random.default_rng(3)
+        m = rng.uniform(0.5, 1.5, (40, 40))
+        m *= scale / float(max(np.linalg.eigvals(m).real))
+        monkeypatch.setattr(thermo, "PERRON_MAX_ITER", 200)
+        data = sg.perron(m)
+        assert data.eigenvalue == pytest.approx(scale, rel=1e-13)
+        self._assert_at_the_rounding_floor(m, data)
 
     def test_power_route_refuses_sums_beyond_a_double(self):
         # every entry is finite, but (M + I)x and its sum would overflow
