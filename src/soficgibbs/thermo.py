@@ -6,11 +6,13 @@ the anchored table, so v_j vanishes for j >= k-1 and the summable-variation
 norm is a finite sum.  Pressure and the unique equilibrium (Gibbs-Markov)
 measure come from Perron data of the weighted transfer matrix.  Up to
 `PERRON_DENSE_DIM` vertices the Perron vectors come from one dense eigen-solve
-per side; above it, power iteration runs on M + I, so periodic matrices
-converge too, for at most `PERRON_MAX_ITER` steps.  Every solve ends in a
+per side; above it, power iteration runs on M + sI with a shift s of the
+order of the root, so periodic matrices converge too and the scale of M does
+not matter, for at most `PERRON_MAX_ITER` steps.  Every solve ends in a
 Collatz-Wielandt bracket on the Perron root, widened by a rounding allowance
-of (nonzeros per row + 1) eps and narrower than `PERRON_TOL` times the root;
-the limits are read when called.  Transfer-matrix weights and transition
+of (nonzeros per row + 1) eps and narrower than `PERRON_TOL` times the root,
+and in a residual at the rounding floor of the product Mx; the limits are
+read when called.  Transfer-matrix weights and transition
 probabilities must be normal doubles: one that overflows or underflows raises
 `SoficGibbsError`, nothing is rescaled.  Potentials on an image pull back
 through a one-block code.  A brute-force periodic-point oracle provides an
@@ -190,18 +192,21 @@ def _certified(a, x, allowance, tol, floor):
     """x scaled to sum 1 with its widened Collatz-Wielandt bracket
     (lower, upper) on the Perron root of a, or None unless x is strictly
     positive, the bracket is narrower than tol times lower, and the residual
-    max_i |(ax)_i - mu x_i| at the bracket's midpoint mu is below floor
-    times max_i x_i."""
+    max_i |(ax)_i - mu x_i| is below floor times max_i x_i for every mu
+    between the smallest and the largest ratio (ax)_i / x_i."""
     if not (x > 0).all():
         return None
     x = x / x.sum()
     ax = a @ x
     ratio = ax / x
-    lower = float(ratio.min()) * (1.0 - allowance)
-    upper = float(ratio.max()) * (1.0 + allowance)
+    lo, hi = float(ratio.min()), float(ratio.max())
+    lower, upper = lo * (1.0 - allowance), hi * (1.0 + allowance)
     if upper - lower >= tol * lower:
         return None
-    residual = float(np.max(np.abs(ax - 0.5 * (lower + upper) * x)))
+    # the residual is convex in mu, so its largest value over [lo, hi] is
+    # taken at an end
+    residual = max(float(np.max(np.abs(ax - lo * x))),
+                   float(np.max(np.abs(ax - hi * x))))
     return (x, lower, upper) if residual < floor * float(x.max()) else None
 
 
@@ -221,11 +226,11 @@ def _power_side(a, allowance, tol, floor):
     of 2 away.  It scales with A, so the steps, their rounding and their
     count do not depend on the scale of A, and a shift of the order of
     lambda damps the eigenvalues lambda e^(2 pi i k/p) of a periodic A
-    too.  Every fourth step the spread of the ratios
-    ((A + sI)x)_i / x_i, a bracket on lambda + s, is compared with tol times
-    lambda; once it is narrower, the first certified x is returned.  (On the
-    window bench matrices, looking every step instead, or summing (A + sI)x
-    apart from the product, each cost about 5 ms more per batch.)"""
+    too.  Every fourth step the spread of the ratios ((A + sI)x)_i / x_i, a
+    bracket on lambda + s, is compared with tol times lambda; once it is
+    narrower, the first certified x is returned.  (On the `window` bench
+    matrices, looking every step instead, or summing (A + sI)x apart from
+    the product, each cost about 5 ms more per batch.)"""
     n = a.shape[0]
     with np.errstate(over="ignore"):
         rows = a.sum(axis=1)
@@ -269,9 +274,9 @@ def perron(m: np.ndarray) -> PerronData:
     Each side, the right vector (of M) and the left one (of M.T), takes one
     of two routes.  Up to PERRON_DENSE_DIM vertices it comes from one dense
     `np.linalg.eig`; above that, or when the dense vector is not strictly
-    positive or not certified, from power iteration on M + sI with s of
-    the order of lambda.  Both routes end in one
-    certificate.  For every positive x the Collatz-Wielandt bracket
+    positive or not certified, from power iteration on M + sI with s of the
+    order of lambda.  Both routes end in one certificate.  For every
+    positive x the Collatz-Wielandt bracket
     min_i (Mx)_i / x_i <= lambda <= max_i (Mx)_i / x_i holds.  A computed
     ratio, k nonnegative products summed and one division, is within a
     relative (k + 1) eps / 2 or so of its exact value (barring underflow),
@@ -280,11 +285,12 @@ def perron(m: np.ndarray) -> PerronData:
     widening itself.  A side is accepted when its vector is strictly
     positive, its widened bracket is narrower than PERRON_TOL times lambda,
     or than four allowances where those are wider (rows of more than 111
-    nonzeros), and its residual ||Mx - mu x||_inf at the bracket's midpoint
-    mu is below max(PERRON_TOL, 8 eps ||M||_inf) ||x||_inf, the rounding
-    floor of the product Mx.  The eigenvalue is the midpoint of the
-    intersection of the two sides' brackets.  Power iteration gives up
-    after PERRON_MAX_ITER steps.  All three limits are read when called.
+    nonzeros), and its residual ||Mx - mu x||_inf is below
+    max(PERRON_TOL, 8 eps ||M||_inf) ||x||_inf, the rounding floor of the
+    product Mx, for every mu between its smallest and largest ratio: the
+    eigenvalue, the midpoint of the intersection of the two sides'
+    brackets, may fall anywhere there.  Power iteration gives up after
+    PERRON_MAX_ITER steps.  All three limits are read when called.
     """
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:

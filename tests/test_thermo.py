@@ -112,8 +112,9 @@ class TestPerron:
                                                   m.sum(axis=0).max()))
         assert data.lower <= data.eigenvalue <= data.upper
         assert data.upper - data.lower < thermo.PERRON_TOL * data.eigenvalue
-        assert (data.left > 0).all() and (data.right > 0).all()
-        assert data.residual < floor * max(data.right.max(), data.left.max())
+        for a, x in ((m, data.right), (m.T, data.left)):
+            assert (x > 0).all()
+            assert np.max(np.abs(a @ x - data.eigenvalue * x)) < floor * x.max()
 
     def test_large_eigenvalue_stops_at_the_rounding_floor(self, monkeypatch):
         # the power route stops only once the residual is at the floor
@@ -178,6 +179,34 @@ class TestPerron:
         monkeypatch.setattr(thermo, "PERRON_MAX_ITER", 200)
         data = sg.perron(m)
         assert data.eigenvalue == pytest.approx(scale, rel=1e-13)
+        self._assert_at_the_rounding_floor(m, data)
+
+    @pytest.mark.parametrize("k, w, seed", [(2, 7, 1), (3, 5, 14)])
+    def test_de_bruijn_vectors_meet_the_floor_at_the_eigenvalue(self, k, w,
+                                                                 seed):
+        # full k-shift, window-w weights: each vector's residual at the
+        # reported eigenvalue (the midpoint of both brackets), not only at
+        # its own bracket's midpoint, stays at the floor
+        rng = np.random.default_rng(seed)
+        n = k ** (w - 1)
+        m = np.zeros((n, n))
+        for v in range(n):
+            for s in range(k):
+                m[v, (v * k + s) % n] = np.exp(rng.uniform(-1, 1))
+        assert n > thermo.PERRON_DENSE_DIM
+        self._assert_at_the_rounding_floor(m, sg.perron(m))
+
+    def test_power_route_moves_a_poor_shift(self, monkeypatch):
+        # row sums 0.1 to 159 start the shift near 1, far below lambda / 4
+        # (about 27); kept there, this nearly periodic matrix is not
+        # certified within 10 000 steps
+        m = np.array([[0.0, 0.0, 0.1, 0.0], [0.0, 0.0, 89.0, 0.0],
+                      [0.0, 0.0, 0.0, 159.0], [12.0, 85.0, 0.0, 0.0]])
+        monkeypatch.setattr(thermo, "PERRON_DENSE_DIM", 0)
+        monkeypatch.setattr(thermo, "PERRON_MAX_ITER", 10_000)
+        data = sg.perron(m)
+        assert data.eigenvalue == pytest.approx(
+            float(max(np.linalg.eigvals(m).real)), rel=1e-13)
         self._assert_at_the_rounding_floor(m, data)
 
     def test_power_route_refuses_sums_beyond_a_double(self):
