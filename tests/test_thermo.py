@@ -210,7 +210,7 @@ class TestPerron:
         self._assert_at_the_rounding_floor(m, data)
 
     def test_power_route_refuses_sums_beyond_a_double(self):
-        # every entry is finite, but (M + I)x and its sum would overflow
+        # every entry is finite, but (M + sI)x and its sum would overflow
         m = np.full((thermo.PERRON_DENSE_DIM + 1,) * 2, 1e307)
         with pytest.raises(sg.SoficGibbsError, match="overflows a double"):
             sg.perron(m)
