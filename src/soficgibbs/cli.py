@@ -141,9 +141,8 @@ def cmd_pushforward(args):
     potential = _load_potential(args.potential, system.presentation)
     nu = equilibrium_upstairs(system.labeling, potential).downstairs
     lines = [("image_symbols", " ".join(nu.symbols))]
-    for n in range(1, args.depth + 1):
-        for w in nu.words_of_length(n):
-            lines.append((f"cylinder({format_word(w)})", nu.cylinder_prob(w)))
+    for words, probs in nu.word_levels(args.depth):
+        lines += [(f"cylinder({format_word(w)})", p) for w, p in zip(words, probs)]
     return lines, True
 
 

@@ -29,8 +29,11 @@ limits below are module constants too, read when called.  A pair is skipped
 at the first length without a valid exchange context, and the levels stop
 once no pair is live.  A battery computes each push, word
 matrix, product, dot and window delta once, keyed on its exact inputs: a
-recompute is the same numpy call on the same bytes, so no bit changes (stacked
-products such as `L @ T_u @ R.T` round differently, and are not used).
+recompute is the same numpy call on the same bytes, so no bit changes.  A
+matrix-matrix product such as `L @ T_u @ R.T` (one BLAS gemm) rounds
+differently from the row-by-row vector-matrix products (gemv) it would
+replace, so it is not used; a stacked product of vectors, `(k, 1, n) @ (n, n)`,
+is one gemv per row and bit-identical to them.
 
 The pipelines read one `measures.LiftResult`, the equilibrium measure
 upstairs pushed down.  The Gibbs verdicts (Lanford-Ruelle, finite-to-one)
@@ -525,8 +528,8 @@ def verify_finite_to_one_preservation(code: SlidingBlockCode,
     nu = equilibrium_upstairs(code, potential).downstairs
     analysis, battery = synchronized_battery(nu, potential, tol, c_max)
     cross_dev = 0.0
-    for w, p in nu.forward_walk(CROSS_CHECK_LENGTH):
-        if w:
+    for words, probs in nu.word_levels(CROSS_CHECK_LENGTH):
+        for w, p in zip(words, probs):
             cross_dev = max(cross_dev, abs(p - preimage_cylinder_sum(nu, w)))
     passed = battery.passed and cross_dev < 1e-10
     return FiniteToOneReport(analysis, battery, cross_dev, passed)

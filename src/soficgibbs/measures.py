@@ -2,9 +2,10 @@
 
 A hidden Markov measure evaluates cylinders with label-restricted transfer
 operators (a forward pass of sub-transition matrices), which is exact and
-linear in the word length; its forward walk pushes the vector once per prefix
-of the image language, up to `shifts.DEFAULT_ENUMERATION_CAP` words of one
-length.  Brute-force preimage enumeration is kept as an independent oracle.
+linear in the word length; its level walk pushes the forward vectors of all
+words of one length by every symbol in one stacked product, each row the same
+double as `cylinder_prob`, up to `shifts.DEFAULT_ENUMERATION_CAP` words of
+one length.  Brute-force preimage enumeration is kept as an independent oracle.
 
 `equilibrium_upstairs` is the one upstairs step of every pipeline: pull a
 potential back through a one-block code, take the equilibrium measure of the
@@ -79,30 +80,49 @@ class HiddenMarkovMeasure:
         return self.cylinder_prob(word) > 0.0
 
     def words_of_length(self, n: int) -> list[Word]:
-        return [word for word, _ in self.forward_walk(n) if len(word) == n]
+        words = [()] if n == 0 else []
+        for words, _ in self.word_levels(n):
+            pass
+        return words
 
-    def forward_walk(self, n_max: int):
-        """Words of the image language up to length n_max with their cylinder
-        probabilities, in lexicographic preorder.  The forward vector is
-        pushed once per prefix, by the products of `cylinder_prob`; more than
-        `shifts.DEFAULT_ENUMERATION_CAP` words of one length raise
-        `EnumerationCapError`."""
+    def level_walk(self, n_max: int):
+        """Cylinder probabilities of the image language, one word length at
+        a time.  For n = 1..n_max it yields `(rows, probs)`: the words of
+        length n in lexicographic order, each as a row index into the
+        (parent, symbol) extensions of the words of length n - 1 (row i
+        extends parent i // |symbols| by symbols[i % |symbols|]), and their
+        probabilities.
+
+        Each level pushes all its forward vectors by every sub-transition
+        matrix in one stacked product.  Numpy evaluates it with one
+        vector-matrix product per row, the call `cylinder_prob` makes, and
+        sums each row as `cylinder_prob` sums its vector, so every
+        probability is the same double.  A level of more than
+        `shifts.DEFAULT_ENUMERATION_CAP` words raises `EnumerationCapError`;
+        below that, a level's product takes at most cap * |symbols| *
+        states * 8 bytes."""
         cap = shifts.DEFAULT_ENUMERATION_CAP
-        counts = [0] * (n_max + 1)
-        stack = [((), self._stationary_row, float(self._stationary_row.sum()))]
-        while stack:
-            word, vec, prob = stack.pop()
-            n = len(word)
-            counts[n] += 1
-            if n and counts[n] > cap:
-                raise EnumerationCapError(counts[n], cap)
-            yield word, prob
-            if n < n_max:
-                for s in reversed(self.symbols):
-                    nxt = vec @ self._sub_matrices[s]
-                    total = float(nxt.sum())
-                    if total > 0.0:
-                        stack.append((word + (s,), nxt, total))
+        mats = np.stack([self._sub_matrices[s] for s in self.symbols])
+        vecs = self._stationary_row[None, :]
+        for _ in range(n_max):
+            pushed = (vecs[:, None, None, :] @ mats[None]).reshape(
+                -1, vecs.shape[1])
+            totals = pushed.sum(axis=1)
+            rows = np.flatnonzero(totals > 0.0)
+            if len(rows) > cap:
+                raise EnumerationCapError(cap + 1, cap)
+            vecs = pushed[rows]
+            yield rows, totals[rows]
+
+    def word_levels(self, n_max: int):
+        """The words of each length 1..n_max in lexicographic order with
+        their cylinder probabilities, as lists, from one `level_walk`."""
+        symbols = self.symbols
+        k = len(symbols)
+        words = [()]
+        for rows, probs in self.level_walk(n_max):
+            words = [words[i // k] + (symbols[i % k],) for i in rows.tolist()]
+            yield words, probs.tolist()
 
 
 def pushforward(measure: MarkovMeasure, code: SlidingBlockCode) -> HiddenMarkovMeasure:
@@ -130,15 +150,17 @@ def entropy_estimate(nu: HiddenMarkovMeasure, n_max: int) -> EntropyEstimate:
 
     The sequence is non-increasing and converges to the entropy of the image;
     for finite-to-one codes this equals the entropy upstairs.  Every H(n)
-    comes from one forward walk to n_max, summed in the lexicographic order
-    of `words_of_length(n)`.
+    comes from one level walk to n_max, summed from 0.0 in the lexicographic
+    order of `words_of_length(n)`; no word is built.
     """
     if n_max < 2:
         raise ValueError("n_max must be at least 2")
-    block = [0.0] * (n_max + 1)
-    for word, p in nu.forward_walk(n_max):
-        if word:
-            block[len(word)] -= p * math.log(p)
+    block = [0.0]
+    for _, probs in nu.level_walk(n_max):
+        h = 0.0
+        for p in probs.tolist():
+            h -= p * math.log(p)
+        block.append(h)
     hs = [b - a for a, b in zip(block, block[1:])]
     return EntropyEstimate(tuple(hs), hs[-1])
 

@@ -35,8 +35,8 @@ ENUMERATIONS = {
                                    .words_of_length(2))
        for name in ("EdgeShift", "MarkovMeasure", "SoficPresentation",
                     "HiddenMarkovMeasure")},
-    "HiddenMarkovMeasure.forward_walk": lambda: list(
-        _full2_languages()["HiddenMarkovMeasure"].forward_walk(2)),
+    "HiddenMarkovMeasure.level_walk": lambda: list(
+        _full2_languages()["HiddenMarkovMeasure"].level_walk(2)),
     "sft_from_forbidden_words": lambda: sg.sft_from_forbidden_words(
         sg.Alphabet(("0", "1")), (), 3),
 }

@@ -93,8 +93,8 @@ class TestPushforward:
                 assert total == pytest.approx(nu.cylinder_prob(w), abs=1e-10)
 
     def test_enumeration_cap_counts_every_word(self, even_cover, monkeypatch):
-        # the cap is checked as each word is appended, not only when an
-        # interior node is expanded
+        # the cap is checked on every level's kept words, the last level's
+        # too
         nu = sg.lift_equilibrium(
             even_cover, sg.LocallyConstantPotential.zero(even_cover)).downstairs
         monkeypatch.setattr(shifts, "DEFAULT_ENUMERATION_CAP", 1)
@@ -105,6 +105,25 @@ class TestPushforward:
         with pytest.raises(sg.EnumerationCapError) as info:
             nu.words_of_length(3)
         assert info.value.count == 3
+
+    def test_stacked_vector_matrix_rows_are_per_row_products(self):
+        # the level walk's probabilities are the doubles of `cylinder_prob`
+        # because numpy evaluates a stacked vector-matrix product with one
+        # vector-matrix product per row, and sums each row of a 2-D array as
+        # it sums a 1-D one; a numpy or BLAS build that breaks either (as a
+        # 2-D matrix-matrix product does) fails here
+        rng = np.random.default_rng(13)
+        for n in (2, 3, 5, 8, 13, 26, 40):
+            mats = rng.uniform(0.0, 1.0, (3, n, n)) * (
+                rng.uniform(size=(3, n, n)) < 0.5)
+            vecs = rng.uniform(0.0, 1.0, (64, n))
+            per_row = [v @ m for v in vecs for m in mats]
+            assert np.array_equal((vecs[:, None, :] @ mats[0])[:, 0],
+                                  per_row[::3])
+            stacked = (vecs[:, None, None, :] @ mats[None]).reshape(-1, n)
+            assert np.array_equal(stacked, per_row)
+            assert stacked.sum(axis=1).tolist() == [float(v.sum())
+                                                    for v in per_row]
 
     @pytest.mark.parametrize("cap", [0, 1, 2, 4, 7, 12, 20, 33])
     def test_entropy_walk_cap_matches_words_of_length(self, even_cover,

@@ -497,6 +497,25 @@ def test_upstairs_image_matches_preimage_sums(presentation, seed):
                 sg.preimage_cylinder_sum(nu, w), abs=1e-12)
 
 
+@settings(max_examples=40, deadline=None)
+@given(labeled_graphs(), st.integers(min_value=1, max_value=2),
+       st.integers(min_value=0, max_value=1_000_000))
+def test_level_walk_is_bit_identical_to_cylinder_prob(presentation, k, seed):
+    # each level lists the words of words_of_length with exactly the doubles
+    # cylinder_prob computes, and the block entropies are summed from them
+    # in that order
+    nu = sg.equilibrium_upstairs(
+        presentation.labeling_code(),
+        random_potential(presentation, k, seed)).downstairs
+    block = [0.0]
+    for n, (words, probs) in enumerate(nu.word_levels(6), start=1):
+        assert words == presentation.words_of_length(n)
+        assert probs == [nu.cylinder_prob(w) for w in words]
+        block.append(-sum(p * math.log(p) for p in probs))
+    assert sg.entropy_estimate(nu, 6).h_sequence == tuple(
+        b - a for a, b in zip(block, block[1:]))
+
+
 @settings(max_examples=30, deadline=None)
 @given(labeled_graphs(), st.integers(min_value=0, max_value=1_000_000))
 def test_window_one_push_code_is_the_code(presentation, seed):
