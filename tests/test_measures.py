@@ -108,10 +108,10 @@ class TestPushforward:
 
     def test_stacked_vector_matrix_rows_are_per_row_products(self):
         # the level walk's probabilities are the doubles of `cylinder_prob`
-        # because numpy evaluates a stacked vector-matrix product with one
-        # vector-matrix product per row, and sums each row of a 2-D array as
-        # it sums a 1-D one; a numpy or BLAS build that breaks either (as a
-        # 2-D matrix-matrix product does) fails here
+        # only because numpy evaluates a stacked vector-matrix product as one
+        # vector-matrix product per row (a 2-D matrix-matrix product rounds
+        # differently) and sums each row of a 2-D array as it sums a 1-D
+        # one; a numpy or BLAS build that breaks either fails here
         rng = np.random.default_rng(13)
         for n in (2, 3, 5, 8, 13, 26, 40):
             mats = rng.uniform(0.0, 1.0, (3, n, n)) * (
