@@ -16,6 +16,7 @@ identical inputs produce byte-identical machine reports.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from .codes import analyze_code, recode_to_one_block
@@ -222,12 +223,26 @@ def cmd_verify_counterexample(args):
     return lines, report.passed
 
 
-def _entropy_horizon(text: str) -> int:
-    """The `--depth` of `verify dobrushin`: an integer of at least 2."""
-    if not text.isdecimal() or int(text) < 2:
+def _integer_at_least(low: int, what: str):
+    """The argparse type of an integer option of at least `low`."""
+    def parse(text: str) -> int:
+        if not text.isdecimal() or int(text) < low:
+            raise argparse.ArgumentTypeError(
+                f"{what} must be an integer of at least {low}, not {text!r}")
+        return int(text)
+    return parse
+
+
+def _tolerance(text: str) -> float:
+    """The argparse type of `--tol`: a finite number greater than 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value > 0.0):
         raise argparse.ArgumentTypeError(
-            f"the entropy horizon must be an integer of at least 2, not {text!r}")
-    return int(text)
+            f"the tolerance must be a finite number greater than 0, not {text!r}")
+    return value
 
 
 # Each argument with its argparse settings; a subcommand takes only those it
@@ -235,13 +250,16 @@ def _entropy_horizon(text: str) -> int:
 _OPTIONS = {
     "file": dict(help="shift description file"),
     "--potential": dict(default=None, help="potential file, or 'zero' (default)"),
-    "--depth": dict(type=int, default=12, help="cylinder depth / entropy horizon"),
-    "--cmax": dict(type=int, default=20, help="largest exchange context length"),
-    "--tol": dict(type=float, default=1e-6, help="verdict tolerance"),
+    "--depth": dict(type=_integer_at_least(1, "the depth"), default=12,
+                    help="cylinder depth / entropy horizon"),
+    "--cmax": dict(type=_integer_at_least(1, "the largest context length"), default=20,
+                   help="largest exchange context length"),
+    "--tol": dict(type=_tolerance, default=1e-6, help="verdict tolerance"),
 }
 
 _OVERRIDES = {
-    ("verify dobrushin", "--depth"): dict(type=_entropy_horizon),
+    ("verify dobrushin", "--depth"): dict(
+        type=_integer_at_least(2, "the entropy horizon")),
     ("verify dobrushin", "--tol"): dict(default=0.01),
 }
 

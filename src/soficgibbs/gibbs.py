@@ -27,13 +27,20 @@ snapshot shared by every pair still live; a level of more than
 `shifts.DEFAULT_ENUMERATION_CAP` classes raises `EnumerationCapError`; the
 limits below are module constants too, read when called.  A pair is skipped
 at the first length without a valid exchange context, and the levels stop
-once no pair is live.  A battery computes each push, word
-matrix, product, dot and window delta once, keyed on its exact inputs: a
-recompute is the same numpy call on the same bytes, so no bit changes.  A
-matrix-matrix product such as `L @ T_u @ R.T` (one BLAS gemm) rounds
-differently from the row-by-row vector-matrix products (gemv) it would
-replace, so it is not used; a stacked product of vectors, `(k, 1, n) @ (n, n)`,
-is one gemv per row and bit-identical to them.
+once no pair is live.
+
+A battery computes each value once, keyed on its exact inputs, since a
+recompute would be the same numpy call on the same bytes: the level cells
+carry interned vector ids, each (side, vector id) is pushed by every symbol
+in one stacked product per level, and each word matrix, left product, dot
+and window delta is memoized.  Each pair's worst deviation and its valid
+(left, right) class pairs are memoized on the length's synchronized (vector
+id, boundary) lists: once those repeat, a tested length only re-sums its
+exact integer context counts.  A stacked product of vectors, `(k, 1, 1, n) @
+(1, S, n, n)` or `(1, S, n, n) @ (k, 1, n, 1)`, is one gemv per row and
+bit-identical to the 1-D `vec @ mat` or `mat @ vec`; a matrix-matrix product
+such as `L @ T_u @ R.T` (one BLAS gemm) rounds differently, so it is not
+used.
 
 The pipelines read one `measures.LiftResult`, the equilibrium measure
 upstairs pushed down.  The Gibbs verdicts (Lanford-Ruelle, finite-to-one)
@@ -159,15 +166,6 @@ class _Memo(dict):
         return value
 
 
-def _normalized(vec):
-    """The vector over its sum and its 13-digit key; None without mass."""
-    total = vec.sum()
-    if total <= 0.0:
-        return None
-    vec = vec / total
-    return vec, tuple(np.round(vec, 13))
-
-
 class _ContextLevels:
     """Left and right context classes of a hidden Markov measure, one sorted
     level per context length, each pushed one symbol from the level before.
@@ -175,39 +173,65 @@ class _ContextLevels:
     A left class is keyed by its normalized forward vector (the stationary
     row pushed through the context's sub-transition matrices) rounded to 13
     digits, its last boundary_len symbols and its progress through the sync
-    word; it carries the vector and its number of contexts.  Right classes
-    are symmetric with backward vectors.
+    word; it carries the id of its vector and its number of contexts.  Right
+    classes are symmetric with backward vectors.
 
-    Class vectors recur at every length: each is interned by its bytes and
-    each (side, vector id, symbol) pushed once per battery, as a recompute
-    would be the same numpy call on the same bytes."""
+    Every vector is interned by its exact bytes, and each (side, vector id)
+    is pushed once per battery: a level's new vectors go through every
+    sub-transition matrix in one stacked product, `(k, 1, 1, n) @ (1, S, n,
+    n)` on the left and `(1, S, n, n) @ (k, 1, n, 1)` on the right.  Numpy
+    evaluates each of its rows with one gemv, the call of `vec @ mats[s]` or
+    `mats[s] @ vec`, so every row is the same double; rows are summed,
+    normalized and rounded as one array.  The rounded key is stored as
+    big-endian bytes: for nonnegative doubles without NaN or -0.0 these bytes
+    order and compare as the values do.  So cells merge exactly where the
+    float tuples are equal, a level sorts in the same order, and since cells
+    are pushed in that order, symbol by symbol, each class keeps the same
+    first vector pushed onto its key.  The boundary and sync steps of each
+    (boundary, sync state) are read from a per-battery table."""
 
     def __init__(self, nu: HiddenMarkovMeasure, boundary_len: int,
                  sync_word: Word | None):
-        mats, b = nu._sub_matrices, boundary_len
+        b = boundary_len
+        self.mats = np.stack([nu._sub_matrices[s] for s in nu.symbols])
+        self.length = 0
         pattern = tuple(sync_word) if sync_word else ()
-        self.symbols, self.length = nu.symbols, 0
+        self.synced = len(pattern)
         # right contexts are built from the far end inward, so the word is
         # reversed: boundary tracks the eventual first symbols, and
         # containment is matched against the reversed pattern
-        self.rules = ((lambda vec, s: vec @ mats[s],
-                       lambda bnd, s: (bnd + (s,))[-b:] if b else (), pattern),
-                      (lambda vec, s: mats[s] @ vec,
-                       lambda bnd, s: ((s,) + bnd)[:b] if b else (),
-                       pattern[::-1]))
+        self.steps = (
+            _Memo(lambda bnd, st: tuple(
+                ((bnd + (s,))[-b:] if b else (), _sync_step(pattern, st, s))
+                for s in nu.symbols)),
+            _Memo(lambda bnd, st: tuple(
+                (((s,) + bnd)[:b] if b else (),
+                 _sync_step(pattern[::-1], st, s))
+                for s in nu.symbols)))
         self.ids, self.vectors = {}, []
-        self.pushes = _Memo(lambda side, vid, s: _normalized(
-            self.rules[side][0](self.vectors[vid], s)))
-        starts = (nu._stationary_row, np.ones(len(nu.upstairs.shift.vertices)))
-        self.levels = tuple([((key, (), 0), [v0, 1])]
-                            for v0, key in map(_normalized, starts))
+        self.successors = ({}, {})
+        starts = np.stack([nu._stationary_row,
+                           np.ones(len(nu.upstairs.shift.vertices))])
+        self.levels = tuple([((key, (), 0), [vid, 1])]
+                            for key, vid in self._normalized(starts))
 
-    def _vector_id(self, vec) -> int:
-        """Id shared by every class vector with these bytes."""
-        vid = self.ids.setdefault(vec.tobytes(), len(self.ids))
-        if vid == len(self.vectors):
-            self.vectors.append(vec)
-        return vid
+    def _normalized(self, vecs):
+        """(key bytes, vector id) of each row over its sum; None for a row
+        without mass."""
+        totals = vecs.sum(axis=1)
+        live = totals > 0.0
+        normed = vecs[live] / totals[live, None]
+        width = 8 * vecs.shape[1]
+        exact = normed.tobytes()
+        keys = normed.round(13).astype(">f8").tobytes()
+        out = [None] * len(vecs)
+        for j, row in enumerate(np.flatnonzero(live).tolist()):
+            cut = slice(j * width, (j + 1) * width)
+            vid = self.ids.setdefault(exact[cut], len(self.ids))
+            if vid == len(self.vectors):
+                self.vectors.append(normed[j])
+            out[row] = (keys[cut], vid)
+        return out
 
     def advance(self):
         """Push both sides one symbol further."""
@@ -216,37 +240,43 @@ class _ContextLevels:
         self.length += 1
 
     def _push(self, side, level):
-        _, boundary_update, pattern = self.rules[side]
-        cap = shifts.DEFAULT_ENUMERATION_CAP
+        successors, steps = self.successors[side], self.steps[side]
+        fresh = [vid for vid in dict.fromkeys(vid for _, (vid, _) in level)
+                 if vid not in successors]
+        if fresh:
+            vecs = np.array([self.vectors[vid] for vid in fresh])
+            pushed = (vecs[:, None, None, :] @ self.mats[None] if side == 0
+                      else self.mats[None] @ vecs[:, None, :, None])
+            rows = self._normalized(pushed.reshape(-1, vecs.shape[1]))
+            n_sym = len(self.mats)
+            for i, vid in enumerate(fresh):
+                successors[vid] = rows[i * n_sym:(i + 1) * n_sym]
         nxt = {}
-        for (_, bnd, st), (vec, count) in level:
-            vid = self._vector_id(vec)
-            for s in self.symbols:
-                pushed = self.pushes[side, vid, s]
+        for (_, bnd, st), (vid, count) in level:
+            for pushed, (bnd2, st2) in zip(successors[vid], steps[bnd, st]):
                 if pushed is None:
                     continue
-                vec2, rounded = pushed
-                key = (rounded, boundary_update(bnd, s),
-                       _sync_step(pattern, st, s))
+                key = (pushed[0], bnd2, st2)
                 cell = nxt.get(key)
-                if cell is not None:
+                if cell is None:
+                    nxt[key] = [pushed[1], count]
+                else:
                     cell[1] += count
-                    continue
-                nxt[key] = [vec2, count]
-                if len(nxt) > cap:
-                    raise EnumerationCapError(len(nxt), cap)
+        cap = shifts.DEFAULT_ENUMERATION_CAP
+        if len(nxt) > cap:
+            raise EnumerationCapError(cap + 1, cap)
         return sorted(nxt.items())
 
 
 def _context_classes(levels: _ContextLevels, length: int):
     """Synchronized left and right classes of one context length, as lists
-    of (vector, boundary, count) in key order: the levels are pushed up to
+    of (vector id, boundary, count) in key order: the levels are pushed up to
     that length and read."""
     while levels.length < length:
         levels.advance()
-    return tuple([(vec, bnd, count) for (_, bnd, st), (vec, count) in level
-                  if st == len(pattern)]
-                 for level, (_, _, pattern) in zip(levels.levels, levels.rules))
+    return tuple([(vid, bnd, count) for (_, bnd, st), (vid, count) in level
+                  if st == levels.synced]
+                 for level in levels.levels)
 
 
 def gibbs_ratio_test(measure, potential: LocallyConstantPotential, u: Word,
@@ -299,6 +329,9 @@ def _ratio_engine(measure, potential, pairs, context_lengths, tol,
                                                @ levels.vectors[rid]))
         deltas = _Memo(lambda pair, lbnd, rbnd: _window_delta(
             potential, lbnd, *pair, rbnd))
+        # per synced (vector id, boundary) lists: pair index -> (worst
+        # deviation, valid class index pairs)
+        deviations = {}
     found = [[] for _ in pairs]
     dropped_at = [None] * len(pairs)
     live = range(len(pairs))
@@ -306,11 +339,18 @@ def _ratio_engine(measure, potential, pairs, context_lengths, tol,
         if not live:
             break
         if hidden is not None:
-            lefts, rights = ([(levels._vector_id(vec), bnd, count)
-                              for vec, bnd, count in classes]
-                             for classes in _context_classes(levels, c))
-            results = [_max_deviation_hidden(pairs[i], lefts, rights, mats,
-                                             dots, deltas) for i in live]
+            lefts, rights = _context_classes(levels, c)
+            classes = tuple(tuple((vid, bnd) for vid, bnd, _ in side)
+                            for side in (lefts, rights))
+            memo = deviations.setdefault(classes, {})
+            results = []
+            for i in live:
+                if i not in memo:
+                    memo[i] = _max_deviation_hidden(pairs[i], *classes, mats,
+                                                    dots, deltas)
+                worst, valid = memo[i]
+                results.append((worst, sum(lefts[a][2] * rights[b][2]
+                                           for a, b in valid)))
         else:
             words = [w for w in measure.words_of_length(c)
                      if not sync or _contains(w, sync)]
@@ -347,24 +387,25 @@ def _word_matrix(nu, word):
 
 
 def _max_deviation_hidden(pair, lefts, rights, mats, dots, deltas):
-    """Worst deviation of a pair over (vector id, boundary, count) classes,
+    """Worst deviation of a pair over classes given as (vector id, boundary),
+    and the (left, right) index pairs that are valid exchange contexts,
     reading the battery's word matrices, dots and window deltas."""
     u, v = pair
     if mats[u] is None or mats[v] is None:
-        return 0.0, 0
-    worst, count = 0.0, 0
-    for lid, lbnd, lcount in lefts:
-        for rid, rbnd, rcount in rights:
+        return 0.0, ()
+    worst, valid = 0.0, []
+    for a, (lid, lbnd) in enumerate(lefts):
+        for b, (rid, rbnd) in enumerate(rights):
             num, den = dots[u, lid, rid], dots[v, lid, rid]
             # positive mass is equivalent to language membership here (the
             # upstairs measure has full support), so a context is a valid
             # exchange exactly when both sides carry mass
             if num <= 0.0 or den <= 0.0:
                 continue
-            count += lcount * rcount
+            valid.append((a, b))
             delta = deltas[pair, lbnd, rbnd]
             worst = max(worst, abs(math.log(num) - math.log(den) - delta))
-    return worst, count
+    return worst, valid
 
 
 def _contains(word, pattern):

@@ -251,6 +251,55 @@ def test_out_of_range_option_exits_2(argv):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("argv, option", [
+    # these three once ran: a table-free pass and two failed verdicts on
+    # inputs that pass
+    (["eqmeasure", "scripts/data/golden_mean.shift", "--depth", "-1"],
+     "--depth"),
+    (["gibbs-check", "scripts/data/even_shift.shift", "--tol", "nan"], "--tol"),
+    (["verify", "lanford-ruelle", "scripts/data/even_shift.shift",
+      "--tol", "-1"], "--tol"),
+    (["pushforward", "scripts/data/even_shift.shift", "--depth", "0"],
+     "--depth"),
+    (["eqmeasure", "scripts/data/even_shift.shift", "--depth", "two"],
+     "--depth"),
+    (["verify", "finite-to-one", "scripts/data/full2_xor.shift",
+      "--cmax", "-3"], "--cmax"),
+    (["gibbs-check", "scripts/data/even_shift.shift", "--cmax", "1.5"],
+     "--cmax"),
+    (["gibbs-check", "scripts/data/even_shift.shift", "--tol", "inf"], "--tol"),
+    (["verify", "dobrushin", "scripts/data/even_shift.shift", "--tol", "0"],
+     "--tol"),
+    (["verify", "finite-to-one", "scripts/data/full2_xor.shift",
+      "--tol", "1e-400"], "--tol"),
+    (["verify", "lanford-ruelle", "scripts/data/even_shift.shift",
+      "--tol", "tiny"], "--tol"),
+])
+def test_nonsense_numeric_option_is_a_usage_error(argv, option, capsys):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: ")
+    assert f"error: argument {option}: " in captured.err
+
+
+def test_smallest_sensible_options_run(files, capsys):
+    code, values, _ = run(capsys, "gibbs-check", files["even_shift.shift"],
+                          "--cmax", "1")
+    assert (code, values["verdict"]) == (0, "pass")
+    code, values, _ = run(capsys, "pushforward", files["even_shift.shift"],
+                          "--depth", "1", "--format", "machine")
+    assert code == 0
+    assert {"cylinder(0)", "cylinder(1)"} <= set(values)
+    # the smallest positive double is a tolerance: the verdict is computed
+    code, values, _ = run(capsys, "gibbs-check", files["even_shift.shift"],
+                          "--cmax", "1", "--tol", "5e-324")
+    assert code in (0, 1)
+    assert values["verdict"] in ("pass", "fail")
+
+
 @pytest.mark.parametrize("argv", [
     ["analyze", "scripts/data/golden_mean.shift", "--tol", "1"],
     ["fischer", "scripts/data/even_shift.shift", "--potential", "zero"],

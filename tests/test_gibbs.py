@@ -10,7 +10,7 @@ import soficgibbs as sg
 from soficgibbs import codes, gibbs, shifts, thermo
 from soficgibbs.cli import main
 
-from conftest import loop_shift, random_markov_measure
+from conftest import loop_shift, random_markov_measure, unmemoized_battery
 
 
 def range1(shift, values):
@@ -166,6 +166,33 @@ class TestRatioTestDownstairs:
         assert report.final_deviation < 1e-12
 
 
+class _SpyStack(np.ndarray):
+    """Stacked sub-transition matrices that record each row of a stacked
+    push through them: (side, vector bytes, symbol)."""
+
+    @classmethod
+    def of(cls, mats, symbols, pushes):
+        spy = mats.view(cls)
+        spy.symbols, spy.pushes = symbols, pushes
+        return spy
+
+    def __array_finalize__(self, obj):
+        self.symbols = getattr(obj, "symbols", None)
+        self.pushes = getattr(obj, "pushes", None)
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        plain = [x.view(np.ndarray) if isinstance(x, _SpyStack) else x
+                 for x in inputs]
+        if ufunc is np.matmul and plain[0].ndim == 4:
+            # (k, 1, 1, n) @ (1, S, n, n) or (1, S, n, n) @ (k, 1, n, 1)
+            left = isinstance(inputs[1], _SpyStack)
+            vecs = plain[0] if left else plain[1]
+            for vec in vecs.reshape(len(vecs), -1):
+                self.pushes += [("left" if left else "right", vec.tobytes(), s)
+                                for s in self.symbols]
+        return getattr(ufunc, method)(*plain, **kwargs)
+
+
 class _SpyMatrix:
     """A sub-transition matrix that records each vector pushed through it:
     (side, vector bytes, symbol)."""
@@ -247,17 +274,48 @@ class TestRatioEngine:
                                        ("1",))
         return nu, f, pairs, expected
 
-    def test_each_class_vector_pushed_once_per_symbol(self, synced):
+    def test_each_class_vector_pushed_once_per_symbol(self, synced,
+                                                      monkeypatch):
         # synchronized classes recur with the same vectors at every length;
-        # each (side, vector, symbol) goes through its sub-matrix once
+        # each (side, vector, symbol) is a row of one stacked push, once
         nu, f, pairs, expected = synced
         pushes = []
-        vars(nu)["_sub_matrices"] = {s: _SpyMatrix(m, s, pushes)
-                                     for s, m in nu._sub_matrices.items()}
+        init = gibbs._ContextLevels.__init__
+
+        def spying(levels, hidden, *args):
+            init(levels, hidden, *args)
+            levels.mats = _SpyStack.of(levels.mats, hidden.symbols, pushes)
+
+        monkeypatch.setattr(gibbs._ContextLevels, "__init__", spying)
         got = gibbs._ratio_engine(nu, f, pairs, range(1, 10), 1e-6, ("1",))
         assert repr(got) == repr(expected)
         assert len(pushes) > 2 * len(nu.symbols)
+        assert {side for side, _, _ in pushes} == {"left", "right"}
         assert max(Counter(pushes).values()) == 1
+
+    def test_repeated_class_sets_reuse_each_pair_deviation(self, synced,
+                                                          monkeypatch):
+        # from some length on the synchronized (vector, boundary) classes
+        # repeat, so a pair's deviation is computed once for them and only
+        # its integer context counts are summed again
+        nu, f, pairs, expected = synced
+        calls = []
+        max_deviation = gibbs._max_deviation_hidden
+
+        def counting(pair, *args):
+            calls.append(pair)
+            return max_deviation(pair, *args)
+
+        monkeypatch.setattr(gibbs, "_max_deviation_hidden", counting)
+        lengths = range(1, 10)
+        battery = sg.run_ratio_battery(nu, f, lengths, 1e-6, ("1",))
+        oracle = unmemoized_battery(nu, f, tuple(lengths), 1e-6, ("1",), 3)
+        assert repr(battery) == repr(oracle)
+        # a skipped pair was evaluated at each length up to the one it
+        # failed at
+        evaluations = len(battery.reports) * len(lengths) + sum(
+            c for _, _, c in expected[1])
+        assert 0 < len(calls) < evaluations
 
     def test_each_word_product_computed_once(self, synced, monkeypatch):
         # a word sits in many pairs: its matrix is built once per battery and

@@ -107,13 +107,14 @@ class TestPushforward:
         assert info.value.count == 3
 
     def test_stacked_vector_matrix_rows_are_per_row_products(self):
-        # the level walk's probabilities are the doubles of `cylinder_prob`
-        # only because numpy evaluates a stacked vector-matrix product as one
-        # vector-matrix product per row (a 2-D matrix-matrix product rounds
-        # differently) and sums each row of a 2-D array as it sums a 1-D
-        # one; a numpy or BLAS build that breaks either fails here
+        # the level walk's probabilities are the doubles of `cylinder_prob`,
+        # and the context classes' vectors those of one push per vector,
+        # only because numpy evaluates a stacked vector-matrix or
+        # matrix-vector product as one gemv per row (a 2-D matrix-matrix
+        # product rounds differently) and sums each row of a 2-D array as it
+        # sums a 1-D one; a numpy or BLAS build that breaks either fails here
         rng = np.random.default_rng(13)
-        for n in (2, 3, 5, 8, 13, 26, 40):
+        for n in range(2, 41):
             mats = rng.uniform(0.0, 1.0, (3, n, n)) * (
                 rng.uniform(size=(3, n, n)) < 0.5)
             vecs = rng.uniform(0.0, 1.0, (64, n))
@@ -121,6 +122,12 @@ class TestPushforward:
             assert np.array_equal((vecs[:, None, :] @ mats[0])[:, 0],
                                   per_row[::3])
             stacked = (vecs[:, None, None, :] @ mats[None]).reshape(-1, n)
+            assert np.array_equal(stacked, per_row)
+            assert stacked.sum(axis=1).tolist() == [float(v.sum())
+                                                    for v in per_row]
+            # the right-side form of the context classes' backward push
+            per_row = [m @ v for v in vecs for m in mats]
+            stacked = (mats[None] @ vecs[:, None, :, None]).reshape(-1, n)
             assert np.array_equal(stacked, per_row)
             assert stacked.sum(axis=1).tolist() == [float(v.sum())
                                                     for v in per_row]

@@ -11,7 +11,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 import soficgibbs as sg
 from soficgibbs import gibbs, shifts, thermo
 
-from conftest import loop_shift, random_markov_measure
+from conftest import loop_shift, random_markov_measure, unmemoized_battery
 
 
 @st.composite
@@ -601,6 +601,40 @@ def test_entropy_walk_matches_two_pass_oracle(presentation, k, n_max, seed):
         assert est.estimate == oracle[horizon - 1]
 
 
+@st.composite
+def rounded_vectors(draw):
+    """Nonnegative vectors of one length rounded to 13 digits, as context
+    class keys are; ties and zeros drawn often."""
+    n = draw(st.integers(min_value=1, max_value=5))
+    entries = st.one_of(st.sampled_from([0.0, 1e-13, 0.25, 0.5, 1.0]),
+                        st.floats(min_value=0.0, max_value=1e6))
+    vecs = draw(st.lists(st.lists(entries, min_size=n, max_size=n),
+                         min_size=1, max_size=8))
+    return np.round(np.abs(np.array(vecs)), 13)
+
+
+@settings(max_examples=200, deadline=None)
+@given(rounded_vectors())
+def test_byte_keys_order_as_float_tuples(vecs):
+    # the context classes key a rounded vector by its big-endian bytes in
+    # place of its float tuple: levels must sort, and classes merge, alike
+    keys = [v.astype(">f8").tobytes() for v in vecs]
+    floats = [tuple(v) for v in vecs]
+    for a, fa in zip(keys, floats):
+        for b, fb in zip(keys, floats):
+            assert (a < b) == (fa < fb)
+            assert (a == b) == (fa == fb)
+    order = range(len(vecs))
+    assert (sorted(order, key=keys.__getitem__)
+            == sorted(order, key=floats.__getitem__))
+
+
+def _class_vectors(levels, classes):
+    """Context classes with each vector id replaced by its vector."""
+    return tuple([(levels.vectors[vid], bnd, count) for vid, bnd, count in side]
+                 for side in classes)
+
+
 @settings(max_examples=40, deadline=None)
 @given(labeled_graphs(), st.integers(min_value=1, max_value=3),
        st.integers(min_value=0, max_value=3),
@@ -611,9 +645,12 @@ def test_incremental_context_classes_match_fresh_propagation(
     candidates = nu.words_of_length(sync_len)
     sync = candidates[seed % len(candidates)] if sync_len else None
     levels = gibbs._ContextLevels(nu, k - 1, sync)
-    snapshots = {c: gibbs._context_classes(levels, c) for c in range(1, 7)}
+    snapshots = {c: _class_vectors(levels, gibbs._context_classes(levels, c))
+                 for c in range(1, 7)}
     for c, snapshot in snapshots.items():
-        fresh = gibbs._context_classes(gibbs._ContextLevels(nu, k - 1, sync), c)
+        fresh_levels = gibbs._ContextLevels(nu, k - 1, sync)
+        fresh = _class_vectors(fresh_levels,
+                               gibbs._context_classes(fresh_levels, c))
         for got, want in zip(snapshot, fresh):
             assert len(got) == len(want)
             for (gvec, gbnd, gcount), (wvec, wbnd, wcount) in zip(got, want):
@@ -633,93 +670,6 @@ def test_incremental_context_classes_match_fresh_propagation(
             assert got == boundaries
 
 
-def _unmemoized_battery(nu, potential, lengths, tol, sync, max_word_length):
-    """The ratio battery with nothing reused: every class is pushed, and
-    every word matrix, left product, dot and window delta is computed, where
-    it is used."""
-    b, mats = potential.k - 1, nu._sub_matrices
-    pattern = tuple(sync) if sync else ()
-    rules = ((lambda vec, s: vec @ mats[s],
-              lambda bnd, s: (bnd + (s,))[-b:] if b else (), pattern),
-             (lambda vec, s: mats[s] @ vec,
-              lambda bnd, s: ((s,) + bnd)[:b] if b else (), pattern[::-1]))
-
-    def push(level, apply_mat, boundary_update, pattern):
-        nxt = {}
-        for (_, bnd, st), (vec, count) in level:
-            for s in nu.symbols:
-                vec2 = apply_mat(vec, s)
-                total = vec2.sum()
-                if total <= 0.0:
-                    continue
-                vec2 = vec2 / total
-                key = (tuple(np.round(vec2, 13)), boundary_update(bnd, s),
-                       gibbs._sync_step(pattern, st, s))
-                if key in nxt:
-                    nxt[key][1] += count
-                else:
-                    nxt[key] = [vec2, count]
-        return sorted(nxt.items())
-
-    def word_matrix(word):
-        m = np.eye(len(nu.upstairs.shift.vertices))
-        for s in word:
-            if s not in mats:
-                return None
-            m = m @ mats[s]
-        return m
-
-    def max_deviation(u, v, lefts, rights):
-        tu, tv = word_matrix(u), word_matrix(v)
-        if tu is None or tv is None:
-            return 0.0, 0
-        worst, count = 0.0, 0
-        for lvec, lbnd, lcount in lefts:
-            lu, lv = lvec @ tu, lvec @ tv
-            for rvec, rbnd, rcount in rights:
-                num, den = float(lu @ rvec), float(lv @ rvec)
-                if num <= 0.0 or den <= 0.0:
-                    continue
-                count += lcount * rcount
-                delta = gibbs._window_delta(potential, lbnd, u, v, rbnd)
-                worst = max(worst, abs(math.log(num) - math.log(den) - delta))
-        return worst, count
-
-    starts = (nu._stationary_row, np.ones(len(nu.upstairs.shift.vertices)))
-    levels = [[((tuple(np.round(v0, 13)), (), 0), [v0, 1])]
-              for v0 in (v / v.sum() for v in starts)]
-    pairs = gibbs.exchangeable_pairs(nu.words_of_length, max_word_length)
-    rows, dropped, reached = {pair: [] for pair in pairs}, {}, 0
-    for c in lengths:
-        live = [pair for pair in pairs if pair not in dropped]
-        if not live:
-            break
-        for _ in range(c - reached):
-            levels = [push(level, *rule) for level, rule in zip(levels, rules)]
-        reached = c
-        lefts, rights = ([(vec, bnd, count) for (_, bnd, st), (vec, count)
-                          in level if st == len(rule[2])]
-                         for level, rule in zip(levels, rules))
-        for pair in live:
-            dev, count = max_deviation(*pair, lefts, rights)
-            if count == 0:
-                dropped[pair] = c
-            else:
-                rows[pair].append((dev, count))
-    reports = []
-    for pair in pairs:
-        if pair in dropped:
-            continue
-        devs, counts = zip(*rows[pair])
-        passed = (math.isfinite(devs[-1]) and devs[-1] < tol
-                  and gibbs._trend_non_increasing(devs))
-        reports.append(gibbs.GibbsRatioReport(
-            *pair, tuple(lengths), devs, counts, pattern or None, tol, passed))
-    return sg.RatioBattery(tuple(reports),
-                           tuple(pair for pair in pairs if pair in dropped),
-                           bool(reports) and all(r.passed for r in reports))
-
-
 @settings(max_examples=60, deadline=None)
 @given(labeled_graphs(), st.integers(min_value=1, max_value=3),
        st.integers(min_value=0, max_value=3),
@@ -730,10 +680,18 @@ def test_memoized_battery_matches_unmemoized_oracle(presentation, k, sync_len,
     f = random_potential(presentation, k, seed)
     candidates = nu.words_of_length(sync_len)
     sync = candidates[seed % len(candidates)] if sync_len else None
-    lengths = tuple(range(max(k - 1, 1, sync_len), 7))
+    # up to length 9, so that synchronized class sets recur within a battery
+    # and the per-pair deviation memo is exercised; past 6 only while a
+    # length has at most 400 (left, right) class pairs, as the oracle's cost
+    # grows with their number times the 35 or so word pairs
+    levels, top = gibbs._ContextLevels(nu, k - 1, sync), 6
+    while top < 9 and math.prod(
+            map(len, gibbs._context_classes(levels, top + 1))) <= 400:
+        top += 1
+    lengths = tuple(range(max(k - 1, 1, sync_len), top + 1))
     battery = sg.run_ratio_battery(nu, f, lengths, 1e-6, sync,
                                    max_word_length=3)
-    oracle = _unmemoized_battery(nu, f, lengths, 1e-6, sync, 3)
+    oracle = unmemoized_battery(nu, f, lengths, 1e-6, sync, 3)
     assert repr(battery) == repr(oracle)
 
 
