@@ -252,8 +252,8 @@ _OPTIONS = {
     "--potential": dict(default=None, help="potential file, or 'zero' (default)"),
     "--depth": dict(type=_integer_at_least(1, "the depth"), default=12,
                     help="cylinder depth / entropy horizon"),
-    "--cmax": dict(type=_integer_at_least(1, "the largest context length"), default=20,
-                   help="largest exchange context length"),
+    "--cmax": dict(type=_integer_at_least(1, "the largest context length"),
+                   default=20, help="largest exchange context length"),
     "--tol": dict(type=_tolerance, default=1e-6, help="verdict tolerance"),
 }
 
