@@ -24,10 +24,11 @@ classes do not depend on the exchanged pair: one engine serves
 `gibbs_ratio_test` and `run_ratio_battery`.  Each battery pushes its context
 levels forward once, one symbol per level, and each tested length reads a
 snapshot shared by every pair still live; a level of more than
-`shifts.DEFAULT_ENUMERATION_CAP` classes raises `EnumerationCapError`; the
-limits below are module constants too, read when called.  A pair is skipped
-at the first length without a valid exchange context, and the levels stop
-once no pair is live.
+`shifts.DEFAULT_ENUMERATION_CAP` classes, or more than `CLASS_PAIR_CAP`
+(left, right) class pairs evaluated in one battery, raises
+`EnumerationCapError`; the limits below are module constants too, read when
+called.  A pair is skipped at the first length without a valid exchange
+context, and the levels stop once no pair is live.
 
 A battery computes each value once, keyed on its exact inputs, since a
 recompute would be the same numpy call on the same bytes: the level cells
@@ -71,6 +72,9 @@ from .shifts import Word
 from .thermo import LocallyConstantPotential
 
 PAIR_CAP = 200  # most exchangeable word pairs one battery tests
+# most (left, right) class pairs one battery evaluates afresh: a pair's
+# deviation read again from its memo does not count
+CLASS_PAIR_CAP = 200_000
 # a passing trend lets each deviation exceed the one before by TREND_SLACK of
 # it plus TREND_FLOOR, which absorbs rounding drift near zero deviation
 TREND_SLACK = 0.10
@@ -332,6 +336,7 @@ def _ratio_engine(measure, potential, pairs, context_lengths, tol,
         # per synced (vector id, boundary) lists: pair index -> (worst
         # deviation, valid class index pairs)
         deviations = {}
+        cap, evaluated = CLASS_PAIR_CAP, 0
     found = [[] for _ in pairs]
     dropped_at = [None] * len(pairs)
     live = range(len(pairs))
@@ -346,6 +351,9 @@ def _ratio_engine(measure, potential, pairs, context_lengths, tol,
             results = []
             for i in live:
                 if i not in memo:
+                    evaluated += len(lefts) * len(rights)
+                    if evaluated > cap:
+                        raise EnumerationCapError(evaluated, cap)
                     memo[i] = _max_deviation_hidden(pairs[i], *classes, mats,
                                                     dots, deltas)
                 worst, valid = memo[i]

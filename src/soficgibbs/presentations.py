@@ -2,13 +2,22 @@
 
 A :class:`SoficPresentation` is an edge shift whose edges carry symbols from
 a label alphabet; the presented sofic shift is the set of bi-infinite label
-sequences along paths.  Language queries and determinization run on the
-label subset automaton kept in `codes`: its successor sets, its subset step,
-and its breadth-first closure over the reachable nonempty subsets, with its
-one state cap.  The minimal right-resolving presentation of an irreducible
-sofic shift is obtained by merging states with equal follower sets (partition
-refinement) and extracting the strongly connected component that still
-presents the whole language.
+sequences along paths.  Language queries run on the label subset automaton
+kept in `codes`: its successor sets, its subset step, and its breadth-first
+closure over the reachable nonempty subsets, with its one state cap.
+
+The subset construction has one home, a private integer table built from the
+closure's transitions and trimmed to its essential states: the subsets in
+closure order, the sorted symbols, and delta[state][symbol], a target index
+or -1.  `determinize` names its states; `minimize_fischer` reduces it to the
+minimal right-resolving presentation of an irreducible sofic shift without
+building a presentation on the way.  States with equal follower sets are
+merged by Moore refinement over index lists; the strongly connected
+components of the merged table that carry an edge are the candidates, the
+smallest first, and the one whose language contains every word of the
+table, by an exact search over pairs of index subsets (at most one does), is
+named: its states, sorted by the names of their sets of subsets, become q0,
+q1, ...
 """
 
 from __future__ import annotations
@@ -22,7 +31,8 @@ from .codes import (SlidingBlockCode, _right_resolving, _subset_closure,
 from . import shifts
 from .errors import (EmptyShiftError, EnumerationCapError,
                      ReducibleShiftError)
-from .shifts import Alphabet, Edge, EdgeShift, Word
+from .shifts import (Alphabet, Edge, EdgeShift, Word, _essential_states,
+                     _strong_components)
 
 
 @dataclass(frozen=True)
@@ -164,94 +174,80 @@ def _subset_name(states) -> str:
     return "{" + ",".join(sorted(states)) + "}"
 
 
+def _subset_table(presentation: SoficPresentation):
+    """The subset automaton of the essential part of a presentation, trimmed
+    to its essential states: the reachable subsets in closure order, the
+    sorted symbols, and delta[i][j], the index of subset i stepped by symbol
+    j, or -1."""
+    p = presentation.essential()
+    if p.is_empty:
+        return [], [], []
+    transitions = {}
+    reached = _subset_closure(p.vertices, p._successors, transitions=transitions)
+    subsets = _essential_states(reached, [(src, tgt) for (src, _), tgt
+                                          in transitions.items()])
+    symbols = sorted(p._successors)
+    index = {states: i for i, states in enumerate(subsets)}
+    column = {s: j for j, s in enumerate(symbols)}
+    delta = [[-1] * len(symbols) for _ in subsets]
+    for (src, s), tgt in transitions.items():
+        if src in index and tgt in index:
+            delta[index[src]][column[s]] = index[tgt]
+    return subsets, symbols, delta
+
+
 def determinize(presentation: SoficPresentation) -> SoficPresentation:
     """Right-resolving presentation of the same language via the subset
     construction on reachable nonempty subsets of the essential part, trimmed
     to its essential part."""
-    p = presentation.essential()
-    if p.is_empty:
-        return p
-    transitions = {}
-    reached = _subset_closure(p.vertices, p._successors, transitions=transitions)
-    name = {states: _subset_name(states) for states in reached}
-    edges = tuple(LabeledEdge(name[src], name[tgt], s, f"{name[src]}.{s}")
-                  for (src, s), tgt in transitions.items())
-    return SoficPresentation(tuple(name.values()), edges).essential()
+    subsets, symbols, delta = _subset_table(presentation)
+    name = [_subset_name(states) for states in subsets]
+    return SoficPresentation(tuple(name), tuple(
+        LabeledEdge(name[i], name[t], s, f"{name[i]}.{s}")
+        for i, row in enumerate(delta) for s, t in zip(symbols, row) if t >= 0))
 
 
-def _follower_partition(presentation: SoficPresentation):
-    """Moore refinement of the deterministic graph with an implicit sink for
-    missing transitions; returns the map state -> class representative."""
-    symbols = tuple(presentation.label_alphabet)
-    delta = {}
-    for v in presentation.vertices:
-        for e in presentation.out_edges(v):
-            delta[(v, e.label)] = e.target
-    block_of = {v: 0 for v in presentation.vertices}
+def _follower_classes(delta):
+    """Moore refinement of a deterministic table with an implicit sink for
+    the -1 steps: the class of each state, classes numbered in the order of
+    their first member."""
+    # block_of ends in the sink's class -1, which a -1 step reads
+    block_of, count = [0] * len(delta) + [-1], 1
     while True:
         signatures = {}
-        for v in presentation.vertices:
-            sig = (block_of[v],) + tuple(
-                block_of.get(delta.get((v, s)), -1) for s in symbols)
-            signatures.setdefault(sig, []).append(v)
-        new_block_of = {}
-        for i, (_, members) in enumerate(sorted(signatures.items(),
-                                                key=lambda kv: kv[1][0])):
-            for v in members:
-                new_block_of[v] = i
-        if len(set(new_block_of.values())) == len(set(block_of.values())):
-            return new_block_of
-        block_of = new_block_of
+        new = [signatures.setdefault(
+                   (block_of[i], *map(block_of.__getitem__, row)), len(signatures))
+               for i, row in enumerate(delta)]
+        if len(signatures) == count:
+            return new, count
+        block_of, count = new + [-1], len(signatures)
 
 
-def _merge_followers(presentation: SoficPresentation) -> SoficPresentation:
-    block_of = _follower_partition(presentation)
-    reps = {}
-    for v in sorted(presentation.vertices):
-        reps.setdefault(block_of[v], v)
-    name = {b: _subset_name([v for v in presentation.vertices if block_of[v] == b])
-            for b in reps}
-    seen = set()
-    edges = []
-    for e in presentation.edges:
-        src, tgt = name[block_of[e.source]], name[block_of[e.target]]
-        key = (src, e.label)
-        if key in seen:
-            continue
-        seen.add(key)
-        edges.append(LabeledEdge(src, tgt, e.label, f"{src}.{e.label}"))
-    merged = SoficPresentation(tuple(sorted(set(name.values()))), tuple(edges))
-    return merged.essential()
-
-
-def _language_contained(whole: SoficPresentation, part: SoficPresentation) -> bool:
-    """Exact test that every word readable in `whole` is readable in `part`."""
-    start = (frozenset(whole.vertices), frozenset(part.vertices))
-    symbols = sorted({e.label for e in whole.edges} | {e.label for e in part.edges})
+def _presents_whole(delta, part):
+    """Exact test that every word read from the full state set of a table
+    is read inside `part`, along steps that stay in it."""
+    if len(part) == len(delta):
+        return True
+    columns = list(zip(*delta))
+    # intersecting a step with a set of states drops its -1
+    full, part = frozenset(range(len(delta))), frozenset(part)
+    start = (full, part)
     seen = {start}
     todo = [start]
     while todo:
-        sw, sp = todo.pop()
-        for s in symbols:
-            nw = whole._step(sw, s)
-            if not nw:
+        whole, sub = todo.pop()
+        for col in columns:
+            nxt_whole = frozenset(map(col.__getitem__, whole)) & full
+            if not nxt_whole:
                 continue
-            np_ = part._step(sp, s)
-            if not np_:
+            nxt_sub = frozenset(map(col.__getitem__, sub)) & part
+            if not nxt_sub:
                 return False
-            nxt = (nw, np_)
+            nxt = (nxt_whole, nxt_sub)
             if nxt not in seen:
                 seen.add(nxt)
                 todo.append(nxt)
     return True
-
-
-def _rename_canonical(presentation: SoficPresentation) -> SoficPresentation:
-    names = {v: f"q{i}" for i, v in enumerate(presentation.vertices)}
-    edges = tuple(LabeledEdge(names[e.source], names[e.target], e.label,
-                              f"{names[e.source]}.{e.label}")
-                  for e in presentation.edges)
-    return SoficPresentation(tuple(names.values()), edges)
 
 
 def minimize_fischer(presentation: SoficPresentation):
@@ -262,24 +258,39 @@ def minimize_fischer(presentation: SoficPresentation):
     has degree one.  Raises ReducibleShiftError when no strongly connected
     component of the merged deterministic graph presents the full language.
     """
-    det = determinize(presentation)
-    if det.is_empty:
+    subsets, symbols, delta = _subset_table(presentation)
+    if not subsets:
         raise EmptyShiftError("requires a nonempty sofic shift")
-    merged = _merge_followers(det)
-    graph = merged.underlying_edge_shift()
+    block_of, count = _follower_classes(delta)
+    members = [[] for _ in range(count)]
+    for i, b in enumerate(block_of):
+        members[b].append(i)
+    # the quotient of an essential table is essential: each class keeps its
+    # members' steps in and out
+    merged = [[block_of[t] if t >= 0 else -1 for t in delta[ms[0]]]
+              for ms in members]
+    # Only a component that carries an edge can present the shift, and at
+    # most one does: the merged table is right-resolving and follower-
+    # separated, so it has a word along which every path ends in one state
+    # (Lind & Marcus §3.3), and a component that reads every word holds
+    # that state.  Smaller components are tested first.
     candidates = []
-    for comp in graph.strongly_connected_components():
-        keep = set(comp)
-        edges = tuple(e for e in merged.edges if e.source in keep and e.target in keep)
-        if not edges:
-            continue
-        sub = SoficPresentation(tuple(comp), edges)
-        if _language_contained(merged, sub):
-            candidates.append(sub)
-    if not candidates:
+    for comp in _strong_components([[t for t in row if t >= 0]
+                                    for row in merged]):
+        part = set(comp)
+        if any(t in part for b in comp for t in merged[b]):
+            candidates.append(part)
+    for part in sorted(candidates, key=len):
+        if _presents_whole(merged, part):
+            break
+    else:
         raise ReducibleShiftError("requires irreducible sofic shift")
-    candidates.sort(key=lambda s: (len(s.vertices), s.vertices))
-    fischer = _rename_canonical(candidates[0])
+    names = {b: _subset_name(_subset_name(subsets[i]) for i in members[b])
+             for b in part}
+    q = {b: f"q{k}" for k, b in enumerate(sorted(part, key=names.get))}
+    fischer = SoficPresentation(tuple(q.values()), tuple(
+        LabeledEdge(q[b], q[t], s, f"{q[b]}.{s}")
+        for b in part for s, t in zip(symbols, merged[b]) if t in part))
     return fischer, fischer.labeling_code()
 
 

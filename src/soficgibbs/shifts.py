@@ -182,66 +182,21 @@ class EdgeShift:
         return all(self._out[v] and self._in[v] for v in self.vertices)
 
     def essential(self) -> "EdgeShift":
-        """Prune vertices not on bi-infinite paths (iterated degree pruning)."""
-        alive = set(self.vertices)
-        out_deg = {v: len(self._out[v]) for v in self.vertices}
-        in_deg = {v: len(self._in[v]) for v in self.vertices}
-        changed = True
-        while changed:
-            changed = False
-            for v in sorted(alive):
-                if out_deg[v] == 0 or in_deg[v] == 0:
-                    alive.discard(v)
-                    for e in self._out[v]:
-                        if e.target in alive:
-                            in_deg[e.target] -= 1
-                    for e in self._in[v]:
-                        if e.source in alive:
-                            out_deg[e.source] -= 1
-                    changed = True
-        edges = tuple(e for e in self.edges if e.source in alive and e.target in alive)
-        return EdgeShift(tuple(sorted(alive)), edges)
+        """Prune vertices not on bi-infinite paths."""
+        alive = _essential_states(self.vertices,
+                                  [(e.source, e.target) for e in self.edges])
+        keep = set(alive)
+        return EdgeShift(tuple(alive), tuple(
+            e for e in self.edges if e.source in keep and e.target in keep))
 
     # -- connectivity and period -------------------------------------------
 
     def strongly_connected_components(self) -> tuple[tuple[str, ...], ...]:
         """Kosaraju SCCs, deterministic order."""
-        order = []
-        seen = set()
-        for root in self.vertices:
-            if root in seen:
-                continue
-            stack = [(root, iter(self._out[root]))]
-            seen.add(root)
-            while stack:
-                v, it = stack[-1]
-                advanced = False
-                for e in it:
-                    if e.target not in seen:
-                        seen.add(e.target)
-                        stack.append((e.target, iter(self._out[e.target])))
-                        advanced = True
-                        break
-                if not advanced:
-                    order.append(v)
-                    stack.pop()
-        comp_of = {}
-        comps = []
-        for root in reversed(order):
-            if root in comp_of:
-                continue
-            comp = []
-            todo = [root]
-            comp_of[root] = len(comps)
-            while todo:
-                v = todo.pop()
-                comp.append(v)
-                for e in self._in[v]:
-                    if e.source not in comp_of:
-                        comp_of[e.source] = len(comps)
-                        todo.append(e.source)
-            comps.append(tuple(sorted(comp)))
-        return tuple(comps)
+        index = self.vertex_index
+        succ = [[index[e.target] for e in self._out[v]] for v in self.vertices]
+        return tuple(tuple(self.vertices[i] for i in comp)
+                     for comp in _strong_components(succ))
 
     def is_irreducible(self) -> bool:
         """True iff the graph is a single strongly connected component."""
@@ -298,6 +253,72 @@ class EdgeShift:
                 return None
             prev = e.target
         return self.edge_by_id[word[0]].source, prev
+
+
+def _essential_states(states, arcs):
+    """The states on bi-infinite paths of the graph of (source, target)
+    arcs, in the given order: what is left once every state without an in-
+    or an out-arc is removed, again and again."""
+    outs, ins = {v: [] for v in states}, {v: [] for v in states}
+    for a, b in arcs:
+        outs[a].append(b)
+        ins[b].append(a)
+    out_deg = {v: len(bs) for v, bs in outs.items()}
+    in_deg = {v: len(as_) for v, as_ in ins.items()}
+    dead = {v for v in states if not out_deg[v] or not in_deg[v]}
+    todo = list(dead)
+    while todo:
+        v = todo.pop()
+        for degree, ends in ((in_deg, outs[v]), (out_deg, ins[v])):
+            for w in ends:
+                degree[w] -= 1
+                if not degree[w] and w not in dead:
+                    dead.add(w)
+                    todo.append(w)
+    return [v for v in states if v not in dead]
+
+
+def _strong_components(succ):
+    """Kosaraju's strongly connected components of the graph on 0..n-1 with
+    successor lists succ, each sorted, in the reverse finishing order of a
+    depth-first walk rooted at each index in turn."""
+    n = len(succ)
+    order, seen = [], [False] * n
+    for root in range(n):
+        if seen[root]:
+            continue
+        seen[root] = True
+        stack = [(root, iter(succ[root]))]
+        while stack:
+            v, it = stack[-1]
+            for t in it:
+                if not seen[t]:
+                    seen[t] = True
+                    stack.append((t, iter(succ[t])))
+                    break
+            else:
+                order.append(v)
+                stack.pop()
+    pred = [[] for _ in range(n)]
+    for v, ts in enumerate(succ):
+        for t in ts:
+            pred[t].append(v)
+    placed = [False] * n
+    comps = []
+    for root in reversed(order):
+        if placed[root]:
+            continue
+        placed[root] = True
+        comp, todo = [], [root]
+        while todo:
+            v = todo.pop()
+            comp.append(v)
+            for u in pred[v]:
+                if not placed[u]:
+                    placed[u] = True
+                    todo.append(u)
+        comps.append(sorted(comp))
+    return comps
 
 
 def missing_word(language, keys, n: int) -> Word | None:

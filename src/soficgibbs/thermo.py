@@ -153,7 +153,9 @@ def reduce_to_edge_potential(potential: LocallyConstantPotential):
 class PerronData:
     """Dominant eigendata of a nonnegative irreducible matrix, normalized so
     that left . right = 1; lower <= eigenvalue <= upper brackets the Perron
-    root."""
+    root.  The residual is the larger over the two sides of
+    ||Mx - lambda x||_inf / (lambda ||x||_inf), which does not depend on the
+    scale of M or of x."""
 
     eigenvalue: float
     left: np.ndarray
@@ -317,8 +319,9 @@ def perron(m: np.ndarray) -> PerronData:
     lower, upper = max(lower_r, lower_l), min(upper_r, upper_l)
     lam = 0.5 * (lower + upper)
     left = left / float(left @ right)
-    residual = max(float(np.max(np.abs(m @ right - lam * right))),
-                   float(np.max(np.abs(m.T @ left - lam * left))))
+    residual = max(float(np.max(np.abs(a @ x - lam * x)))
+                   / (lam * float(x.max()))
+                   for a, x in ((m, right), (m.T, left)))
     return PerronData(lam, left, right, residual, lower, upper)
 
 

@@ -5,6 +5,10 @@ import pytest
 
 import soficgibbs as sg
 from soficgibbs import gibbs
+from soficgibbs.errors import EmptyShiftError, ReducibleShiftError
+from soficgibbs.codes import _subset_closure
+from soficgibbs.presentations import (LabeledEdge, SoficPresentation,
+                                      _subset_name)
 
 PHI = (1 + math.sqrt(5)) / 2
 
@@ -162,6 +166,129 @@ def unmemoized_battery(nu, potential, lengths, tol, sync, max_word_length):
     return sg.RatioBattery(tuple(reports),
                            tuple(pair for pair in pairs if pair in dropped),
                            bool(reports) and all(r.passed for r in reports))
+
+
+# The Fischer cover built through a string-named presentation at every
+# stage: determinized, trimmed, merged, each component, renamed.
+
+
+def string_determinize(presentation: SoficPresentation) -> SoficPresentation:
+    """Right-resolving presentation of the same language via the subset
+    construction on reachable nonempty subsets of the essential part, trimmed
+    to its essential part."""
+    p = presentation.essential()
+    if p.is_empty:
+        return p
+    transitions = {}
+    reached = _subset_closure(p.vertices, p._successors, transitions=transitions)
+    name = {states: _subset_name(states) for states in reached}
+    edges = tuple(LabeledEdge(name[src], name[tgt], s, f"{name[src]}.{s}")
+                  for (src, s), tgt in transitions.items())
+    return SoficPresentation(tuple(name.values()), edges).essential()
+
+
+def _follower_partition(presentation: SoficPresentation):
+    """Moore refinement of the deterministic graph with an implicit sink for
+    missing transitions; returns the map state -> class representative."""
+    symbols = tuple(presentation.label_alphabet)
+    delta = {}
+    for v in presentation.vertices:
+        for e in presentation.out_edges(v):
+            delta[(v, e.label)] = e.target
+    block_of = {v: 0 for v in presentation.vertices}
+    while True:
+        signatures = {}
+        for v in presentation.vertices:
+            sig = (block_of[v],) + tuple(
+                block_of.get(delta.get((v, s)), -1) for s in symbols)
+            signatures.setdefault(sig, []).append(v)
+        new_block_of = {}
+        for i, (_, members) in enumerate(sorted(signatures.items(),
+                                                key=lambda kv: kv[1][0])):
+            for v in members:
+                new_block_of[v] = i
+        if len(set(new_block_of.values())) == len(set(block_of.values())):
+            return new_block_of
+        block_of = new_block_of
+
+
+def _merge_followers(presentation: SoficPresentation) -> SoficPresentation:
+    block_of = _follower_partition(presentation)
+    reps = {}
+    for v in sorted(presentation.vertices):
+        reps.setdefault(block_of[v], v)
+    name = {b: _subset_name([v for v in presentation.vertices if block_of[v] == b])
+            for b in reps}
+    seen = set()
+    edges = []
+    for e in presentation.edges:
+        src, tgt = name[block_of[e.source]], name[block_of[e.target]]
+        key = (src, e.label)
+        if key in seen:
+            continue
+        seen.add(key)
+        edges.append(LabeledEdge(src, tgt, e.label, f"{src}.{e.label}"))
+    merged = SoficPresentation(tuple(sorted(set(name.values()))), tuple(edges))
+    return merged.essential()
+
+
+def _language_contained(whole: SoficPresentation, part: SoficPresentation) -> bool:
+    """Exact test that every word readable in `whole` is readable in `part`."""
+    start = (frozenset(whole.vertices), frozenset(part.vertices))
+    symbols = sorted({e.label for e in whole.edges} | {e.label for e in part.edges})
+    seen = {start}
+    todo = [start]
+    while todo:
+        sw, sp = todo.pop()
+        for s in symbols:
+            nw = whole._step(sw, s)
+            if not nw:
+                continue
+            np_ = part._step(sp, s)
+            if not np_:
+                return False
+            nxt = (nw, np_)
+            if nxt not in seen:
+                seen.add(nxt)
+                todo.append(nxt)
+    return True
+
+
+def _rename_canonical(presentation: SoficPresentation) -> SoficPresentation:
+    names = {v: f"q{i}" for i, v in enumerate(presentation.vertices)}
+    edges = tuple(LabeledEdge(names[e.source], names[e.target], e.label,
+                              f"{names[e.source]}.{e.label}")
+                  for e in presentation.edges)
+    return SoficPresentation(tuple(names.values()), edges)
+
+
+def string_minimize_fischer(presentation: SoficPresentation):
+    """Minimal right-resolving presentation of an irreducible sofic shift.
+
+    Returns the presentation together with its cover code (the one-block
+    labeling code from the presentation's edge shift onto the shift), which
+    has degree one.  Raises ReducibleShiftError when no strongly connected
+    component of the merged deterministic graph presents the full language.
+    """
+    det = string_determinize(presentation)
+    if det.is_empty:
+        raise EmptyShiftError("requires a nonempty sofic shift")
+    merged = _merge_followers(det)
+    graph = merged.underlying_edge_shift()
+    candidates = []
+    for comp in graph.strongly_connected_components():
+        keep = set(comp)
+        edges = tuple(e for e in merged.edges if e.source in keep and e.target in keep)
+        if not edges:
+            continue
+        sub = SoficPresentation(tuple(comp), edges)
+        if _language_contained(merged, sub):
+            candidates.append(sub)
+    if not candidates:
+        raise ReducibleShiftError("requires irreducible sofic shift")
+    candidates.sort(key=lambda s: (len(s.vertices), s.vertices))
+    fischer = _rename_canonical(candidates[0])
+    return fischer, fischer.labeling_code()
 
 
 @pytest.fixture

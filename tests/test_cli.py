@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -223,6 +224,26 @@ class TestMoreErrors:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ")
+
+    def test_class_pair_blow_up_exits_2_within_seconds(self, tmp_path, capsys):
+        # B reads 00 along B -> B -> B and B -> A -> B: the labeling is not
+        # finite-to-one, so there is no magic word and every context is
+        # tested; the context classes keep multiplying with their length
+        p = tmp_path / "diamond.shift"
+        p.write_text("[alphabet] 0 1\n"
+                     "[shift] kind=labeled vertices=A B\n"
+                     "edge a: A -> B label 0\n"
+                     "edge b: A -> B label 1\n"
+                     "edge c: B -> A label 0\n"
+                     "edge d: B -> A label 1\n"
+                     "edge e: B -> B label 0\n")
+        start = time.perf_counter()
+        assert main(["gibbs-check", str(p), "--cmax", "20",
+                     "--format", "machine"]) == 2
+        assert time.perf_counter() - start < 20
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: enumeration too large" in captured.err
 
     def test_context_class_cap_exit_2(self, files, capsys, monkeypatch):
         # both length-1 left contexts of the even shift are classes of their

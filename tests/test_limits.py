@@ -8,15 +8,16 @@ import numpy as np
 import pytest
 
 import soficgibbs as sg
-from soficgibbs import shifts, thermo
+from soficgibbs import gibbs, shifts, thermo
 
 from conftest import loop_shift
 
 SOURCES = sorted(Path(sg.__file__).parent.glob("*.py"))
 
 LIMITS = {"DEFAULT_ENUMERATION_CAP", "SUBSET_STATE_CAP", "PERRON_TOL",
-          "PERRON_MAX_ITER", "PERRON_DENSE_DIM", "PAIR_CAP", "TREND_SLACK",
-          "TREND_FLOOR", "CROSS_CHECK_LENGTH", "COUNTEREXAMPLE_COUNT_LENGTH"}
+          "PERRON_MAX_ITER", "PERRON_DENSE_DIM", "PAIR_CAP", "CLASS_PAIR_CAP",
+          "TREND_SLACK", "TREND_FLOOR", "CROSS_CHECK_LENGTH",
+          "COUNTEREXAMPLE_COUNT_LENGTH"}
 
 
 def _full2_languages():
@@ -53,6 +54,35 @@ def test_enumeration_reads_the_cap_when_called(name, monkeypatch):
     with pytest.raises(sg.EnumerationCapError) as info:
         enumerate_()
     assert (info.value.count, info.value.cap) == (4, 3)
+
+
+def test_battery_reads_the_class_pair_cap_when_called(monkeypatch):
+    # the largest count on the golden runs and the bench workloads is 1758
+    assert gibbs.CLASS_PAIR_CAP == 200_000
+    # the full 2-shift with a window-2 potential: at every length two left
+    # and two right classes, split by their boundary symbol
+    image = sg.identity_presentation(loop_shift(2))
+    potential = sg.LocallyConstantPotential(image, 2, {
+        w: 0.1 * i for i, w in enumerate(image.words_of_length(2))})
+    nu = sg.equilibrium_upstairs(image.labeling_code(), potential).downstairs
+    fresh = []
+    deviation = gibbs._max_deviation_hidden
+    monkeypatch.setattr(gibbs, "_max_deviation_hidden",
+                        lambda pair, lefts, rights, *rest: fresh.append(
+                            len(lefts) * len(rights))
+                        or deviation(pair, lefts, rights, *rest))
+    lengths = [1, 2, 3, 4, 5]
+    battery = sg.run_ratio_battery(nu, potential, lengths, 1e-6)
+    # the class lists repeat from one length to the next, so each pair is
+    # evaluated once and read from its memo after that
+    assert fresh == [4] * len(battery.reports)
+    count = sum(fresh)
+    monkeypatch.setattr(gibbs, "CLASS_PAIR_CAP", count)
+    sg.run_ratio_battery(nu, potential, lengths, 1e-6)
+    monkeypatch.setattr(gibbs, "CLASS_PAIR_CAP", count - 1)
+    with pytest.raises(sg.EnumerationCapError) as info:
+        sg.run_ratio_battery(nu, potential, lengths, 1e-6)
+    assert (info.value.count, info.value.cap) == (count, count - 1)
 
 
 def test_perron_reads_the_iteration_limit_when_called(monkeypatch):

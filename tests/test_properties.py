@@ -11,7 +11,8 @@ from hypothesis import assume, example, given, settings, strategies as st
 import soficgibbs as sg
 from soficgibbs import gibbs, shifts, thermo
 
-from conftest import loop_shift, random_markov_measure, unmemoized_battery
+from conftest import (loop_shift, random_markov_measure, string_determinize,
+                      string_minimize_fischer, unmemoized_battery)
 
 
 @st.composite
@@ -449,6 +450,35 @@ def test_determinize_matches_depth_first_oracle(presentation):
     det = sg.determinize(presentation)
     assert det == _depth_first_determinize(presentation)
     assert det.is_deterministic
+
+
+def _assert_cover_matches_string_oracle(presentation):
+    assert sg.determinize(presentation) == string_determinize(presentation)
+    try:
+        oracle_fischer, oracle_code = string_minimize_fischer(presentation)
+    except (sg.EmptyShiftError, sg.ReducibleShiftError) as error:
+        with pytest.raises(type(error)):
+            sg.minimize_fischer(presentation)
+        if isinstance(error, sg.ReducibleShiftError):
+            assert not sg.is_irreducible_sofic(presentation)
+        return
+    fischer, code = sg.minimize_fischer(presentation)
+    assert fischer == oracle_fischer
+    assert code.table == oracle_code.table
+    assert code == oracle_code
+    assert sg.is_irreducible_sofic(presentation)
+
+
+@settings(max_examples=150, deadline=None)
+@given(labeled_graphs())
+def test_fischer_cover_matches_string_oracle(presentation):
+    _assert_cover_matches_string_oracle(presentation)
+
+
+@settings(max_examples=300, deadline=None)
+@given(untrimmed_labeled_graphs())
+def test_fischer_cover_of_untrimmed_graph_matches_string_oracle(presentation):
+    _assert_cover_matches_string_oracle(presentation)
 
 
 @settings(max_examples=60, deadline=None)
