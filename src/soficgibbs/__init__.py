@@ -30,12 +30,11 @@ from .measures import (EntropyEstimate, HiddenMarkovMeasure, LiftResult,
                        preimage_cylinder_sum, pushforward,
                        restrict_and_average, sofic_pressure)
 from .presentations import (LabeledEdge, SoficPresentation, determinize,
-                            identity_presentation, image_presentation,
-                            is_irreducible_sofic, minimize_fischer)
+                            image_presentation, is_irreducible_sofic,
+                            minimize_fischer)
 from .shifts import (Alphabet, CyclicStructure, Edge, EdgeShift, Word,
                      component_periods, cyclic_class_shift, cyclic_structure,
-                     format_word, higher_power_shift,
-                     sft_from_forbidden_words)
+                     format_word, sft_from_forbidden_words)
 from .thermo import (CyclicPressureReport, LocallyConstantPotential,
                      MarkovMeasure, PerronData, cyclic_pressure_check,
                      entropy, equilibrium_measure, integrate, period_sum_potential,

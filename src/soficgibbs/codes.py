@@ -3,17 +3,25 @@
 Codes are normalized to one-block form before analysis; the conjugacy used in
 the recoding is retained so that results transport back.  The label subset
 automaton of a labeled graph (Lind & Marcus, §3.3 and §9.1) lives here too:
-successor sets, a subset step, and a breadth-first closure with one state
-cap, shared by the subset construction of `presentations`.  Degree and magic
-word come from one search over (forward subset, backward subset, symbol)
-triples of the automaton: a triple's multiplicity is the popcount of the AND
-of two bit masks over the symbol's edges in sorted-id order, and the least
-(multiplicity, word length, word) wins, the first of equal keys in the order
-fronts, backs, symbols.
+successor sets, a subset step, and a breadth-first walk that yields one level
+at a time; exhausted, it is the closure that the subset construction of
+`presentations` reads.  `SUBSET_STATE_CAP` bounds the subsets one walk
+builds, however far it is taken.  Degree and magic word come from one search
+over (forward subset, backward subset, symbol) triples of the automaton: a
+triple's multiplicity is the popcount of the AND of two bit masks over the
+symbol's edges in sorted-id order, and the least (multiplicity, word length,
+word) wins.  Triples are scanned by word length L = 1, 2, ..., front depth
+ascending within a length, so the first of equal keys is the first in the
+order fronts, backs, symbols; each level of either walk is built when first
+read.  The scan stops after the first length whose best multiplicity is 1,
+since no multiplicity is lower and every longer word loses on length: a
+degree-1 code whose full closure is past the cap, but whose magic word is
+shallow, gets an answer.  Codes of higher degree build both closures.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Mapping
@@ -23,7 +31,7 @@ from .errors import (EnumerationCapError, NotFiniteToOneError,
 from .shifts import (PATH_SEP, Alphabet, Edge, EdgeShift, Word,
                      _paths_of_length, missing_word)
 
-# Most subsets one closure of the label subset automaton may reach.
+# Most subsets one walk of the label subset automaton may build.
 SUBSET_STATE_CAP = 10_000
 
 
@@ -187,6 +195,8 @@ def is_finite_to_one(code: SlidingBlockCode) -> bool:
     shift = code.domain
     if not shift.is_irreducible():
         raise ReducibleShiftError("finite-to-one test requires an irreducible domain")
+    if _right_resolving(_labeled_triples(code)):
+        return True  # two paths from one vertex reading one word are equal
     # states (u, v, strict_seen); edges pair equal-labeled domain edges
     start = [(v, v, False) for v in shift.vertices]
     seen = set(start)
@@ -275,19 +285,22 @@ def _subset_step(succ, states, symbol):
     return frozenset().union(*[at[v] for v in states if v in at])
 
 
-def _subset_closure(vertices, succ, forward=True, transitions=None):
-    """Nonempty subsets reachable from the full vertex set, breadth first, each
-    with a shortest witness word (the first in label order), read backward
-    when not `forward`.  Fills `transitions` with every nonempty step when
-    given; raises EnumerationCapError past SUBSET_STATE_CAP subsets."""
+def _subset_levels(vertices, succ, forward=True, transitions=None):
+    """Breadth-first levels of the nonempty subsets reachable from the full
+    vertex set: each level maps its new subsets, in closure order, to their
+    shortest witness words (the first in label order), read backward when
+    not `forward`.  A level is built only when it is asked for.  Fills
+    `transitions`, when given, with every nonempty step out of the levels
+    walked past; raises EnumerationCapError once more than SUBSET_STATE_CAP
+    subsets are built."""
     cap = SUBSET_STATE_CAP
     symbols = sorted(succ)
-    full = frozenset(vertices)
-    seen = {full: ()}
-    queue = [full]
-    while queue:
-        nxt_queue = []
-        for cur in queue:
+    level = {frozenset(vertices): ()}
+    seen = set(level)
+    while level:
+        yield level
+        nxt_level = {}
+        for cur, word in level.items():
             for s in symbols:
                 nxt = _subset_step(succ, cur, s)
                 if not nxt:
@@ -295,17 +308,19 @@ def _subset_closure(vertices, succ, forward=True, transitions=None):
                 if transitions is not None:
                     transitions[(cur, s)] = nxt
                 if nxt not in seen:
-                    seen[nxt] = seen[cur] + (s,) if forward else (s,) + seen[cur]
-                    nxt_queue.append(nxt)
+                    seen.add(nxt)
+                    nxt_level[nxt] = word + (s,) if forward else (s,) + word
                     if len(seen) > cap:
                         raise EnumerationCapError(len(seen), cap)
-        queue = nxt_queue
-    return seen
+        level = nxt_level
 
 
-def _reachable_subsets(code, forward):
-    return _subset_closure(code.domain.vertices,
-                           _successor_sets(_labeled_triples(code), forward), forward)
+def _subset_closure(vertices, succ, forward=True, transitions=None):
+    """All of `_subset_levels` in one dict, in closure order."""
+    reached = {}
+    for level in _subset_levels(vertices, succ, forward, transitions):
+        reached.update(level)
+    return reached
 
 
 def degree(code: SlidingBlockCode) -> int:
@@ -334,8 +349,9 @@ def _degree_search(code):
     by_label = _label_edges(code)
     symbols = sorted(by_label)
     edges_of = [sorted(by_label[s], key=lambda e: e.id) for s in symbols]
+    triples = _labeled_triples(code)
 
-    def masks(subsets, end):
+    def masks(forward, end):
         # bit i of a vertex's mask for symbol j: the i-th edge of j in
         # sorted-id order has the vertex as its `end`; these masks are
         # disjoint, so a subset's union of them is their sum
@@ -343,33 +359,51 @@ def _degree_search(code):
         for j, edges in enumerate(edges_of):
             for i, e in enumerate(edges):
                 at[getattr(e, end)][j] |= 1 << i
-        return [(word, len(word), [sum(col) for col in zip(*map(at.get, subset))])
-                for subset, word in subsets.items()]
+        succ = _successor_sets(triples, forward)
+        for level in _subset_levels(code.domain.vertices, succ, forward):
+            yield [(word, [sum(col) for col in zip(*map(at.get, subset))])
+                   for subset, word in level.items()]
 
-    fronts = masks(_reachable_subsets(code, True), "source")
-    backs = masks(_reachable_subsets(code, False), "target")
+    fronts, backs = ([], masks(True, "source")), ([], masks(False, "target"))
+
+    def level(side, depth):
+        # levels are asked for in depth order, each built on first demand
+        got, more = side
+        if depth == len(got):
+            got.extend(itertools.islice(more, 1))
+        return got[depth] if depth < len(got) else None
+
+    # Triples are scanned by word length, front depth ascending, so each
+    # length keeps the order fronts, backs, symbols of the full closures.
     # A triple whose multiplicity or word length already loses to the best
-    # key is skipped before its word is built.  Suffixes come in
-    # nondecreasing length and no multiplicity is below 1, so once 1 is
-    # reached the rest of a front's longer pairs are cut off.
+    # key is skipped before its word is built.  No multiplicity is below 1,
+    # so a length that reaches 1 is the last.  Otherwise the scan ends once
+    # both walks are exhausted, on the first length longer than every word
+    # of a front, a symbol and a back: while a walk may still grow, the
+    # levels held number more than the length.
     best = best_len = math.inf
     best_key, best_at = (math.inf,), None
-    for prefix, front_len, front_row in fronts:
-        for suffix, back_len, back_row in backs:
-            length = front_len + 1 + back_len
-            if length > best_len and best == 1:
-                break
-            for j, hit in enumerate(map(int.__and__, front_row, back_row)):
-                if not hit:
-                    continue
-                m = hit.bit_count()
-                if m > best or m == best and length > best_len:
-                    continue
-                word = prefix + (symbols[j],) + suffix
-                key = (m, length, word)
-                if key < best_key:
-                    best, best_len, best_key = m, length, key
-                    best_at = (word, front_len, j, hit)
+    for length in itertools.count(1):
+        for a in range(length):
+            front = level(fronts, a)
+            back = front and level(backs, length - 1 - a)
+            if not back:
+                continue
+            for prefix, front_row in front:
+                for suffix, back_row in back:
+                    for j, hit in enumerate(map(int.__and__, front_row, back_row)):
+                        if not hit:
+                            continue
+                        m = hit.bit_count()
+                        if m > best or m == best and length > best_len:
+                            continue
+                        word = prefix + (symbols[j],) + suffix
+                        key = (m, length, word)
+                        if key < best_key:
+                            best, best_len, best_key = m, length, key
+                            best_at = (word, a, j, hit)
+        if best == 1 or length >= len(fronts[0]) + len(backs[0]):
+            break
     if best_at is None:
         return None, None
     word, coordinate, j, hit = best_at

@@ -50,6 +50,8 @@ class SoficPresentation:
 
     def __post_init__(self):
         vertices = tuple(sorted(str(v) for v in self.vertices))
+        if len(set(vertices)) != len(vertices):
+            raise ValueError("duplicate vertex")
         edges = tuple(sorted(self.edges, key=lambda e: e.id))
         ids = [e.id for e in edges]
         if len(set(ids)) != len(ids):
@@ -163,11 +165,6 @@ def image_presentation(code: SlidingBlockCode) -> SoficPresentation:
     edges = tuple(LabeledEdge(e.source, e.target, code.label(e.id), e.id)
                   for e in code.domain.edges)
     return SoficPresentation(code.domain.vertices, edges)
-
-
-def identity_presentation(shift: EdgeShift) -> SoficPresentation:
-    """Each edge labeled by its own id."""
-    return image_presentation(SlidingBlockCode.identity(shift))
 
 
 def _subset_name(states) -> str:

@@ -448,17 +448,6 @@ def _forbidden_graph(alphabet, forbidden, window):
     return shift, labels
 
 
-def higher_power_shift(shift: EdgeShift, p: int) -> EdgeShift:
-    """Same vertices, edges the directed paths of length p."""
-    if p < 1:
-        raise ValueError("power must be positive")
-    if p == 1:
-        return shift
-    edges = tuple(Edge(src, tgt, PATH_SEP.join(path))
-                  for path, src, tgt in _paths_of_length(shift, p))
-    return EdgeShift(shift.vertices, edges)
-
-
 def _paths_of_length(shift, p):
     """Yield (edge-id path, source, target) for every directed path of length p."""
     stack = [((), v, v) for v in reversed(shift.vertices)]

@@ -18,6 +18,11 @@ def loop_shift(k):
     return sg.EdgeShift(("*",), tuple(sg.Edge("*", "*", str(i)) for i in range(k)))
 
 
+def identity_presentation(shift):
+    """The edge shift as a sofic presentation, each edge labeled by its id."""
+    return sg.image_presentation(sg.SlidingBlockCode.identity(shift))
+
+
 def random_markov_measure(shift, rng):
     """A random fully supported stationary Markov measure on the shift.
 

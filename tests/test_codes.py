@@ -194,16 +194,38 @@ class TestDegree:
         assert sg.degree(xor_code) == 2
         assert calls == [xor_code]
 
-    def test_subset_cap_raises(self, golden_mean, monkeypatch):
-        # the full vertex set is the first subset; each edge of the golden
-        # mean shift leads from it to a single vertex, exceeding a cap of one
-        code = sg.SlidingBlockCode.identity(golden_mean)
-        monkeypatch.setattr(codes, "SUBSET_STATE_CAP", 1)
+    def test_subset_cap_bounds_every_subset_built(self, golden_mean,
+                                                   monkeypatch):
+        # The two-sheeted cover of the golden mean identity code has degree
+        # 2, so the search builds both closures: the full set and the two
+        # fibres {0s0, 0s1} and {1s0, 1s1} on each side, exceeding a cap of 2.
+        edges, labels = [], {}
+        for e in golden_mean.edges:
+            for sheet in range(2):
+                image = 1 - sheet if e.id == "00" else sheet
+                eid = f"{e.id}s{sheet}"
+                edges.append(sg.Edge(f"{e.source}s{sheet}",
+                                     f"{e.target}s{image}", eid))
+                labels[eid] = e.id
+        shift = sg.EdgeShift(tuple(f"{v}s{i}" for v in "01" for i in range(2)),
+                             tuple(edges))
+        code = sg.SlidingBlockCode.one_block(shift, labels)
+        monkeypatch.setattr(codes, "SUBSET_STATE_CAP", 2)
         with pytest.raises(sg.EnumerationCapError) as info:
             sg.degree(code)
-        assert (info.value.count, info.value.cap) == (2, 1)
+        assert (info.value.count, info.value.cap) == (3, 2)
         monkeypatch.setattr(codes, "SUBSET_STATE_CAP", 3)
+        assert sg.degree(code) == 2
+
+    def test_shallow_magic_word_answers_below_full_closure(self, golden_mean,
+                                                          monkeypatch):
+        # The golden mean identity code reads degree 1 off the two full sets
+        # at word length 1; its full closures, three subsets each, are never
+        # built, so a cap of 1 does not refuse it.
+        code = sg.SlidingBlockCode.identity(golden_mean)
+        monkeypatch.setattr(codes, "SUBSET_STATE_CAP", 1)
         assert sg.degree(code) == 1
+        assert len(sg.find_magic_word(code).word) == 1
 
 
 class TestMagicWord:

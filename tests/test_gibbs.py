@@ -10,7 +10,8 @@ import soficgibbs as sg
 from soficgibbs import codes, gibbs, shifts, thermo
 from soficgibbs.cli import main
 
-from conftest import loop_shift, random_markov_measure, unmemoized_battery
+from conftest import (identity_presentation, loop_shift, random_markov_measure,
+                      unmemoized_battery)
 
 
 def range1(shift, values):
@@ -371,7 +372,7 @@ class TestLanfordRuelle:
                 assert r.trend_ok
 
     def test_full_shift_exact(self):
-        p = sg.identity_presentation(loop_shift(2))
+        p = identity_presentation(loop_shift(2))
         f = sg.LocallyConstantPotential.zero(p)
         report = sg.verify_sofic_lanford_ruelle(p, f, tol=1e-9, c_max=12)
         assert report.passed
@@ -386,7 +387,7 @@ class TestLanfordRuelle:
 
 class TestDobrushin:
     def test_full_shift_exact(self):
-        p = sg.identity_presentation(loop_shift(2))
+        p = identity_presentation(loop_shift(2))
         f = sg.LocallyConstantPotential.zero(p)
         report = sg.verify_sofic_dobrushin(p, f, tol=1e-9)
         assert report.passed

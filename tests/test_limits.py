@@ -10,7 +10,7 @@ import pytest
 import soficgibbs as sg
 from soficgibbs import gibbs, shifts, thermo
 
-from conftest import loop_shift
+from conftest import identity_presentation, loop_shift
 
 SOURCES = sorted(Path(sg.__file__).parent.glob("*.py"))
 
@@ -26,7 +26,7 @@ def _full2_languages():
     shift = loop_shift(2)
     mu = sg.equilibrium_measure(shift, sg.LocallyConstantPotential.zero(shift))
     return {"EdgeShift": shift, "MarkovMeasure": mu,
-            "SoficPresentation": sg.identity_presentation(shift),
+            "SoficPresentation": identity_presentation(shift),
             "HiddenMarkovMeasure": sg.pushforward(
                 mu, sg.SlidingBlockCode.identity(shift))}
 
@@ -61,7 +61,7 @@ def test_battery_reads_the_class_pair_cap_when_called(monkeypatch):
     assert gibbs.CLASS_PAIR_CAP == 200_000
     # the full 2-shift with a window-2 potential: at every length two left
     # and two right classes, split by their boundary symbol
-    image = sg.identity_presentation(loop_shift(2))
+    image = identity_presentation(loop_shift(2))
     potential = sg.LocallyConstantPotential(image, 2, {
         w: 0.1 * i for i, w in enumerate(image.words_of_length(2))})
     nu = sg.equilibrium_upstairs(image.labeling_code(), potential).downstairs

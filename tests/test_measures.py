@@ -6,7 +6,8 @@ import pytest
 import soficgibbs as sg
 from soficgibbs import shifts
 
-from conftest import PHI, loop_shift, random_markov_measure
+from conftest import (PHI, identity_presentation, loop_shift,
+                      random_markov_measure)
 
 
 @pytest.fixture
@@ -207,7 +208,7 @@ class TestEntropyEstimate:
 
 class TestLift:
     def test_full_shift_trivial(self):
-        p = sg.identity_presentation(loop_shift(2))
+        p = identity_presentation(loop_shift(2))
         f = sg.LocallyConstantPotential.zero(p)
         lift = sg.lift_equilibrium(p, f)
         assert lift.pressure_value == pytest.approx(math.log(2), abs=1e-12)

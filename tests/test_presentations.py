@@ -3,7 +3,7 @@ import pytest
 import soficgibbs as sg
 from soficgibbs import codes, shifts
 
-from conftest import loop_shift
+from conftest import identity_presentation, loop_shift
 
 
 def language_upto(p, n_max):
@@ -24,7 +24,7 @@ def nondet_even(even_cover):
 
 class TestImagePresentation:
     def test_identity_labeling_keeps_graph(self, golden_mean):
-        p = sg.identity_presentation(golden_mean)
+        p = identity_presentation(golden_mean)
         assert p.vertices == golden_mean.vertices
         assert len(p.edges) == len(golden_mean.edges)
 
@@ -107,7 +107,7 @@ class TestMinimizeFischer:
         assert magic.word == ("1",)
 
     def test_full_shift_one_state(self):
-        p = sg.identity_presentation(loop_shift(2))
+        p = identity_presentation(loop_shift(2))
         fischer, cover = sg.minimize_fischer(p)
         assert len(fischer.vertices) == 1
         assert sg.degree(cover) == 1
@@ -144,8 +144,8 @@ class TestMinimizeFischer:
 
     def test_fischer_cover_degree_one_across_examples(self, even_cover,
                                                       golden_mean):
-        cases = [even_cover, sg.identity_presentation(golden_mean),
-                 sg.identity_presentation(loop_shift(3))]
+        cases = [even_cover, identity_presentation(golden_mean),
+                 identity_presentation(loop_shift(3))]
         for p in cases:
             _, cover = sg.minimize_fischer(p)
             assert sg.degree(cover) == 1
@@ -166,6 +166,12 @@ class TestMergeAndEdgeCases:
     def test_determinize_empty(self):
         dead = sg.SoficPresentation(("A",), ())
         assert sg.determinize(dead).is_empty
+
+
+def test_duplicate_vertex_refused_at_construction():
+    # as EdgeShift refuses it, before any language query or cover sees it
+    with pytest.raises(ValueError, match="duplicate vertex"):
+        sg.SoficPresentation(("A", "A"), (sg.LabeledEdge("A", "A", "0", "a"),))
 
 
 def test_enumeration_cap_reports_integer_count(monkeypatch):

@@ -293,6 +293,14 @@ def labeled_covers(draw):
     return sg.SlidingBlockCode.one_block(shift, labels)
 
 
+def _reachable_subsets(code, forward):
+    """The full closure of one side of the degree search."""
+    from soficgibbs import codes
+
+    succ = codes._successor_sets(codes._labeled_triples(code), forward)
+    return codes._subset_closure(code.domain.vertices, succ, forward)
+
+
 def _tuple_degree_search(code):
     """Reference degree search without masks: one sorted tuple of edge ids
     per (front, back, symbol) triple, in the same visiting order."""
@@ -301,8 +309,8 @@ def _tuple_degree_search(code):
     if not sg.is_finite_to_one(code):
         raise sg.NotFiniteToOneError("degree undefined (infinite)")
     by_label = codes._label_edges(code)
-    fwd = codes._reachable_subsets(code, True)
-    bwd = codes._reachable_subsets(code, False)
+    fwd = _reachable_subsets(code, True)
+    bwd = _reachable_subsets(code, False)
     best = best_key = best_witness = None
     for front, prefix in fwd.items():
         for back, suffix in bwd.items():
@@ -357,6 +365,50 @@ def test_mask_degree_search_matches_tuple_oracle(code):
     assert (sg.degree(code), sg.find_magic_word(code)) == expected
 
 
+def _three_cycle_with_loop(labels):
+    """v1 -> v2 -> v3 -> v1 and a loop at v1, labeled in that order."""
+    pairs = (("v1", "v2"), ("v2", "v3"), ("v3", "v1"), ("v1", "v1"))
+    return sg.SoficPresentation(("v1", "v2", "v3"), tuple(
+        sg.LabeledEdge(a, b, s, f"e{i}")
+        for i, ((a, b), s) in enumerate(zip(pairs, labels))))
+
+
+# Fischer covers whose searches meet multiplicity 1 at length 2 first on the
+# word 10, then on the smaller word 00 at a deeper front; and on the word 00
+# at coordinates 0 and 1.
+_FISCHER_TIE_BREAKS = (_three_cycle_with_loop("1100"),
+                       _three_cycle_with_loop("0011"))
+
+
+@settings(max_examples=60, deadline=None)
+@given(labeled_graphs(), st.integers(min_value=1, max_value=2),
+       st.integers(min_value=0, max_value=1_000_000))
+@example(_FISCHER_TIE_BREAKS[0], 2, 0)
+@example(_FISCHER_TIE_BREAKS[1], 2, 0)
+def test_early_stop_matches_full_closure_oracle_on_sofic_codes(presentation,
+                                                              k, seed):
+    # Fischer cover codes have degree 1, so the search stops early, often
+    # before the deeper levels of either closure; the recoded push code of
+    # the cover is the code the sofic pipelines analyze
+    cover = sg.minimize_fischer(presentation)[1]
+    push = sg.equilibrium_upstairs(
+        cover, random_potential(presentation, k, seed)).downstairs.code
+    for code in (cover, push):
+        expected = _tuple_degree_search(code)
+        assert expected[0] == 1
+        assert (sg.degree(code), sg.find_magic_word(code)) == expected
+
+
+@settings(max_examples=80, deadline=None)
+@given(labeled_covers())
+def test_right_resolving_shortcut_matches_pair_graph_search(code):
+    from soficgibbs import codes
+
+    with mock.patch.object(codes, "_right_resolving", return_value=False):
+        expected = sg.is_finite_to_one(code)
+    assert sg.is_finite_to_one(code) == expected
+
+
 def _edge_scan_subsets(code, forward):
     """Reference subset search: each step scans every edge of the symbol."""
     from soficgibbs import codes
@@ -389,11 +441,11 @@ def test_reachable_subsets_match_edge_scan_oracle(code, forward):
         # a cap of exactly the number of reachable subsets is met; one fewer
         # is exceeded by the last of them (the full set is never refused)
         mp.setattr(codes, "SUBSET_STATE_CAP", len(expected))
-        assert list(codes._reachable_subsets(code, forward).items()) == expected
+        assert list(_reachable_subsets(code, forward).items()) == expected
         if len(expected) > 1:
             mp.setattr(codes, "SUBSET_STATE_CAP", len(expected) - 1)
             with pytest.raises(sg.EnumerationCapError) as info:
-                codes._reachable_subsets(code, forward)
+                _reachable_subsets(code, forward)
             assert (info.value.count, info.value.cap) == (len(expected),
                                                           len(expected) - 1)
 

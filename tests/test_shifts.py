@@ -213,19 +213,6 @@ class TestWordCounts:
 
 
 class TestHigherPower:
-    def test_power_one_is_identity(self, golden_mean):
-        assert sg.higher_power_shift(golden_mean, 1) == golden_mean
-
-    def test_two_cycle_power_two(self, two_cycle):
-        power = sg.higher_power_shift(two_cycle, 2)
-        # two disjoint self-loops, one per class
-        assert power.adjacency().tolist() == [[1, 0], [0, 1]]
-
-    def test_golden_mean_power_two_adjacency_squares(self, golden_mean):
-        power = sg.higher_power_shift(golden_mean, 2)
-        expected = np.linalg.matrix_power(golden_mean.adjacency(), 2)
-        assert power.adjacency().tolist() == expected.tolist()
-
     def test_cyclic_class_shift_is_mixing(self, period2_parallel):
         structure = sg.cyclic_structure(period2_parallel)
         power0, expansion = sg.cyclic_class_shift(structure, 0)
