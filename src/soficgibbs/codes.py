@@ -26,6 +26,7 @@ import math
 from dataclasses import dataclass
 from typing import Mapping
 
+from . import shifts
 from .errors import (EnumerationCapError, NotFiniteToOneError,
                      NotInLanguageError, ReducibleShiftError)
 from .shifts import (PATH_SEP, Alphabet, Edge, EdgeShift, Word,
@@ -233,23 +234,23 @@ def _label_edges(code):
 
 
 def preimage_words(code: SlidingBlockCode, word: Word) -> list[Word]:
-    """Brute enumeration of the preimage paths of an image word."""
+    """Brute enumeration of the preimage paths of an image word, in
+    lexicographic order; a level of more than
+    `shifts.DEFAULT_ENUMERATION_CAP` paths raises `EnumerationCapError`."""
     _require_one_block(code)
+    cap = shifts.DEFAULT_ENUMERATION_CAP
     by_label = _label_edges(code)
-    paths = [()]
-    at = {(): None}
+    paths = [((), None)]  # (path, its end vertex)
     for s in word:
         nxt = []
-        nxt_at = {}
-        for p in paths:
-            v = at[p]
+        for path, at in paths:
             for e in by_label.get(s, ()):
-                if v is None or e.source == v:
-                    q = p + (e.id,)
-                    nxt.append(q)
-                    nxt_at[q] = e.target
-        paths, at = nxt, nxt_at
-    return sorted(paths)
+                if at is None or e.source == at:
+                    nxt.append((path + (e.id,), e.target))
+            if len(nxt) > cap:
+                raise EnumerationCapError(len(nxt), cap)
+        paths = nxt
+    return [path for path, _ in paths]
 
 
 @dataclass(frozen=True)

@@ -46,7 +46,8 @@ used.
 The pipelines read one `measures.LiftResult`, the equilibrium measure
 upstairs pushed down.  The Gibbs verdicts (Lanford-Ruelle, finite-to-one)
 run `synchronized_battery` on the image, which also analyzes its push code;
-the Dobrushin verdict holds the variational pressure certificate.
+the Dobrushin verdict holds the variational pressure certificate, its
+integral read off the last level of the image's word walk.
 """
 
 from __future__ import annotations
@@ -547,8 +548,9 @@ def verify_sofic_dobrushin(presentation: SoficPresentation,
     lift = lift_equilibrium(presentation, potential)
     nu = lift.downstairs
     est = entropy_estimate(nu, entropy_horizon)
-    integral = sum(nu.cylinder_prob(w) * potential.value(w)
-                   for w in presentation.words_of_length(potential.k))
+    for words, probs in nu.word_levels(potential.k):
+        pass
+    integral = sum(p * potential.value(w) for w, p in zip(words, probs))
     deviation = abs(est.estimate + integral - lift.pressure_value)
     return DobrushinReport(lift, lift.pressure_value, est.h_sequence,
                            integral, deviation, deviation < tol)

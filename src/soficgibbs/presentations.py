@@ -126,6 +126,8 @@ class SoficPresentation:
         return _subset_step(self._successors, states, symbol)
 
     def in_language(self, word: Word) -> bool:
+        """True iff the word labels a path: a word of the presented shift
+        when the graph is essential; the empty word when it is nonempty."""
         states = frozenset(self.vertices)
         for s in word:
             states = self._step(states, s)
@@ -134,12 +136,13 @@ class SoficPresentation:
         return bool(self.vertices)
 
     def words_of_length(self, n: int) -> list[Word]:
-        """B_n of the presented shift, sorted lexicographically; more than
+        """Labels of the length-n paths, in lexicographic order as walked:
+        B_n of the presented shift when the graph is essential.  More than
         `shifts.DEFAULT_ENUMERATION_CAP` words raise `EnumerationCapError`."""
-        if self.is_empty:
-            return []
         if n == 0:
-            return [()]
+            return [] if self.is_empty else [()]
+        if not self.edges:
+            return []
         cap = shifts.DEFAULT_ENUMERATION_CAP
         symbols = tuple(self.label_alphabet)
         out = []
@@ -155,7 +158,7 @@ class SoficPresentation:
                 nxt = self._step(states, s)
                 if nxt:
                     stack.append((word + (s,), nxt))
-        return sorted(out)
+        return out
 
 
 def image_presentation(code: SlidingBlockCode) -> SoficPresentation:

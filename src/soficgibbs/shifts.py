@@ -6,8 +6,9 @@ the edge ids.  Structural invariants (essentiality, irreducibility, period,
 cyclically moving vertex classes) and the exact language live here: words
 are counted by n sweeps of a Python-int vector over the edge list (the count
 is the sum of the entries of the n-th adjacency power, in O(n E) exact
-steps), enumerated in lexicographic order, and a table keyed by words is
-checked to cover the language by counting its keys, without enumerating.
+steps), enumerated in lexicographic order by one walk from the edges, and a
+table keyed by words is checked to cover the language by counting its keys,
+without enumerating.  Irreducibility is one Kosaraju walk, for `thermo` too.
 
 All values are immutable after construction and every operation is a pure
 function of its inputs, so they can be shared freely between threads.
@@ -202,8 +203,7 @@ class EdgeShift:
         """True iff the graph is a single strongly connected component."""
         if self.is_empty:
             return False
-        comps = self.strongly_connected_components()
-        return len(comps) == 1 and len(comps[0]) == len(self.vertices) and bool(self.edges)
+        return len(self.strongly_connected_components()) == 1 and bool(self.edges)
 
     # -- language ----------------------------------------------------------
 
@@ -224,7 +224,7 @@ class EdgeShift:
         return sum(ending_at)
 
     def words_of_length(self, n: int) -> list[Word]:
-        """All length-n edge-id words, sorted lexicographically."""
+        """All length-n edge-id words, in lexicographic order as walked."""
         if self.is_empty:
             return []
         if n == 0:
@@ -232,7 +232,7 @@ class EdgeShift:
         count = self.count_words(n)
         if count > DEFAULT_ENUMERATION_CAP:
             raise EnumerationCapError(count, DEFAULT_ENUMERATION_CAP)
-        return sorted(path for path, _, _ in _paths_of_length(self, n))
+        return [path for path, _, _ in _paths_of_length(self, n)]
 
     def in_language(self, word: Word) -> bool:
         """True iff the word is an edge path (all words of an essential graph
@@ -449,8 +449,9 @@ def _forbidden_graph(alphabet, forbidden, window):
 
 
 def _paths_of_length(shift, p):
-    """Yield (edge-id path, source, target) for every directed path of length p."""
-    stack = [((), v, v) for v in reversed(shift.vertices)]
+    """Yield (edge-id path, source, target) for every path of length p >= 1,
+    in lexicographic order: a depth-first walk from the edges in id order."""
+    stack = [((e.id,), e.source, e.target) for e in reversed(shift.edges)]
     while stack:
         path, src, at = stack.pop()
         if len(path) == p:

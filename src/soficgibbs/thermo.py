@@ -4,7 +4,8 @@ Potentials read a fixed window of coordinates, anchored at [0, k-1].
 Variations are taken with respect to symmetric windows [-j, j] by embedding
 the anchored table, so v_j vanishes for j >= k-1 and the summable-variation
 norm is a finite sum.  Pressure and the unique equilibrium (Gibbs-Markov)
-measure come from Perron data of the weighted transfer matrix.  Up to
+measure come from Perron data of the weighted transfer matrix of the edge
+form (a window above 1 recoded), irreducible by the walk of `shifts`.  Up to
 `PERRON_DENSE_DIM` vertices the Perron vectors come from one dense eigen-solve
 per side; above it, power iteration runs on M + sI with a shift s of the
 order of the root, so periodic matrices converge too and the scale of M does
@@ -38,7 +39,8 @@ from .codes import SlidingBlockCode, _require_one_block, higher_block_shift
 from .errors import (ConvergenceError, EmptyShiftError, EnumerationCapError,
                      ReducibleShiftError, SoficGibbsError)
 from .shifts import (PATH_SEP, CyclicStructure, EdgeShift, Word,
-                     cyclic_class_shift, cyclic_structure, missing_word)
+                     _strong_components, cyclic_class_shift, cyclic_structure,
+                     missing_word)
 
 PERRON_TOL = 1e-13
 PERRON_MAX_ITER = 10 ** 6
@@ -166,28 +168,13 @@ class PerronData:
 
 
 def _matrix_irreducible(m: np.ndarray) -> bool:
-    """Strong connectivity of the support graph; a matrix with no positive
-    entry (the 1x1 zero matrix included) has no cycle and is reducible."""
-    n = m.shape[0]
-    rows, cols = np.nonzero(m > 0)
-    if not rows.size:
-        return False
-    succ = [[] for _ in range(n)]
-    pred = [[] for _ in range(n)]
+    """Strong connectivity of the support graph by the Kosaraju walk; a matrix
+    with no positive entry (the 1x1 zero matrix included) is reducible."""
+    succ = [[] for _ in range(m.shape[0])]
+    rows, cols = np.nonzero(m > 0)  # row-major: each successor list sorted
     for i, j in zip(rows.tolist(), cols.tolist()):
         succ[i].append(j)
-        pred[j].append(i)
-    for adj in (succ, pred):
-        seen = [True] + [False] * (n - 1)
-        todo = [0]
-        while todo:
-            for j in adj[todo.pop()]:
-                if not seen[j]:
-                    seen[j] = True
-                    todo.append(j)
-        if not all(seen):
-            return False
-    return True
+    return any(succ) and len(_strong_components(succ)) == 1
 
 
 def _certified(a, x, allowance, tol, floor):
@@ -363,13 +350,20 @@ def _require_edge_potential(shift, potential):
         raise ValueError("edge potential (window 1) required; reduce first")
 
 
+def _edge_form(shift, potential):
+    """The shift, checked, and the edge potential: the potential itself at
+    window 1, where no identity code is built, and its recoding above."""
+    _require_same_shift(shift, potential)
+    if potential.k > 1:
+        shift, potential, _ = reduce_to_edge_potential(potential)
+    return shift, potential
+
+
 def pressure(shift: EdgeShift, potential: LocallyConstantPotential) -> float:
     """Topological pressure of a locally constant potential: log of the
     Perron eigenvalue of the transfer matrix.  Potentials with window > 1
     are recoded to edge potentials first (pressure is conjugacy-invariant)."""
-    _require_same_shift(shift, potential)
-    if potential.k > 1:
-        shift, potential, _ = reduce_to_edge_potential(potential)
+    shift, potential = _edge_form(shift, potential)
     return math.log(perron(transfer_matrix(shift, potential)).eigenvalue)
 
 
@@ -534,9 +528,7 @@ def pressure_periodic_oracle(shift: EdgeShift, potential: LocallyConstantPotenti
     exists.  Converges to the pressure for irreducible aperiodic shifts."""
     if n < 1:
         raise ValueError("n must be positive")
-    _require_same_shift(shift, potential)
-    if potential.k > 1:
-        shift, potential, _ = reduce_to_edge_potential(potential)
+    shift, potential = _edge_form(shift, potential)
     m = transfer_matrix(shift, potential)
     power = np.eye(m.shape[0])
     logscale = 0.0
@@ -575,9 +567,7 @@ def cyclic_pressure_check(shift: EdgeShift, potential: LocallyConstantPotential,
     measure upstairs restricts (normalized by p) to the equilibrium measure
     of the period sum, on short cylinders.
     """
-    _require_same_shift(shift, potential)
-    if potential.k > 1:
-        shift, potential, _ = reduce_to_edge_potential(potential)
+    shift, potential = _edge_form(shift, potential)
     structure = cyclic_structure(shift)
     p = structure.period
     if p == 1:

@@ -7,8 +7,10 @@ from pathlib import Path
 
 import pytest
 
-from soficgibbs import shifts
+from soficgibbs import cli, shifts
 from soficgibbs.cli import main
+
+ROOT = Path(__file__).resolve().parent.parent
 
 GOLDEN_MEAN = """\
 [alphabet] 0 1
@@ -432,3 +434,14 @@ def test_in_process_runs_match_fresh_processes(monkeypatch, capsys):
                 code = exc.code
             captured = capsys.readouterr()
             assert (code, captured.out, captured.err) == expected
+
+
+def test_readme_command_block_names_every_subcommand():
+    readme = (ROOT / "README.md").read_text()
+    block = readme.split("## Command line\n\n```\n", 1)[1].split("```", 1)[0]
+    named = []
+    for line in block.splitlines():
+        words = line.split()
+        assert words[0] == "soficgibbs"
+        named.append(" ".join(words[1:3] if words[1] == "verify" else words[1:2]))
+    assert named == [name for name, _, _ in cli._SUBCOMMANDS]

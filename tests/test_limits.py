@@ -40,13 +40,16 @@ ENUMERATIONS = {
         _full2_languages()["HiddenMarkovMeasure"].level_walk(2)),
     "sft_from_forbidden_words": lambda: sg.sft_from_forbidden_words(
         sg.Alphabet(("0", "1")), (), 3),
+    # the two loops of the full 2-shift both read 1: 11 has 4 preimage paths
+    "preimage_words": lambda: sg.preimage_words(sg.SlidingBlockCode.one_block(
+        loop_shift(2), {"0": "1", "1": "1"}, sg.Alphabet(("1",))), ("1", "1")),
 }
 
 
 @pytest.mark.parametrize("name", sorted(ENUMERATIONS))
 def test_enumeration_reads_the_cap_when_called(name, monkeypatch):
-    # 4 words (or 4 vertex words of the forbidden-word graph) meet a cap of 4
-    # and exceed a cap of 3
+    # 4 words (or 4 vertex words of the forbidden-word graph, or 4 preimage
+    # paths) meet a cap of 4 and exceed a cap of 3
     enumerate_ = ENUMERATIONS[name]
     monkeypatch.setattr(shifts, "DEFAULT_ENUMERATION_CAP", 4)
     enumerate_()

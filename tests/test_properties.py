@@ -147,15 +147,21 @@ def nonnegative_matrices(draw):
     return m
 
 
+def _support_strongly_connected(m):
+    """Oracle that reads no package code: Warshall's closure of the support
+    graph under paths of length >= 1; the graph is strongly connected with
+    a cycle iff vertex 0 reaches every vertex, itself included, and every
+    vertex reaches vertex 0."""
+    reach = m > 0
+    for k in range(len(m)):
+        reach = reach | (reach[:, k:k + 1] & reach[k:k + 1, :])
+    return bool(reach[0].all() and reach[:, 0].all())
+
+
 @settings(max_examples=200, deadline=None)
 @given(nonnegative_matrices())
 def test_matrix_irreducible_matches_support_graph(m):
-    n = m.shape[0]
-    support = sg.EdgeShift(
-        tuple(f"v{i}" for i in range(n)),
-        tuple(sg.Edge(f"v{i}", f"v{j}", f"e{i}_{j}")
-              for i in range(n) for j in range(n) if m[i, j] > 0))
-    assert thermo._matrix_irreducible(m) == support.is_irreducible()
+    assert thermo._matrix_irreducible(m) == _support_strongly_connected(m)
 
 
 @settings(max_examples=30, deadline=None)
@@ -468,6 +474,74 @@ def untrimmed_labeled_graphs(draw):
         sg.LabeledEdge(a, b, s, f"e{i}") for i, (a, b, s) in enumerate(triples)))
 
 
+def _vertex_rooted_edge_paths(shift, n):
+    """The edge paths of length n, walked depth first from each vertex in
+    turn and then sorted."""
+    paths = []
+    stack = [((), v) for v in reversed(shift.vertices)]
+    while stack:
+        path, at = stack.pop()
+        if len(path) == n:
+            paths.append(path)
+            continue
+        for e in reversed(shift.out_edges(at)):
+            stack.append((path + (e.id,), e.target))
+    return sorted(paths)
+
+
+def _sorted_label_paths(presentation, n):
+    """The labels of the length-n paths, walked depth first over the sorted
+    symbols on subsets of vertices and then sorted."""
+    symbols = sorted({e.label for e in presentation.edges})
+    out = []
+    stack = [((), frozenset(presentation.vertices))]
+    while stack:
+        word, states = stack.pop()
+        if len(word) == n:
+            out.append(word)
+            continue
+        for s in reversed(symbols):
+            nxt = frozenset(e.target for e in presentation.edges
+                            if e.source in states and e.label == s)
+            if nxt:
+                stack.append((word + (s,), nxt))
+    return sorted(out)
+
+
+def _sorted_preimage_paths(presentation, word):
+    """The paths that read a word, built level by level and then sorted."""
+    paths = [((), None)]
+    for s in word:
+        paths = [(path + (e.id,), e.target) for path, at in paths
+                 for e in presentation.edges
+                 if e.label == s and at in (None, e.source)]
+    return sorted(path for path, _ in paths)
+
+
+def _strictly_increasing(words):
+    return all(a < b for a, b in zip(words, words[1:]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(untrimmed_labeled_graphs())
+def test_enumerations_come_out_in_lexicographic_order(presentation):
+    # the three walks emit their words already sorted: each equals the
+    # sorted output of the walk it replaced, and nothing is listed twice
+    shift = presentation.underlying_edge_shift()
+    code = presentation.labeling_code() if presentation.edges else None
+    for n in range(1, 5):
+        paths = shift.words_of_length(n)
+        assert _strictly_increasing(paths)
+        assert paths == _vertex_rooted_edge_paths(shift, n)
+        words = presentation.words_of_length(n)
+        assert _strictly_increasing(words)
+        assert words == _sorted_label_paths(presentation, n)
+        for w in words:
+            preimages = sg.preimage_words(code, w)
+            assert _strictly_increasing(preimages)
+            assert preimages == _sorted_preimage_paths(presentation, w)
+
+
 def _depth_first_determinize(presentation):
     """The subset construction as a depth-first walk whose step scans every
     out-edge of each state and filters by label."""
@@ -596,6 +670,44 @@ def test_level_walk_is_bit_identical_to_cylinder_prob(presentation, k, seed):
         block.append(-sum(p * math.log(p) for p in probs))
     assert sg.entropy_estimate(nu, 6).h_sequence == tuple(
         b - a for a, b in zip(block, block[1:]))
+
+
+def _dobrushin_integral_oracle(report, presentation, potential):
+    """The integral as a sum over the words listed by the presentation,
+    each probability from `cylinder_prob`."""
+    nu = report.lift.downstairs
+    return sum(nu.cylinder_prob(w) * potential.value(w)
+               for w in presentation.words_of_length(potential.k))
+
+
+def _loop_with_dead_end():
+    """A loop labeled 0 at A and an edge A -> B labeled 1: the graph is not
+    essential, and its words of length 1 list the zero-mass word 1."""
+    return sg.SoficPresentation(("A", "B"), (
+        sg.LabeledEdge("A", "A", "0", "a"), sg.LabeledEdge("A", "B", "1", "b")))
+
+
+@settings(max_examples=40, deadline=None)
+@given(labeled_graphs(), st.integers(min_value=1, max_value=2),
+       st.integers(min_value=0, max_value=1_000_000))
+@example(_loop_with_dead_end(), 1, 0)
+def test_dobrushin_integral_matches_cylinder_sum(presentation, k, seed):
+    f = random_potential(presentation, k, seed)
+    report = sg.verify_sofic_dobrushin(presentation, f, entropy_horizon=2)
+    assert report.integral == _dobrushin_integral_oracle(report,
+                                                         presentation, f)
+
+
+def test_dobrushin_integral_drops_only_zero_mass_words():
+    presentation = _loop_with_dead_end()
+    assert presentation.words_of_length(1) == [("0",), ("1",)]
+    f = sg.LocallyConstantPotential(presentation, 1, {("0",): 0.5,
+                                                      ("1",): 0.25})
+    report = sg.verify_sofic_dobrushin(presentation, f)
+    assert report.lift.downstairs.cylinder_prob(("1",)) == 0.0
+    assert report.integral == 0.5
+    assert report.integral == _dobrushin_integral_oracle(report,
+                                                         presentation, f)
 
 
 @settings(max_examples=30, deadline=None)
