@@ -4,7 +4,8 @@ Subcommands map one-to-one onto the library pipelines: `analyze`, `fischer`,
 `pressure`, `eqmeasure`, `pushforward`, `gibbs-check`, and
 `verify lanford-ruelle|dobrushin|finite-to-one|counterexample`.  Each, every
 `verify` pipeline included, has its own parser built from one option table
-and accepts only the options it reads; `_COMMANDS` dispatches on its name.
+and accepts only the options it reads; its row of `_SUBCOMMANDS` names
+the handler that `main` calls.
 The weighted commands read the fields of the one `measures.LiftResult` of
 `equilibrium_upstairs`.
 
@@ -264,22 +265,27 @@ _OVERRIDES = {
 }
 
 _SUBCOMMANDS = (
-    ("analyze", "irreducibility, period, classes", ("file",)),
-    ("fischer", "minimal right-resolving presentation and degree", ("file",)),
-    ("pressure", "topological pressure", ("file", "--potential")),
-    ("eqmeasure", "equilibrium measure and cylinder table",
+    ("analyze", cmd_analyze, "irreducibility, period, classes", ("file",)),
+    ("fischer", cmd_fischer, "minimal right-resolving presentation and degree",
+     ("file",)),
+    ("pressure", cmd_pressure, "topological pressure", ("file", "--potential")),
+    ("eqmeasure", cmd_eqmeasure, "equilibrium measure and cylinder table",
      ("file", "--potential", "--depth")),
-    ("pushforward", "image measure cylinder table",
+    ("pushforward", cmd_pushforward, "image measure cylinder table",
      ("file", "--potential", "--depth")),
-    ("gibbs-check", "cylinder ratio battery",
+    ("gibbs-check", cmd_gibbs_check, "cylinder ratio battery",
      ("file", "--potential", "--cmax", "--tol")),
-    ("verify lanford-ruelle", "equilibrium measure certified Gibbs",
+    ("verify lanford-ruelle", cmd_verify_lanford_ruelle,
+     "equilibrium measure certified Gibbs",
      ("file", "--potential", "--cmax", "--tol")),
-    ("verify dobrushin", "Gibbs measure certified equilibrium",
+    ("verify dobrushin", cmd_verify_dobrushin,
+     "Gibbs measure certified equilibrium",
      ("file", "--potential", "--depth", "--tol")),
-    ("verify finite-to-one", "Gibbs property pushed through a code",
+    ("verify finite-to-one", cmd_verify_finite_to_one,
+     "Gibbs property pushed through a code",
      ("file", "--potential", "--cmax", "--tol")),
-    ("verify counterexample", "reducible shift: equilibrium but not Gibbs", ()),
+    ("verify counterexample", cmd_verify_counterexample,
+     "reducible shift: equilibrium but not Gibbs", ()),
 )
 
 
@@ -290,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "measure certification.")
     sub = parser.add_subparsers(dest="command", required=True)
     pipelines = None
-    for name, help_text, options in _SUBCOMMANDS:
+    for name, handler, help_text, options in _SUBCOMMANDS:
         group, _, leaf = name.rpartition(" ")
         if group and pipelines is None:
             pipelines = sub.add_parser(
@@ -302,22 +308,9 @@ def build_parser() -> argparse.ArgumentParser:
                                       **_OVERRIDES.get((name, option), {})})
         p.add_argument("--format", choices=("human", "machine"),
                        default="human")
-        p.set_defaults(command=name)
+        p.set_defaults(handler=handler)
     return parser
 
-
-_COMMANDS = {
-    "analyze": cmd_analyze,
-    "fischer": cmd_fischer,
-    "pressure": cmd_pressure,
-    "eqmeasure": cmd_eqmeasure,
-    "pushforward": cmd_pushforward,
-    "gibbs-check": cmd_gibbs_check,
-    "verify lanford-ruelle": cmd_verify_lanford_ruelle,
-    "verify dobrushin": cmd_verify_dobrushin,
-    "verify finite-to-one": cmd_verify_finite_to_one,
-    "verify counterexample": cmd_verify_counterexample,
-}
 
 # Parsing keeps no state in the parser, so one tree serves every call.
 _PARSER = build_parser()
@@ -326,7 +319,7 @@ _PARSER = build_parser()
 def main(argv=None) -> int:
     args = _PARSER.parse_args(argv)
     try:
-        lines, passed = _COMMANDS[args.command](args)
+        lines, passed = args.handler(args)
     except SoficGibbsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

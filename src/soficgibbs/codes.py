@@ -27,8 +27,9 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from . import shifts
-from .errors import (EnumerationCapError, NotFiniteToOneError,
-                     NotInLanguageError, ReducibleShiftError)
+from .errors import (EmptyShiftError, EnumerationCapError,
+                     NotFiniteToOneError, NotInLanguageError,
+                     ReducibleShiftError)
 from .shifts import (PATH_SEP, Alphabet, Edge, EdgeShift, Word,
                      _paths_of_length, missing_word)
 
@@ -110,12 +111,15 @@ def higher_block_shift(shift: EdgeShift, n: int, paths: list | None = None):
     paths of length n) and the one-block conjugacy back to the original,
     which reads off the first edge of each composite symbol.  When n > 1 and
     a list is passed as `paths`, each length-n path (a tuple of edge ids, whose
-    composite symbol is its PATH_SEP join) is appended to it.
+    composite symbol is its PATH_SEP join) is appended to it.  Without an edge
+    there is no alphabet to decode onto, so n > 1 raises EmptyShiftError.
     """
     if n < 1:
         raise ValueError("block length must be positive")
     if n == 1:
         return shift, SlidingBlockCode.identity(shift)
+    if not shift.edges:
+        raise EmptyShiftError("higher block recoding requires an edge")
     # one walk: each path of length n-1 is a vertex, extended by one edge
     vertices = []
     edges = []
@@ -130,9 +134,6 @@ def higher_block_shift(shift: EdgeShift, n: int, paths: list | None = None):
             decode_map[eid] = path[0]
             if paths is not None:
                 paths.append(full)
-    if not vertices:
-        empty = EdgeShift((), ())
-        return empty, SlidingBlockCode.identity(empty)
     recoded = EdgeShift(tuple(vertices), tuple(edges))
     decode = SlidingBlockCode.one_block(recoded, decode_map, shift.alphabet())
     return recoded, decode

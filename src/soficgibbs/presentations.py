@@ -1,10 +1,13 @@
 """Sofic shifts as labeled directed graphs.
 
-A :class:`SoficPresentation` is an edge shift whose edges carry symbols from
-a label alphabet; the presented sofic shift is the set of bi-infinite label
-sequences along paths.  Language queries run on the label subset automaton
-kept in `codes`: its successor sets, its subset step, and its breadth-first
-closure over the reachable nonempty subsets, with its one state cap.
+A :class:`SoficPresentation` is a graph whose edges carry symbols from a
+label alphabet; the presented sofic shift is the set of bi-infinite label
+sequences along paths.  It shares the graph core `shifts._Graph` with
+`EdgeShift`: constructor checks, emptiness, out-edge index and essential
+part, trimmed without building an edge shift.  Language queries run on the
+label subset automaton kept in `codes`: its successor sets, its subset step,
+and its breadth-first closure over the reachable nonempty subsets, with its
+one state cap.
 
 The subset construction has one home, a private integer table built from the
 closure's transitions and trimmed to its essential states: the subsets in
@@ -32,7 +35,7 @@ from . import shifts
 from .errors import (EmptyShiftError, EnumerationCapError,
                      ReducibleShiftError)
 from .shifts import (Alphabet, Edge, EdgeShift, Word, _essential_states,
-                     _strong_components)
+                     _Graph, _strong_components)
 
 
 @dataclass(frozen=True)
@@ -44,39 +47,13 @@ class LabeledEdge:
 
 
 @dataclass(frozen=True)
-class SoficPresentation:
-    vertices: tuple[str, ...]
-    edges: tuple[LabeledEdge, ...]
-
-    def __post_init__(self):
-        vertices = tuple(sorted(str(v) for v in self.vertices))
-        if len(set(vertices)) != len(vertices):
-            raise ValueError("duplicate vertex")
-        edges = tuple(sorted(self.edges, key=lambda e: e.id))
-        ids = [e.id for e in edges]
-        if len(set(ids)) != len(ids):
-            raise ValueError("duplicate edge id")
-        vset = set(vertices)
-        for e in edges:
-            if e.source not in vset or e.target not in vset:
-                raise ValueError(f"edge {e.id!r} has undeclared endpoint")
-        object.__setattr__(self, "vertices", vertices)
-        object.__setattr__(self, "edges", edges)
-
-    @property
-    def is_empty(self) -> bool:
-        return not self.vertices
+class SoficPresentation(_Graph):
+    """A graph of `LabeledEdge`s: the labels along its bi-infinite paths are
+    the points of the presented sofic shift."""
 
     @cached_property
     def label_alphabet(self) -> Alphabet:
         return Alphabet(tuple(sorted({e.label for e in self.edges})))
-
-    @cached_property
-    def _out(self) -> Mapping[str, tuple[LabeledEdge, ...]]:
-        out = {v: [] for v in self.vertices}
-        for e in self.edges:
-            out[e.source].append(e)
-        return {v: tuple(es) for v, es in out.items()}
 
     def out_edges(self, v: str) -> tuple[LabeledEdge, ...]:
         return self._out[v]
@@ -109,12 +86,6 @@ class SoficPresentation:
 
     def is_irreducible_graph(self) -> bool:
         return self.underlying_edge_shift().is_irreducible()
-
-    def essential(self) -> "SoficPresentation":
-        core = self.underlying_edge_shift().essential()
-        keep = set(e.id for e in core.edges)
-        return SoficPresentation(core.vertices,
-                                 tuple(e for e in self.edges if e.id in keep))
 
     # -- language queries ---------------------------------------------------
 

@@ -1,13 +1,15 @@
 """Shift spaces presented by finite directed graphs.
 
-An :class:`EdgeShift` is a finite directed multigraph whose bi-infinite edge
-paths are the points of a shift of finite type; the symbols of the shift are
-the edge ids.  Structural invariants (essentiality, irreducibility, period,
-cyclically moving vertex classes) and the exact language live here: words
-are counted by n sweeps of a Python-int vector over the edge list (the count
-is the sum of the entries of the n-th adjacency power, in O(n E) exact
-steps), enumerated in lexicographic order by one walk from the edges, and a
-table keyed by words is checked to cover the language by counting its keys,
+The private graph core `_Graph` holds what edge shifts and sofic
+presentations share: constructor checks, emptiness, out-edge index and
+essential part.  An :class:`EdgeShift` is a graph whose bi-infinite edge
+paths are the points of a shift of finite type; the symbols of the shift
+are the edge ids.  Its invariants (irreducibility, period, cyclically
+moving vertex classes) and the exact language live here: words are counted
+by n sweeps of a Python-int vector over the edge list (the count is the sum
+of the entries of the n-th adjacency power, in O(n E) exact steps),
+enumerated in lexicographic order by one walk from the edges, and a table
+keyed by words is checked to cover the language by counting its keys,
 without enumerating.  Irreducibility is one Kosaraju walk, for `thermo` too.
 
 All values are immutable after construction and every operation is a pure
@@ -104,16 +106,13 @@ class Edge:
 
 
 @dataclass(frozen=True)
-class EdgeShift:
-    """A finite directed multigraph presenting an SFT by its bi-infinite paths.
-
-    Vertices and edges are kept in sorted order so that every enumeration in
-    the library is deterministic.  The empty graph is a legal value and
-    presents the empty shift.
-    """
+class _Graph:
+    """A finite directed multigraph, vertices sorted and edges (anything with
+    `source`, `target` and `id`) sorted by id, so that every enumeration in
+    the library is deterministic.  The empty graph is a legal value."""
 
     vertices: tuple[str, ...]
-    edges: tuple[Edge, ...]
+    edges: tuple
 
     def __post_init__(self):
         vertices = tuple(sorted(str(v) for v in self.vertices))
@@ -130,11 +129,32 @@ class EdgeShift:
         object.__setattr__(self, "vertices", vertices)
         object.__setattr__(self, "edges", edges)
 
-    # -- basic structure ---------------------------------------------------
-
     @property
     def is_empty(self) -> bool:
         return not self.vertices
+
+    @cached_property
+    def _out(self) -> Mapping[str, tuple]:
+        out = {v: [] for v in self.vertices}
+        for e in self.edges:
+            out[e.source].append(e)
+        return {v: tuple(es) for v, es in out.items()}
+
+    def essential(self):
+        """The graph of the same type on the vertices of bi-infinite paths."""
+        alive = _essential_states(self.vertices,
+                                  [(e.source, e.target) for e in self.edges])
+        keep = set(alive)
+        return type(self)(tuple(alive), tuple(
+            e for e in self.edges if e.source in keep and e.target in keep))
+
+
+@dataclass(frozen=True)
+class EdgeShift(_Graph):
+    """A graph whose bi-infinite edge paths are the points of an SFT; the
+    empty graph presents the empty shift."""
+
+    # -- basic structure ---------------------------------------------------
 
     @cached_property
     def vertex_index(self) -> Mapping[str, int]:
@@ -143,13 +163,6 @@ class EdgeShift:
     @cached_property
     def edge_by_id(self) -> Mapping[str, Edge]:
         return {e.id: e for e in self.edges}
-
-    @cached_property
-    def _out(self) -> Mapping[str, tuple[Edge, ...]]:
-        out = {v: [] for v in self.vertices}
-        for e in self.edges:
-            out[e.source].append(e)
-        return {v: tuple(es) for v, es in out.items()}
 
     @cached_property
     def _in(self) -> Mapping[str, tuple[Edge, ...]]:
@@ -181,14 +194,6 @@ class EdgeShift:
 
     def is_essential(self) -> bool:
         return all(self._out[v] and self._in[v] for v in self.vertices)
-
-    def essential(self) -> "EdgeShift":
-        """Prune vertices not on bi-infinite paths."""
-        alive = _essential_states(self.vertices,
-                                  [(e.source, e.target) for e in self.edges])
-        keep = set(alive)
-        return EdgeShift(tuple(alive), tuple(
-            e for e in self.edges if e.source in keep and e.target in keep))
 
     # -- connectivity and period -------------------------------------------
 

@@ -436,6 +436,32 @@ def test_in_process_runs_match_fresh_processes(monkeypatch, capsys):
             assert (code, captured.out, captured.err) == expected
 
 
+DEAD_END = """\
+[alphabet] 0
+[shift] kind=edge vertices=A B
+edge e: A -> B label 0
+"""
+
+
+@pytest.mark.parametrize("window", [2, 3])
+@pytest.mark.parametrize("command",
+                         ["pressure", "eqmeasure", "pushforward", "gibbs-check"])
+def test_dead_end_graph_with_long_window_exits_2(tmp_path, capsys, command,
+                                                  window):
+    # no bi-infinite path: at window 3 the recoded shift is empty, at
+    # window 2 it is one vertex without an edge; neither is irreducible, and
+    # either is refused by a library error, not a traceback
+    (tmp_path / "s.shift").write_text(DEAD_END)
+    (tmp_path / "f.pot").write_text(f"[potential] range={window}\n")
+    argv = [command, str(tmp_path / "s.shift"),
+            "--potential", str(tmp_path / "f.pot")]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
+
+
 def test_readme_command_block_names_every_subcommand():
     readme = (ROOT / "README.md").read_text()
     block = readme.split("## Command line\n\n```\n", 1)[1].split("```", 1)[0]
@@ -444,4 +470,4 @@ def test_readme_command_block_names_every_subcommand():
         words = line.split()
         assert words[0] == "soficgibbs"
         named.append(" ".join(words[1:3] if words[1] == "verify" else words[1:2]))
-    assert named == [name for name, _, _ in cli._SUBCOMMANDS]
+    assert named == [name for name, *_ in cli._SUBCOMMANDS]

@@ -77,6 +77,20 @@ class TestRecoding:
         assert len(recoded.vertices) == 4
         assert len(recoded.edges) == 8
 
+    def test_higher_block_of_a_dead_end_is_empty(self):
+        # A -> B has no path of length 2: the recoded shift is empty, and its
+        # decode still reads onto the original alphabet
+        shift = sg.EdgeShift(("A", "B"), (sg.Edge("A", "B", "e"),))
+        recoded, decode = sg.higher_block_shift(shift, 3)
+        assert recoded.is_empty and not recoded.edges
+        assert decode.domain == recoded
+        assert tuple(decode.codomain) == ("e",)
+
+    def test_higher_block_of_an_edgeless_shift_is_refused(self):
+        shift = sg.EdgeShift(("A",), ())
+        with pytest.raises(sg.EmptyShiftError):
+            sg.higher_block_shift(shift, 2)
+
 
 class TestRightResolving:
     def test_even_cover_is_right_resolving(self, even_cover):

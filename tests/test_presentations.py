@@ -174,6 +174,23 @@ def test_duplicate_vertex_refused_at_construction():
         sg.SoficPresentation(("A", "A"), (sg.LabeledEdge("A", "A", "0", "a"),))
 
 
+@pytest.mark.parametrize("graph, edge", [
+    (sg.EdgeShift, lambda a, b, i: sg.Edge(a, b, i)),
+    (sg.SoficPresentation, lambda a, b, i: sg.LabeledEdge(a, b, "0", i)),
+], ids=["edge-shift", "presentation"])
+@pytest.mark.parametrize("vertices, arcs, message", [
+    (("A", "A"), [("A", "A", "a")], "duplicate vertex"),
+    (("A",), [("A", "A", "a"), ("A", "A", "a")], "duplicate edge id"),
+    (("A",), [("A", "A", "a"), ("A", "B", "b")],
+     "edge 'b' has undeclared endpoint"),
+], ids=["duplicate-vertex", "duplicate-edge-id", "undeclared-endpoint"])
+def test_both_graph_types_refuse_a_malformed_graph(graph, edge, vertices, arcs,
+                                                   message):
+    with pytest.raises(ValueError) as info:
+        graph(vertices, tuple(edge(*arc) for arc in arcs))
+    assert str(info.value) == message
+
+
 def test_enumeration_cap_reports_integer_count(monkeypatch):
     full2 = sg.SoficPresentation(
         ("*",), (sg.LabeledEdge("*", "*", "0", "a"),

@@ -474,6 +474,31 @@ def untrimmed_labeled_graphs(draw):
         sg.LabeledEdge(a, b, s, f"e{i}") for i, (a, b, s) in enumerate(triples)))
 
 
+@settings(max_examples=150, deadline=None)
+@given(untrimmed_labeled_graphs())
+def test_presentation_essential_matches_edge_shift_trim(presentation):
+    trimmed = presentation.essential()
+    assert type(trimmed) is sg.SoficPresentation
+    # oracle: the underlying edge shift trimmed, then the labeled edges
+    # whose ids survive
+    core = presentation.underlying_edge_shift().essential()
+    keep = {e.id for e in core.edges}
+    assert trimmed == sg.SoficPresentation(core.vertices, tuple(
+        e for e in presentation.edges if e.id in keep))
+    # and a fixpoint of its own: drop every vertex without an in- or an
+    # out-edge among the vertices left, until none is dropped
+    alive = set(presentation.vertices)
+    while True:
+        arcs = [e for e in presentation.edges
+                if e.source in alive and e.target in alive]
+        left = {e.source for e in arcs} & {e.target for e in arcs}
+        if left == alive:
+            break
+        alive = left
+    assert set(trimmed.vertices) == alive
+    assert set(trimmed.edges) == set(arcs)
+
+
 def _vertex_rooted_edge_paths(shift, n):
     """The edge paths of length n, walked depth first from each vertex in
     turn and then sorted."""

@@ -338,6 +338,13 @@ class TestPressure:
         with pytest.raises(sg.ReducibleShiftError):
             sg.pressure(shift, sg.LocallyConstantPotential(shift, 1, {}))
 
+    def test_edgeless_shift_window2_pressure_is_a_library_error(self):
+        # the window-2 recoding of a shift without edges is refused as
+        # empty, not built on an empty alphabet
+        shift = sg.EdgeShift(("a",), ())
+        with pytest.raises(sg.SoficGibbsError):
+            sg.pressure(shift, sg.LocallyConstantPotential(shift, 2, {}))
+
     def test_window6_full3_matches_de_bruijn(self):
         # a window-6 potential on the full 3-shift recodes to 729 vertices
         # and 2187 edges; its transfer matrix is the de Bruijn matrix
