@@ -14,24 +14,26 @@ SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 TABLES = ("UNWRAPPED", "COUNT_ONLY", "CALLS", "HOOKS", "INCLUSIVE")
 
 
-def _table_names():
-    """The span names of the tracer's tables: set members and dict keys,
-    read from the source without running it."""
-    names = set()
+def _tables():
+    """Each table's span names, set members or dict keys, read from the
+    source without running it."""
+    tables = {}
     for node in ast.parse(SPANS.read_text(encoding="utf-8")).body:
         if (isinstance(node, ast.Assign) and len(node.targets) == 1
                 and getattr(node.targets[0], "id", None) in TABLES):
             value = node.value
             items = value.keys if isinstance(value, ast.Dict) else value.elts
-            names.update(item.value for item in items)
-    return sorted(names)
+            tables[node.targets[0].id] = [item.value for item in items]
+    return tables
 
 
 def test_every_table_is_read():
-    assert len(_table_names()) == 32
+    tables = _tables()
+    assert sorted(tables) == sorted(TABLES)
+    assert all(tables.values())
 
 
-@pytest.mark.parametrize("name", _table_names())
+@pytest.mark.parametrize("name", sorted(set().union(*_tables().values())))
 def test_traced_name_is_defined_where_it_is_patched(name):
     layer, *path = name.split(".")
     module = importlib.import_module(f"soficgibbs.{layer}")
