@@ -30,8 +30,8 @@ from . import shifts
 from .errors import (EmptyShiftError, EnumerationCapError,
                      NotFiniteToOneError, NotInLanguageError,
                      ReducibleShiftError)
-from .shifts import (PATH_SEP, Alphabet, Edge, EdgeShift, Word,
-                     _paths_of_length, missing_word)
+from .shifts import (Alphabet, EdgeShift, Word, _path_shift, _paths_of_length,
+                     missing_word)
 
 # Most subsets one walk of the label subset automaton may build.
 SUBSET_STATE_CAP = 10_000
@@ -104,48 +104,38 @@ class SlidingBlockCode:
         return tuple(self.table[word[i:i + n]] for i in range(len(word) - n + 1))
 
 
-def higher_block_shift(shift: EdgeShift, n: int, paths: list | None = None):
+def higher_block_shift(shift: EdgeShift, n: int):
     """The n-th higher block recoding of an edge shift.
 
     Returns the recoded shift (vertices the paths of length n-1, edges the
-    paths of length n) and the one-block conjugacy back to the original,
-    which reads off the first edge of each composite symbol.  When n > 1 and
-    a list is passed as `paths`, each length-n path (a tuple of edge ids, whose
-    composite symbol is its PATH_SEP join) is appended to it.  Without an edge
-    there is no alphabet to decode onto, so n > 1 raises EmptyShiftError.
+    paths of length n), the one-block conjugacy back to the original, which
+    reads off the first edge of each path, and the map from each recoded
+    edge id to its path, in lexicographic order; at n = 1 the shift is its
+    own recoding.  Without an edge there is no alphabet to decode onto, so
+    n > 1 raises EmptyShiftError.
     """
     if n < 1:
         raise ValueError("block length must be positive")
     if n == 1:
-        return shift, SlidingBlockCode.identity(shift)
+        return (shift, SlidingBlockCode.identity(shift),
+                {e.id: (e.id,) for e in shift.edges})
     if not shift.edges:
         raise EmptyShiftError("higher block recoding requires an edge")
     # one walk: each path of length n-1 is a vertex, extended by one edge
-    vertices = []
-    edges = []
-    decode_map = {}
-    for path, _, at in _paths_of_length(shift, n - 1):
-        vertex = PATH_SEP.join(path)
-        vertices.append(vertex)
-        for e in shift.out_edges(at):
-            full = path + (e.id,)
-            eid = PATH_SEP.join(full)
-            edges.append(Edge(vertex, PATH_SEP.join(full[1:]), eid))
-            decode_map[eid] = path[0]
-            if paths is not None:
-                paths.append(full)
-    recoded = EdgeShift(tuple(vertices), tuple(edges))
-    decode = SlidingBlockCode.one_block(recoded, decode_map, shift.alphabet())
-    return recoded, decode
+    ends = list(_paths_of_length(shift, n - 1))
+    recoded, paths = _path_shift(
+        [path for path, _, _ in ends],
+        ((path + (e.id,), path, path[1:] + (e.id,))
+         for path, _, at in ends for e in shift.out_edges(at)))
+    decode = SlidingBlockCode.one_block(
+        recoded, {eid: path[0] for eid, path in paths.items()}, shift.alphabet())
+    return recoded, decode, paths
 
 
 def higher_block_encoder(shift: EdgeShift, n: int) -> SlidingBlockCode:
     """The block map from the original shift onto its n-th higher block shift."""
-    paths = []
-    recoded, _ = higher_block_shift(shift, n, paths)
-    if n == 1:
-        return SlidingBlockCode.identity(shift)
-    table = {path: PATH_SEP.join(path) for path in paths}
+    recoded, _, paths = higher_block_shift(shift, n)
+    table = {path: eid for eid, path in paths.items()}
     return SlidingBlockCode(shift, recoded.alphabet(), 0, n - 1, table)
 
 
@@ -158,9 +148,8 @@ def recode_to_one_block(code: SlidingBlockCode):
     """
     if code.is_one_block:
         return code.domain, code
-    paths = []
-    recoded, _ = higher_block_shift(code.domain, code.block_size, paths)
-    symbol_map = {PATH_SEP.join(path): code.table[path] for path in paths}
+    recoded, _, paths = higher_block_shift(code.domain, code.block_size)
+    symbol_map = {eid: code.table[path] for eid, path in paths.items()}
     one_block = SlidingBlockCode.one_block(recoded, symbol_map, code.codomain)
     return recoded, one_block
 

@@ -466,21 +466,27 @@ def _paths_of_length(shift, p):
             stack.append((path + (e.id,), src, e.target))
 
 
+def _path_shift(vertices, walk):
+    """The edge shift whose vertices and edges are paths of another graph,
+    each a tuple of ids named by their PATH_SEP join, here and nowhere else
+    (a 1-tuple keeps its name); `walk` yields (path, source, target) per
+    edge.  Returns the shift and the map from each edge id to its path."""
+    name = PATH_SEP.join
+    edges, paths = [], {}
+    for path, source, target in walk:
+        eid = name(path)
+        edges.append(Edge(name(source), name(target), eid))
+        paths[eid] = path
+    return EdgeShift(tuple(map(name, vertices)), tuple(edges)), paths
+
+
 def cyclic_class_shift(structure: CyclicStructure, class_index: int = 0):
     """Restriction of the p-th higher power shift to one cyclic class.
 
     Returns the restricted EdgeShift together with the map from composite edge
     ids to the underlying edge-id paths.
     """
-    shift = structure.shift
-    p = structure.period
     keep = set(structure.class_vertices(class_index))
-    edges = []
-    expansion = {}
-    for path, src, tgt in _paths_of_length(shift, p):
-        if src in keep:
-            eid = PATH_SEP.join(path)
-            edges.append(Edge(src, tgt, eid))
-            expansion[eid] = path
-    restricted = EdgeShift(tuple(sorted(keep)), tuple(edges))
-    return restricted, expansion
+    walk = _paths_of_length(structure.shift, structure.period)
+    return _path_shift([(v,) for v in keep],
+                       ((path, (s,), (t,)) for path, s, t in walk if s in keep))

@@ -38,9 +38,8 @@ from . import shifts
 from .codes import SlidingBlockCode, _require_one_block, higher_block_shift
 from .errors import (ConvergenceError, EmptyShiftError, EnumerationCapError,
                      ReducibleShiftError, SoficGibbsError)
-from .shifts import (PATH_SEP, CyclicStructure, EdgeShift, Word,
-                     _strong_components, cyclic_class_shift, cyclic_structure,
-                     missing_word)
+from .shifts import (CyclicStructure, EdgeShift, Word, _strong_components,
+                     cyclic_class_shift, cyclic_structure, missing_word)
 
 PERRON_TOL = 1e-13
 PERRON_MAX_ITER = 10 ** 6
@@ -143,11 +142,10 @@ def reduce_to_edge_potential(potential: LocallyConstantPotential):
         raise TypeError("reduction requires a potential on an edge shift")
     if potential.k == 1:
         return shift, potential, SlidingBlockCode.identity(shift)
-    paths = []
-    recoded, decode = higher_block_shift(shift, potential.k, paths)
+    recoded, decode, paths = higher_block_shift(shift, potential.k)
     # the edges of the recoded shift are the length-k paths, each a key of
-    # the table by the constructor's check; distinct paths have distinct ids
-    table = {(PATH_SEP.join(w),): potential.table[w] for w in paths}
+    # the table by the constructor's check
+    table = {(eid,): potential.table[w] for eid, w in paths.items()}
     return recoded, LocallyConstantPotential(recoded, 1, table), decode
 
 

@@ -60,7 +60,7 @@ class TestRecoding:
                     == xor_two_block.apply_to_word(w)
 
     def test_higher_block_round_trip(self, golden_mean):
-        recoded, decode = sg.higher_block_shift(golden_mean, 3)
+        recoded, decode, _ = sg.higher_block_shift(golden_mean, 3)
         encoder = sg.higher_block_encoder(golden_mean, 3)
         for n in range(3, 8):
             for w in golden_mean.words_of_length(n):
@@ -68,12 +68,12 @@ class TestRecoding:
                 assert decode.apply_to_word(up) == w[:len(up)]
 
     def test_higher_block_n1_identity(self, golden_mean):
-        recoded, decode = sg.higher_block_shift(golden_mean, 1)
+        recoded, decode, _ = sg.higher_block_shift(golden_mean, 1)
         assert recoded == golden_mean
 
     def test_full_shift_higher_block_3(self):
         full = loop_shift(2)
-        recoded, _ = sg.higher_block_shift(full, 3)
+        recoded, _, _ = sg.higher_block_shift(full, 3)
         assert len(recoded.vertices) == 4
         assert len(recoded.edges) == 8
 
@@ -81,7 +81,7 @@ class TestRecoding:
         # A -> B has no path of length 2: the recoded shift is empty, and its
         # decode still reads onto the original alphabet
         shift = sg.EdgeShift(("A", "B"), (sg.Edge("A", "B", "e"),))
-        recoded, decode = sg.higher_block_shift(shift, 3)
+        recoded, decode, _ = sg.higher_block_shift(shift, 3)
         assert recoded.is_empty and not recoded.edges
         assert decode.domain == recoded
         assert tuple(decode.codomain) == ("e",)

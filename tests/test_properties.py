@@ -168,7 +168,7 @@ def test_matrix_irreducible_matches_support_graph(m):
 @given(irreducible_graphs(), st.integers(min_value=1, max_value=3))
 def test_higher_block_round_trip(shift, n):
     assume(shift.count_words(n) <= 200)
-    recoded, decode = sg.higher_block_shift(shift, n)
+    recoded, decode, _ = sg.higher_block_shift(shift, n)
     encoder = sg.higher_block_encoder(shift, n)
     for w in shift.words_of_length(n + 2):
         up = encoder.apply_to_word(w)
