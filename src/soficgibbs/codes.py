@@ -1,7 +1,8 @@
 """Sliding block codes and factor-code analysis.
 
-Codes are normalized to one-block form before analysis; the conjugacy used in
-the recoding is retained so that results transport back.  The label subset
+Codes are normalized to one-block form before analysis; `higher_block_shift`,
+built by `shifts._path_shift`, returns the recoded shift, the conjugacy back
+and the map from each recoded edge id to its path.  The label subset
 automaton of a labeled graph (Lind & Marcus, §3.3 and §9.1) lives here too:
 successor sets, a subset step, and a breadth-first walk that yields one level
 at a time; exhausted, it is the closure that the subset construction of
@@ -81,6 +82,8 @@ class SlidingBlockCode:
     def one_block(cls, domain: EdgeShift, symbol_map: Mapping[str, str],
                   codomain: Alphabet | None = None) -> "SlidingBlockCode":
         if codomain is None:
+            if not symbol_map:
+                raise EmptyShiftError("a code without symbols has no codomain")
             codomain = Alphabet(tuple(sorted(set(symbol_map.values()))))
         table = {(eid,): sym for eid, sym in symbol_map.items()}
         return cls(domain, codomain, 0, 0, table)
@@ -112,15 +115,13 @@ def higher_block_shift(shift: EdgeShift, n: int):
     reads off the first edge of each path, and the map from each recoded
     edge id to its path, in lexicographic order; at n = 1 the shift is its
     own recoding.  Without an edge there is no alphabet to decode onto, so
-    n > 1 raises EmptyShiftError.
+    it raises EmptyShiftError.
     """
     if n < 1:
         raise ValueError("block length must be positive")
     if n == 1:
         return (shift, SlidingBlockCode.identity(shift),
                 {e.id: (e.id,) for e in shift.edges})
-    if not shift.edges:
-        raise EmptyShiftError("higher block recoding requires an edge")
     # one walk: each path of length n-1 is a vertex, extended by one edge
     ends = list(_paths_of_length(shift, n - 1))
     recoded, paths = _path_shift(

@@ -53,6 +53,8 @@ class SoficPresentation(_Graph):
 
     @cached_property
     def label_alphabet(self) -> Alphabet:
+        if not self.edges:
+            raise EmptyShiftError("a graph without edges has no alphabet")
         return Alphabet(tuple(sorted({e.label for e in self.edges})))
 
     def out_edges(self, v: str) -> tuple[LabeledEdge, ...]:

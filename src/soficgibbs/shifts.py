@@ -11,6 +11,8 @@ of the entries of the n-th adjacency power, in O(n E) exact steps),
 enumerated in lexicographic order by one walk from the edges, and a table
 keyed by words is checked to cover the language by counting its keys,
 without enumerating.  Irreducibility is one Kosaraju walk, for `thermo` too.
+Shifts whose edges are paths of another graph have one builder,
+`_path_shift`, the only place where a path's composite id is formed.
 
 All values are immutable after construction and every operation is a pure
 function of its inputs, so they can be shared freely between threads.
@@ -25,7 +27,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .errors import EnumerationCapError, ReducibleShiftError
+from .errors import EmptyShiftError, EnumerationCapError, ReducibleShiftError
 
 Word = tuple[str, ...]
 
@@ -179,6 +181,8 @@ class EdgeShift(_Graph):
 
     def alphabet(self) -> Alphabet:
         """The symbol alphabet of the shift: the edge ids."""
+        if not self.edges:
+            raise EmptyShiftError("a graph without edges has no alphabet")
         return Alphabet(tuple(e.id for e in self.edges))
 
     def adjacency(self) -> np.ndarray:

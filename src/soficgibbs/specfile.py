@@ -333,6 +333,8 @@ def build_code(spec: ShiftSpecFile, system: LoadedSystem) -> SlidingBlockCode:
     """The block code declared in the file, over the edge shift's symbols."""
     if spec.code_memory is None:
         raise SpecFileError("missing [code] section")
+    if not spec.code_entries:
+        raise SpecFileError("[code] section has no map line")
     table = {entry.word: entry.symbol for entry in spec.code_entries}
     codomain = Alphabet(tuple(sorted(set(table.values()))))
     try:

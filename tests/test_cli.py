@@ -471,3 +471,69 @@ def test_readme_command_block_names_every_subcommand():
         assert words[0] == "soficgibbs"
         named.append(" ".join(words[1:3] if words[1] == "verify" else words[1:2]))
     assert named == [name for name, *_ in cli._SUBCOMMANDS]
+
+
+# Small spec files, edgeless and malformed ones among them: no run of any
+# subcommand on them, with any potential, may raise out of `main`.
+CORPUS = {
+    "golden_mean": GOLDEN_MEAN + "[code] memory=0 anticipation=0\n"
+                   "map e1 -> 0\nmap e2 -> 1\nmap e3 -> 0\n",
+    "even_two_block": EVEN_SHIFT + "[code] memory=0 anticipation=1\n"
+                      "map a a -> 1\nmap a b -> 0\nmap b c -> 1\n"
+                      "map c a -> 0\nmap c b -> 0\n",
+    "xor": XOR,
+    "forbidden": "[alphabet] 0 1\n[shift] kind=forbidden window=2\nforbid 11\n",
+    "edgeless_edge": "[alphabet] 0\n[shift] kind=edge vertices=A\n"
+                     "[code] memory=0 anticipation=0\n",
+    "edgeless_labeled": "[alphabet] 0\n[shift] kind=labeled vertices=A\n"
+                        "[code] memory=0 anticipation=0\n",
+    "forbid_every_symbol": "[alphabet] 0 1\n[shift] kind=forbidden window=2\n"
+                           "forbid 0\nforbid 1\n[code] memory=0 anticipation=0\n",
+    "code_without_map": GOLDEN_MEAN + "[code] memory=0 anticipation=0\n",
+    "dead_end": DEAD_END,
+    "reducible": "[alphabet] 0 1\n[shift] kind=labeled vertices=L R\n"
+                 "edge a: L -> L label 0\nedge b: L -> R label 1\n"
+                 "edge c: R -> R label 0\n",
+    "period_two": "[alphabet] 0 1\n[shift] kind=labeled vertices=A B\n"
+                  "edge a: A -> B label 0\nedge b: B -> A label 1\n",
+}
+
+POTENTIALS = {
+    "range1": "[potential] range=1\nf(0) = 0.5\nf(1) = -0.25\n",
+    "range2": "[potential] range=2\nf(00) = 0.1\nf(01) = -0.2\n"
+              "f(10) = 0.3\nf(11) = log(2)\n",
+    "range3": "[potential] range=3\n" + "".join(
+        f"f({w:03b}) = {w / 10}\n" for w in range(8)),
+    "empty": "[potential] range=1\n",
+}
+
+# small values for the options that size the work
+_SMALL = {"--depth": "3", "--cmax": "3"}
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS))
+def test_no_input_makes_the_cli_raise(tmp_path, capsys, name):
+    spec = tmp_path / f"{name}.shift"
+    spec.write_text(CORPUS[name])
+    potentials = [None, "zero"]
+    for pot, text in POTENTIALS.items():
+        (tmp_path / f"{pot}.pot").write_text(text)
+        potentials.append(str(tmp_path / f"{pot}.pot"))
+    bad = []
+    for command, _, _, options in cli._SUBCOMMANDS:
+        if "file" not in options:
+            continue
+        argv = [*command.split(), str(spec), "--format", "machine"]
+        argv += [x for o in options if o in _SMALL for x in (o, _SMALL[o])]
+        for pot in potentials if "--potential" in options else [None]:
+            run = argv + ["--potential", pot] * (pot is not None)
+            try:
+                code = main(run)
+            except Exception as exc:  # a raise is what this test catches
+                code = exc
+            captured = capsys.readouterr()
+            one_error_line = (not captured.out and captured.err.count("\n") == 1
+                              and captured.err.startswith("error: "))
+            if code not in (0, 1, 2) or code == 2 and not one_error_line:
+                bad.append((run, code, captured.err))
+    assert not bad

@@ -91,6 +91,18 @@ class TestRecoding:
         with pytest.raises(sg.EmptyShiftError):
             sg.higher_block_shift(shift, 2)
 
+    @pytest.mark.parametrize("build", [
+        lambda shift: shift.alphabet(),
+        sg.SlidingBlockCode.identity,
+        lambda shift: sg.higher_block_shift(shift, 1),
+        lambda shift: sg.SoficPresentation(shift.vertices, ()).label_alphabet,
+        lambda shift: sg.SoficPresentation(shift.vertices, ()).labeling_code(),
+    ], ids=["alphabet", "identity", "higher-block-1", "label-alphabet",
+            "labeling-code"])
+    def test_a_graph_without_edges_has_no_alphabet(self, build):
+        with pytest.raises(sg.EmptyShiftError):
+            build(sg.EdgeShift(("A",), ()))
+
 
 class TestRightResolving:
     def test_even_cover_is_right_resolving(self, even_cover):

@@ -67,6 +67,11 @@ class TestParse:
         assert code.is_one_block
         assert sg.degree(code) == 2
 
+    def test_code_section_without_map_line(self):
+        spec = parse_spec(XOR.split("map", 1)[0])
+        with pytest.raises(sg.SpecFileError, match="has no map line"):
+            build_code(spec, build_system(spec))
+
     def test_undeclared_vertex_reports_error(self):
         bad = "[shift] kind=edge vertices=A\nedge e1: A -> B\n"
         with pytest.raises(sg.SpecFileError, match="undeclared vertex"):
