@@ -71,14 +71,15 @@ def _load_potential(arg, presentation):
 def cmd_analyze(args):
     system = _load_system(args.file)
     shift = system.edge_shift
+    irreducible = shift.is_irreducible()
     lines = [
         ("kind", system.kind),
         ("vertices", len(shift.vertices)),
         ("edges", len(shift.edges)),
         ("essential", shift.is_essential()),
-        ("irreducible", shift.is_irreducible()),
+        ("irreducible", irreducible),
     ]
-    if shift.is_irreducible():
+    if irreducible:
         structure = cyclic_structure(shift)
         lines.append(("period", structure.period))
         classes = " ".join(f"{v}:{structure.class_of[v]}" for v in shift.vertices)
