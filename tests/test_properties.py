@@ -168,8 +168,14 @@ def test_matrix_irreducible_matches_support_graph(m):
 @given(irreducible_graphs(), st.integers(min_value=1, max_value=3))
 def test_higher_block_round_trip(shift, n):
     assume(shift.count_words(n) <= 200)
-    recoded, decode, _ = sg.higher_block_shift(shift, n)
+    recoded, decode, paths = sg.higher_block_shift(shift, n)
     encoder = sg.higher_block_encoder(shift, n)
+    # the map sends each recoded edge id to its path, in lexicographic order
+    assert sorted(paths) == [e.id for e in recoded.edges]
+    assert list(paths.values()) == shift.words_of_length(n)
+    for eid, path in paths.items():
+        assert decode.label(eid) == path[0]
+        assert encoder.apply_to_word(path) == (eid,)
     for w in shift.words_of_length(n + 2):
         up = encoder.apply_to_word(w)
         assert decode.apply_to_word(up) == w[:len(up)]
@@ -937,6 +943,26 @@ def periodic_graphs(draw):
     return sg.EdgeShift(
         tuple(v for cls in classes for v in cls),
         tuple(sg.Edge(u, v, f"e{i}") for i, (u, v) in enumerate(pairs)))
+
+
+@settings(max_examples=50, deadline=None)
+@given(periodic_graphs())
+def test_cyclic_class_shift_edges_are_the_class_paths(shift):
+    structure = sg.cyclic_structure(shift)
+    p = structure.period
+    power0, expansion = sg.cyclic_class_shift(structure, 0)
+    assert power0.vertices == structure.class_vertices(0)
+    assert sorted(expansion) == [e.id for e in power0.edges]
+    for e in power0.edges:
+        path = expansion[e.id]
+        assert shift.edge_by_id[path[0]].source == e.source
+        assert shift.edge_by_id[path[-1]].target == e.target
+    # oracle: every length-p edge sequence that is a path out of class 0
+    class_paths = [tuple(e.id for e in walk)
+                   for walk in itertools.product(shift.edges, repeat=p)
+                   if structure.class_of[walk[0].source] == 0
+                   and all(a.target == b.source for a, b in zip(walk, walk[1:]))]
+    assert Counter(expansion.values()) == Counter(class_paths)
 
 
 def _cyclic_report_oracle(shift, potential, cylinder_length):
