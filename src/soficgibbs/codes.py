@@ -45,8 +45,8 @@ class SlidingBlockCode:
     The table sends every domain word of length memory+anticipation+1 to a
     codomain symbol; applying the code to a word of length n yields a word of
     length n - memory - anticipation.  Keys outside the domain language are
-    accepted; the table is checked to cover the language by counting, without
-    enumerating it.
+    accepted; the table is checked to cover the language by a set test at
+    window 1, counting above, without enumerating it.
     """
 
     domain: EdgeShift
@@ -60,11 +60,11 @@ class SlidingBlockCode:
             raise ValueError("memory and anticipation must be nonnegative")
         table = {tuple(k): str(v) for k, v in self.table.items()}
         object.__setattr__(self, "table", table)
-        n = self.block_size
+        n, symbols = self.block_size, set(self.codomain)
         for w, s in table.items():
             if len(w) != n:
                 raise ValueError(f"table key {w!r} does not have length {n}")
-            if s not in self.codomain:
+            if s not in symbols:
                 raise ValueError(f"table value {s!r} not in codomain alphabet")
         missing = missing_word(self.domain, table, n)
         if missing is not None:
@@ -126,8 +126,8 @@ def higher_block_shift(shift: EdgeShift, n: int):
     ends = list(_paths_of_length(shift, n - 1))
     recoded, paths = _path_shift(
         [path for path, _, _ in ends],
-        ((path + (e.id,), path, path[1:] + (e.id,))
-         for path, _, at in ends for e in shift.out_edges(at)))
+        [(path + (e.id,), path, path[1:] + (e.id,))
+         for path, _, at in ends for e in shift.out_edges(at)])
     decode = SlidingBlockCode.one_block(
         recoded, {eid: path[0] for eid, path in paths.items()}, shift.alphabet())
     return recoded, decode, paths

@@ -9,10 +9,11 @@ moving vertex classes) and the exact language live here: words are counted
 by n sweeps of a Python-int vector over the edge list (the count is the sum
 of the entries of the n-th adjacency power, in O(n E) exact steps),
 enumerated in lexicographic order by one walk from the edges, and a table
-keyed by words is checked to cover the language by counting its keys,
-without enumerating.  Irreducibility is one Kosaraju walk, for `thermo` too.
-Shifts whose edges are paths of another graph have one builder,
-`_path_shift`, the only place where a path's composite id is formed.
+keyed by words is checked to cover the language without enumerating, by a
+set test at window 1 and a count of its keys that are paths above it.
+Irreducibility is one Kosaraju walk, for `thermo` too.  Shifts whose edges
+are paths of another graph have one builder, `_path_shift`, which forms and
+checks composite ids.
 
 All values are immutable after construction and every operation is a pure
 function of its inputs, so they can be shared freely between threads.
@@ -27,7 +28,8 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .errors import EmptyShiftError, EnumerationCapError, ReducibleShiftError
+from .errors import (EmptyShiftError, EnumerationCapError, ReducibleShiftError,
+                     SoficGibbsError)
 
 Word = tuple[str, ...]
 
@@ -253,15 +255,19 @@ class EdgeShift(_Graph):
 
     def path_endpoints(self, word: Word):
         """(source, target) of the path spelled by the word, or None."""
-        if not word:
+        return _path_endpoints(self.edge_by_id, word)
+
+
+def _path_endpoints(edge_by_id, word):
+    """(source, target) of the path spelled by the word, read through the
+    map from each edge id to its edge, or None."""
+    at = None
+    for eid in word:
+        e = edge_by_id.get(eid)
+        if e is None or at is not None and e.source != at:
             return None
-        prev = None
-        for eid in word:
-            e = self.edge_by_id.get(eid)
-            if e is None or (prev is not None and e.source != prev):
-                return None
-            prev = e.target
-        return self.edge_by_id[word[0]].source, prev
+        at = e.target
+    return (edge_by_id[word[0]].source, at) if word else None
 
 
 def _essential_states(states, arcs):
@@ -334,13 +340,17 @@ def missing_word(language, keys, n: int) -> Word | None:
     """The first length-n word of a language, in lexicographic order, that is
     not among `keys`; None when every word is a key.
 
-    `language` is anything with `words_of_length`.  On an EdgeShift the keys
-    that are length-n words of the language are counted against
-    `count_words(n)`: the keys are distinct, so equal counts mean that every
-    word is a key, and the language is enumerated only when they differ.
+    `language` is anything with `words_of_length`.  On an EdgeShift this is
+    a set test at window 1, the 1-tuple of each edge id a key, and counting
+    above: the keys that are paths, each walked through the map from edge id
+    to edge, number `count_words(n)` exactly when every word is a key, the
+    keys being distinct.  The language is enumerated only when it fails.
     """
-    if isinstance(language, EdgeShift) and language.count_words(n) == sum(
-            1 for w in keys if len(w) == n and language.in_language(w)):
+    if isinstance(language, EdgeShift) and (
+            all(map(keys.__contains__, zip(language.edge_by_id))) if n == 1
+            else language.count_words(n) == sum(
+                1 for w in keys
+                if len(w) == n and _path_endpoints(language.edge_by_id, w))):
         return None
     return next((w for w in language.words_of_length(n) if w not in keys), None)
 
@@ -472,16 +482,25 @@ def _paths_of_length(shift, p):
 
 def _path_shift(vertices, walk):
     """The edge shift whose vertices and edges are paths of another graph,
-    each a tuple of ids named by their PATH_SEP join, here and nowhere else
-    (a 1-tuple keeps its name); `walk` yields (path, source, target) per
-    edge.  Returns the shift and the map from each edge id to its path."""
-    name = PATH_SEP.join
-    edges, paths = [], {}
-    for path, source, target in walk:
-        eid = name(path)
-        edges.append(Edge(name(source), name(target), eid))
-        paths[eid] = path
-    return EdgeShift(tuple(map(name, vertices)), tuple(edges)), paths
+    each a tuple of ids named once by its PATH_SEP join, here and nowhere
+    else (a 1-tuple keeps its name); `walk` lists (path, source, target) per
+    edge.  Returns the shift and the map from each edge id to its path; two
+    paths with one name raise SoficGibbsError."""
+    paths = _named([path for path, _, _ in walk])
+    names = {path: name for name, path in _named(vertices).items()}
+    edges = [Edge(names[source], names[target], eid)
+             for eid, (_, source, target) in zip(paths, walk)]
+    return EdgeShift(tuple(names.values()), tuple(edges)), paths
+
+
+def _named(paths):
+    """The map from the PATH_SEP join of each path to the path."""
+    names = [PATH_SEP.join(path) for path in paths]
+    named = dict(zip(names, paths))
+    if len(named) < len(names):
+        twice = next(name for i, name in enumerate(names) if name in names[:i])
+        raise SoficGibbsError(f"two paths have the composite id {twice!r}")
+    return named
 
 
 def cyclic_class_shift(structure: CyclicStructure, class_index: int = 0):
@@ -493,4 +512,4 @@ def cyclic_class_shift(structure: CyclicStructure, class_index: int = 0):
     keep = set(structure.class_vertices(class_index))
     walk = _paths_of_length(structure.shift, structure.period)
     return _path_shift([(v,) for v in keep],
-                       ((path, (s,), (t,)) for path, s, t in walk if s in keep))
+                       [(path, (s,), (t,)) for path, s, t in walk if s in keep])

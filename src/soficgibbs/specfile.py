@@ -15,12 +15,12 @@ ignored; section headers may carry inline attributes):
     f(1) = log(2)
 
 Shift kinds: `edge` (an edge shift, labels optional and defaulting to the
-edge id), `labeled` (a sofic presentation, labels required), and `forbidden`
-(`[shift] kind=forbidden window=2` followed by `forbid 11` lines; the shift
-is built over the alphabet with the last-symbol read-off labeling).  Reals
-are decimal literals or `log(<rational>)`, so exact pressures are
-expressible.  Parsing then serializing yields a canonical form that
-round-trips byte-identically.
+edge id), `labeled` (a sofic presentation, labels required, trimmed to the
+bi-infinite paths it presents), and `forbidden` (`[shift] kind=forbidden
+window=2` followed by `forbid 11` lines; the essential shift is built over
+the alphabet with the last-symbol read-off labeling).  Reals are decimal
+literals or `log(<rational>)`, so exact pressures are expressible.  Parsing
+then serializing yields a canonical form that round-trips byte-identically.
 """
 
 from __future__ import annotations
@@ -299,6 +299,8 @@ def _build_labeling(spec: ShiftSpecFile) -> SlidingBlockCode:
         raise SpecFileError(f"edge {missing.id!r} needs a label")
     shift = EdgeShift(spec.vertices,
                       tuple(Edge(e.source, e.target, e.id) for e in spec.edges))
+    if spec.kind == "labeled":
+        shift = shift.essential()
     labels = {e.id: e.label if e.label is not None else e.id
               for e in spec.edges}
     alphabet = Alphabet(spec.alphabet) if spec.alphabet else None

@@ -53,7 +53,7 @@ class LocallyConstantPotential:
     The shift may be an EdgeShift (words of edge ids) or a SoficPresentation
     (words of labels); both expose the same language interface.  Keys
     outside the language are accepted; on an EdgeShift the table is checked
-    to cover the language by counting, without enumerating it.
+    to cover it by a set test at window 1, counting above, not enumeration.
     """
 
     shift: object
@@ -317,23 +317,25 @@ def transfer_matrix(shift: EdgeShift, potential: LocallyConstantPotential) -> np
     names its vertex pair."""
     _require_edge_potential(shift, potential)
     n = len(shift.vertices)
-    idx = shift.vertex_index
-    m = np.zeros((n, n))
+    idx, table = shift.vertex_index, potential.table
+    sums = {}  # parallel edges summed in edge order, from 0.0
     for e in shift.edges:
         try:
-            weight = math.exp(potential.value((e.id,)))
+            weight = math.exp(table[(e.id,)])
         except OverflowError:
             raise SoficGibbsError(
                 f"exp of the potential on edge {e.id!r} overflows a double")
         if weight < sys.float_info.min:
             raise SoficGibbsError(
                 f"exp of the potential on edge {e.id!r} underflows a double")
-        i, j = idx[e.source], idx[e.target]
-        m[i, j] = float(m[i, j]) + weight  # a Python sum overflows to inf silently
-        if math.isinf(m[i, j]):
+        at = idx[e.source] * n + idx[e.target]
+        total = sums[at] = sums.get(at, 0.0) + weight  # overflow gives inf
+        if math.isinf(total):
             raise SoficGibbsError(
                 "the summed exp of the potential on the edges "
                 f"{e.source!r} -> {e.target!r} overflows a double")
+    m = np.zeros((n, n))
+    m.flat[list(sums)] = list(sums.values())
     return m
 
 
@@ -436,11 +438,12 @@ def _equilibrium(shift, potential):
     solve: the same value `pressure` returns."""
     _require_edge_potential(shift, potential)
     data = perron(transfer_matrix(shift, potential))
-    idx = shift.vertex_index
+    right = data.right.tolist()
+    idx, table = shift.vertex_index, potential.table
     transitions = {}
     for v in shift.vertices:
         weights = {
-            e.id: math.exp(potential.value((e.id,))) * data.right[idx[e.target]]
+            e.id: math.exp(table[(e.id,)]) * right[idx[e.target]]
             for e in shift.out_edges(v)
         }
         total = sum(weights.values())
@@ -460,10 +463,10 @@ def _polished_stationary(shift, transitions, seed):
     precision, by iterating the aperiodic half-step chain (T + I)/2."""
     n = len(shift.vertices)
     idx = shift.vertex_index
-    t = np.zeros((n, n))
-    for e in shift.edges:
-        t[idx[e.source], idx[e.target]] += transitions[e.id]
-    half = 0.5 * (t + np.eye(n))
+    # bincount sums the parallel edges in edge order, from 0.0
+    t = np.bincount([idx[e.source] * n + idx[e.target] for e in shift.edges],
+                    [transitions[e.id] for e in shift.edges], n * n)
+    half = 0.5 * (t.reshape(n, n) + np.eye(n))
     x = seed / seed.sum()
     for _ in range(100_000):
         y = x @ half
@@ -472,7 +475,7 @@ def _polished_stationary(shift, transitions, seed):
         x = y
         if done:
             break
-    return {v: float(x[idx[v]]) for v in shift.vertices}
+    return dict(zip(shift.vertices, x.tolist()))
 
 
 def entropy(measure: MarkovMeasure) -> float:

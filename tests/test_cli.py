@@ -462,6 +462,53 @@ def test_dead_end_graph_with_long_window_exits_2(tmp_path, capsys, command,
     assert captured.err.count("\n") == 1
 
 
+# Loops `a` and `a~a` at one vertex: the paths (a, a~a) and (a~a, a) both
+# join to the composite id `a~a~a`.
+COMPOSITE_COLLISION = """\
+[alphabet] 0 1
+[shift] kind=edge vertices=A
+edge a: A -> A label 0
+edge a~a: A -> A label 1
+"""
+
+# A loop labeled 0 at A and a dead-end edge A -> B labeled 1: the presented
+# shift is the one point 0^inf.
+LABELED_DEAD_END = """\
+[alphabet] 0 1
+[shift] kind=labeled vertices=A B
+edge x: A -> A label 0
+edge y: A -> B label 1
+"""
+
+
+@pytest.mark.parametrize("window", [2, 3])
+def test_composite_id_collision_exits_2_naming_the_id(tmp_path, capsys, window):
+    (tmp_path / "s.shift").write_text(COMPOSITE_COLLISION)
+    (tmp_path / "f.pot").write_text(f"[potential] range={window}\n" + "".join(
+        f"f({w:0{window}b}) = 0.0\n" for w in range(2 ** window)))
+    assert main(["pressure", str(tmp_path / "s.shift"), "--potential",
+                 str(tmp_path / "f.pot"), "--format", "machine"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: two paths have the composite id 'a~a~a")
+    assert captured.err.count("\n") == 1
+
+
+def test_labeled_file_is_trimmed_to_its_essential_part(tmp_path, capsys):
+    # the potential names only the symbol of the one bi-infinite point
+    (tmp_path / "s.shift").write_text(LABELED_DEAD_END)
+    (tmp_path / "f.pot").write_text("[potential] range=1\nf(0) = 0.5\n")
+    spec, pot = str(tmp_path / "s.shift"), str(tmp_path / "f.pot")
+    code, values, _ = run(capsys, "pressure", spec, "--potential", pot,
+                          "--format", "machine")
+    assert (code, values["pressure"]) == (0, "0.5")
+    code, values, _ = run(capsys, "verify", "dobrushin", spec,
+                          "--potential", pot, "--format", "machine")
+    assert (code, values["verdict"]) == (0, "pass")
+    code, values, _ = run(capsys, "analyze", spec, "--format", "machine")
+    assert (values["vertices"], values["edges"]) == ("1", "1")
+
+
 def test_readme_command_block_names_every_subcommand():
     readme = (ROOT / "README.md").read_text()
     block = readme.split("## Command line\n\n```\n", 1)[1].split("```", 1)[0]
@@ -496,6 +543,8 @@ CORPUS = {
                  "edge c: R -> R label 0\n",
     "period_two": "[alphabet] 0 1\n[shift] kind=labeled vertices=A B\n"
                   "edge a: A -> B label 0\nedge b: B -> A label 1\n",
+    "composite_collision": COMPOSITE_COLLISION,
+    "labeled_dead_end": LABELED_DEAD_END,
 }
 
 POTENTIALS = {

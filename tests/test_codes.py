@@ -91,6 +91,21 @@ class TestRecoding:
         with pytest.raises(sg.EmptyShiftError):
             sg.higher_block_shift(shift, 2)
 
+    @pytest.mark.parametrize("edges, n, name", [
+        # the edge paths (a, a~a) and (a~a, a)
+        ((("A", "A", "a"), ("A", "A", "a~a")), 2, "a~a~a"),
+        # the vertex paths (x~y, z) and (x, y~z), both ending at a dead end
+        ((("S", "M", "x~y"), ("M", "D", "z"), ("S", "N", "x"),
+          ("N", "D", "y~z")), 3, "x~y~z"),
+    ], ids=["edges", "vertices"])
+    def test_two_paths_with_one_composite_id_are_refused(self, edges, n, name):
+        shift = sg.EdgeShift(tuple(sorted({v for a, b, _ in edges
+                                           for v in (a, b)})),
+                             tuple(sg.Edge(*e) for e in edges))
+        with pytest.raises(sg.SoficGibbsError,
+                           match=f"two paths have the composite id '{name}'$"):
+            sg.higher_block_shift(shift, n)
+
     @pytest.mark.parametrize("build", [
         lambda shift: shift.alphabet(),
         sg.SlidingBlockCode.identity,

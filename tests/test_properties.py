@@ -505,6 +505,126 @@ def test_presentation_essential_matches_edge_shift_trim(presentation):
     assert set(trimmed.edges) == set(arcs)
 
 
+def _count_and_walk_missing_word(shift, keys, n):
+    """The table check as it was: the keys of length n that are paths, each
+    walked edge by edge, counted against `count_words(n)`."""
+    def is_path(word):
+        at = None
+        for eid in word:
+            e = shift.edge_by_id.get(eid)
+            if e is None or (at is not None and e.source != at):
+                return False
+            at = e.target
+        return True
+
+    if shift.count_words(n) == sum(1 for w in keys
+                                   if len(w) == n and is_path(w)):
+        return None
+    return next((w for w in shift.words_of_length(n) if w not in keys), None)
+
+
+@settings(max_examples=150, deadline=None)
+@given(untrimmed_labeled_graphs(), st.integers(min_value=1, max_value=3),
+       st.integers(min_value=0, max_value=2),
+       st.integers(min_value=0, max_value=2),
+       st.integers(min_value=0, max_value=2),
+       st.integers(min_value=0, max_value=10 ** 6))
+def test_table_check_matches_count_and_walk_oracle(presentation, n, drop, fake,
+                                                   other, seed):
+    shift = presentation.underlying_edge_shift()
+    rng = np.random.default_rng(seed)
+    words = shift.words_of_length(n)
+    ids = [e.id for e in shift.edges]
+    # a random subset of the language, all but `drop` words of it, and tuples
+    # outside it: `fake` tuples of edge ids that are not paths, `other` paths
+    # of length n - 1 or n + 1 (with as many as are dropped, a count that
+    # takes them agrees), and an unknown id
+    keys = [words[i] for i in rng.permutation(len(words))[drop:]]
+    in_language = set(words)
+    not_paths = [w for w in itertools.product(ids, repeat=n)
+                 if w not in in_language]
+    keys += [not_paths[i] for i in rng.permutation(len(not_paths))[:fake]]
+    near = [w for w in shift.words_of_length(n - 1)
+            + shift.words_of_length(n + 1) if w]
+    keys += [near[i] for i in rng.permutation(len(near))[:other]]
+    keys.append(("zz",) * n)
+    keys = dict.fromkeys(keys[i] for i in rng.permutation(len(keys)))
+    assert shifts.missing_word(shift, keys, n) == _count_and_walk_missing_word(
+        shift, keys, n)
+
+
+def _per_edge_transfer_matrix(shift, potential):
+    """The transfer matrix as it was: one numpy scalar read and written per
+    edge."""
+    n = len(shift.vertices)
+    idx = shift.vertex_index
+    m = np.zeros((n, n))
+    for e in shift.edges:
+        i, j = idx[e.source], idx[e.target]
+        m[i, j] = float(m[i, j]) + math.exp(potential.value((e.id,)))
+    return m
+
+
+def _per_edge_polished_stationary(shift, transitions, seed):
+    """`thermo._polished_stationary` as it was: T built by one numpy `+=`
+    per edge, the result read one numpy scalar per vertex."""
+    n = len(shift.vertices)
+    idx = shift.vertex_index
+    t = np.zeros((n, n))
+    for e in shift.edges:
+        t[idx[e.source], idx[e.target]] += transitions[e.id]
+    half = 0.5 * (t + np.eye(n))
+    x = seed / seed.sum()
+    for _ in range(100_000):
+        y = x @ half
+        y /= y.sum()
+        done = np.max(np.abs(y - x)) < 1e-15
+        x = y
+        if done:
+            break
+    return {v: float(x[idx[v]]) for v in shift.vertices}
+
+
+def _per_edge_transitions(shift, potential, data):
+    """The transitions of `thermo._equilibrium` as they were: each weight
+    a Python float times a numpy scalar of the right Perron vector."""
+    idx = shift.vertex_index
+    transitions = {}
+    for v in shift.vertices:
+        weights = {e.id: math.exp(potential.value((e.id,)))
+                   * data.right[idx[e.target]] for e in shift.out_edges(v)}
+        total = sum(weights.values())
+        for eid, w in weights.items():
+            transitions[eid] = w / total
+    return transitions
+
+
+@settings(max_examples=60, deadline=None)
+@given(multigraphs(), st.integers(min_value=0, max_value=3),
+       st.floats(min_value=0.1, max_value=30.0),
+       st.integers(min_value=0, max_value=10 ** 6))
+def test_edge_form_is_bit_identical_to_per_edge_numpy_forms(shift, copies,
+                                                            scale, seed):
+    # more copies of the parallel edge, so that a sum's order shows in its bits
+    par = shift.edge_by_id["par"]
+    shift = sg.EdgeShift(shift.vertices, shift.edges + tuple(
+        sg.Edge(par.source, par.target, f"par{i}") for i in range(copies)))
+    assume(shift.is_irreducible())
+    rng = np.random.default_rng(seed)
+    f = sg.LocallyConstantPotential(shift, 1, {
+        (e.id,): float(rng.uniform(-scale, scale)) for e in shift.edges})
+    m = sg.transfer_matrix(shift, f)
+    assert np.array_equal(m, _per_edge_transfer_matrix(shift, f))
+    data = sg.perron(m)
+    mu, _ = thermo._equilibrium(shift, f)
+    assert mu.transitions == _per_edge_transitions(shift, f, data)
+    seed_vector = data.left * data.right
+    expected = _per_edge_polished_stationary(shift, mu.transitions, seed_vector)
+    assert thermo._polished_stationary(shift, mu.transitions,
+                                       seed_vector) == expected
+    assert mu.stationary == expected
+
+
 def _vertex_rooted_edge_paths(shift, n):
     """The edge paths of length n, walked depth first from each vertex in
     turn and then sorted."""
