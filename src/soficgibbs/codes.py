@@ -18,6 +18,9 @@ read.  The scan stops after the first length whose best multiplicity is 1,
 since no multiplicity is lower and every longer word loses on length: a
 degree-1 code whose full closure is past the cap, but whose magic word is
 shallow, gets an answer.  Codes of higher degree build both closures.
+One breadth-first walk over pairs of states, `_pair_walk`, finds shortest
+witness words for the diamond test of `is_finite_to_one` (vertex pairs) and
+the containment test of `presentations` (pairs of index subsets).
 """
 
 from __future__ import annotations
@@ -179,33 +182,46 @@ def is_finite_to_one(code: SlidingBlockCode) -> bool:
 
     A diamond is a pair of distinct equal-length paths with the same start
     vertex, end vertex, and label word; for an irreducible domain its absence
-    is equivalent to the code being finite-to-one.  We search the pair graph
-    for a walk from a diagonal pair to a diagonal pair that uses at least one
-    step carrying two distinct edges.
+    is equivalent to the code being finite-to-one.  A shortest diamond parts
+    along two distinct edges with one source and one label: `_pair_walk`
+    looks for the diagonal from the pairs of their targets.
     """
     _require_one_block(code)
     shift = code.domain
     if not shift.is_irreducible():
         raise ReducibleShiftError("finite-to-one test requires an irreducible domain")
-    if _right_resolving(_labeled_triples(code)):
-        return True  # two paths from one vertex reading one word are equal
-    # states (u, v, strict_seen); edges pair equal-labeled domain edges
-    start = [(v, v, False) for v in shift.vertices]
-    seen = set(start)
-    todo = list(start)
-    while todo:
-        u, v, strict = todo.pop()
-        for e in shift.out_edges(u):
-            for f in shift.out_edges(v):
-                if code.label(e.id) != code.label(f.id):
-                    continue
-                nxt = (e.target, f.target, strict or e.id != f.id)
-                if nxt[2] and nxt[0] == nxt[1]:
-                    return False  # diamond closed on the diagonal
-                if nxt not in seen:
-                    seen.add(nxt)
-                    todo.append(nxt)
-    return True
+    # out[v][label]: the out-edges of v with that label; a right-resolving
+    # code has no start pair
+    out = {v: {} for v in shift.vertices}
+    for e in shift.edges:
+        out[e.source].setdefault(code.label(e.id), []).append(e)
+    start = [(e.target, f.target) for at in out.values() for es in at.values()
+             for e in es for f in es if e.id != f.id]
+
+    def step(pair):
+        at = out[pair[1]]
+        return ((s, (e.target, f.target)) for s, es in out[pair[0]].items()
+                for e in es for f in at.get(s, ()))
+
+    return _pair_walk(start, step, lambda pair: pair[0] == pair[1]) is None
+
+
+def _pair_walk(start, step, stop):
+    """Breadth-first walk over pairs of states from the pairs in `start`:
+    the first pair that `stop` accepts with a shortest word read to it, or
+    None.  `step(pair)` yields (symbol, next pair); in symbol order, the word
+    is the shortlex-least when each word leads to at most one pair."""
+    came = dict.fromkeys(start, ())
+    todo = list(came)
+    for pair in todo:
+        word = came[pair]
+        if stop(pair):
+            return pair, word
+        for s, nxt in step(pair):
+            if nxt not in came:
+                came[nxt] = word + (s,)
+                todo.append(nxt)
+    return None
 
 
 def _require_one_block(code):

@@ -63,7 +63,7 @@ from .codes import (CodeAnalysis, SlidingBlockCode, analyze_code,
 from . import shifts
 from .errors import (EnumerationCapError, InsufficientContextError,
                      NoExchangeableContextError, NotFiniteToOneError,
-                     NotInLanguageError, ReducibleShiftError)
+                     NotInLanguageError)
 from .measures import (HiddenMarkovMeasure, LiftResult, _hidden,
                        entropy_estimate, equilibrium_upstairs,
                        lift_equilibrium, preimage_cylinder_sum)
@@ -572,8 +572,6 @@ def verify_finite_to_one_preservation(code: SlidingBlockCode,
     finite-to-one code and certify the image is Gibbs for the potential;
     the lift direction is confirmed by matching the image cylinders against
     brute-force preimage sums."""
-    if not code.domain.is_irreducible():
-        raise ReducibleShiftError("requires an irreducible domain")
     if not is_finite_to_one(code):
         raise NotFiniteToOneError("code is not finite-to-one")
     nu = equilibrium_upstairs(code, potential).downstairs

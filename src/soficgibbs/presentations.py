@@ -18,8 +18,8 @@ building a presentation on the way.  States with equal follower sets are
 merged by Moore refinement over index lists; the strongly connected
 components of the merged table that carry an edge are the candidates, the
 smallest first, and the one whose language contains every word of the
-table, by an exact search over pairs of index subsets (at most one does), is
-named: its states, sorted by the names of their sets of subsets, become q0,
+table, by `codes._pair_walk` over pairs of index subsets (at most one does),
+is named: its states, sorted by the names of their sets of subsets, become q0,
 q1, ...
 """
 
@@ -29,8 +29,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping
 
-from .codes import (SlidingBlockCode, _right_resolving, _subset_closure,
-                    _subset_step, _successor_sets)
+from .codes import (SlidingBlockCode, _pair_walk, _right_resolving,
+                    _subset_closure, _subset_step, _successor_sets)
 from . import shifts
 from .errors import (EmptyShiftError, EnumerationCapError,
                      ReducibleShiftError)
@@ -201,26 +201,18 @@ def _presents_whole(delta, part):
     is read inside `part`, along steps that stay in it."""
     if len(part) == len(delta):
         return True
-    columns = list(zip(*delta))
+    columns = list(enumerate(zip(*delta)))
     # intersecting a step with a set of states drops its -1
     full, part = frozenset(range(len(delta))), frozenset(part)
-    start = (full, part)
-    seen = {start}
-    todo = [start]
-    while todo:
-        whole, sub = todo.pop()
-        for col in columns:
-            nxt_whole = frozenset(map(col.__getitem__, whole)) & full
-            if not nxt_whole:
-                continue
-            nxt_sub = frozenset(map(col.__getitem__, sub)) & part
-            if not nxt_sub:
-                return False
-            nxt = (nxt_whole, nxt_sub)
-            if nxt not in seen:
-                seen.add(nxt)
-                todo.append(nxt)
-    return True
+
+    def step(pair):
+        whole, sub = pair
+        for j, col in columns:
+            nxt = frozenset(map(col.__getitem__, whole)) & full
+            if nxt:
+                yield j, (nxt, frozenset(map(col.__getitem__, sub)) & part)
+
+    return _pair_walk([(full, part)], step, lambda pair: not pair[1]) is None
 
 
 def minimize_fischer(presentation: SoficPresentation):

@@ -442,6 +442,27 @@ class TestFiniteToOne:
         with pytest.raises(sg.NotFiniteToOneError):
             sg.verify_finite_to_one_preservation(amalgamation, f)
 
+    def test_reducible_domain_rejected_after_one_walk(self, monkeypatch):
+        # a loop at each of two vertices joined one way: essential, reducible
+        domain = sg.EdgeShift(("A", "B"), (sg.Edge("A", "A", "a"),
+                                           sg.Edge("A", "B", "c"),
+                                           sg.Edge("B", "B", "b")))
+        code = sg.SlidingBlockCode.identity(domain)
+        f = sg.LocallyConstantPotential.zero(sg.image_presentation(code))
+        walks = []
+        is_irreducible = sg.EdgeShift.is_irreducible
+
+        def counting(shift):
+            walks.append(shift)
+            return is_irreducible(shift)
+
+        monkeypatch.setattr(sg.EdgeShift, "is_irreducible", counting)
+        with pytest.raises(sg.ReducibleShiftError,
+                           match="^finite-to-one test requires an "
+                                 "irreducible domain$"):
+            sg.verify_finite_to_one_preservation(code, f)
+        assert walks == [domain]
+
 
 class TestOneLift:
     """Each Gibbs certificate reads one lift: one Perron solve, one analysis

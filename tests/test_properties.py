@@ -411,14 +411,102 @@ def test_early_stop_matches_full_closure_oracle_on_sofic_codes(presentation,
         assert (sg.degree(code), sg.find_magic_word(code)) == expected
 
 
-@settings(max_examples=80, deadline=None)
-@given(labeled_covers())
-def test_right_resolving_shortcut_matches_pair_graph_search(code):
+def _shortest_diamond(code, longest):
+    """Brute force: the least length, up to `longest`, of two distinct paths
+    with one start, one end and one label word, or None."""
+    # one (start, end, label word) entry per path
+    paths = [(v, v, ()) for v in code.domain.vertices]
+    for length in range(1, longest + 1):
+        paths = [(start, e.target, word + (code.label(e.id),))
+                 for start, end, word in paths
+                 for e in code.domain.out_edges(end)]
+        if max(Counter(paths).values()) > 1:
+            return length
+    return None
+
+
+def _walk_of(module, call, *args):
+    """The verdict of `call(*args)` and the result of the pair walk it
+    runs, run again on the same start set, step and stop test."""
     from soficgibbs import codes
 
-    with mock.patch.object(codes, "_right_resolving", return_value=False):
-        expected = sg.is_finite_to_one(code)
-    assert sg.is_finite_to_one(code) == expected
+    with mock.patch.object(module, "_pair_walk",
+                           wraps=codes._pair_walk) as walk:
+        verdict = call(*args)
+    return verdict, codes._pair_walk(*walk.call_args.args)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(labeled_covers(),
+                 labeled_graphs().map(lambda p: p.labeling_code())))
+def test_pair_walk_finds_shortest_diamond(code):
+    from soficgibbs import codes
+
+    finite, found = _walk_of(codes, sg.is_finite_to_one, code)
+    assert finite == (found is None)
+    shortest = _shortest_diamond(code, 6)
+    if shortest is None:
+        assert found is None or len(found[1]) > 5
+    else:
+        # the walk starts one step in, past the two first edges
+        assert not finite
+        assert len(found[1]) == shortest - 1
+
+
+def _merged_table(presentation):
+    """The follower-merged subset table that `minimize_fischer` builds."""
+    from soficgibbs import presentations
+
+    _, _, delta = presentations._subset_table(presentation)
+    block_of, count = presentations._follower_classes(delta)
+    first = {}
+    for i, b in enumerate(block_of):
+        first.setdefault(b, i)
+    return [[block_of[t] if t >= 0 else -1 for t in delta[first[b]]]
+            for b in range(count)]
+
+
+def _least_word_outside(table, part, longest):
+    """Brute force: the shortlex-least word, up to `longest` symbols, that
+    some state of the table reads and no path inside `part` reads, or None."""
+
+    def read_in(states, word):
+        # some state of `states` reads `word` along steps that stay in it
+        for state in states:
+            for j in word:
+                state = table[state][j]
+                if state not in states:
+                    break
+            else:
+                return True
+        return False
+
+    for length in range(longest + 1):
+        for word in itertools.product(range(len(table[0])), repeat=length):
+            if read_in(range(len(table)), word) and not read_in(part, word):
+                return word
+    return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(labeled_graphs())
+def test_pair_walk_finds_least_word_outside_a_component(presentation):
+    from soficgibbs import presentations
+
+    table = _merged_table(presentation)
+    for comp in shifts._strong_components([[t for t in row if t >= 0]
+                                           for row in table]):
+        if len(comp) == len(table):
+            continue
+        part = set(comp)
+        whole, found = _walk_of(presentations, presentations._presents_whole,
+                                table, part)
+        assert whole == (found is None)
+        least = _least_word_outside(table, part, 6)
+        if least is None:
+            assert found is None or len(found[1]) > 6
+        else:
+            assert found[1] == least
 
 
 def _edge_scan_subsets(code, forward):

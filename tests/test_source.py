@@ -1,0 +1,28 @@
+"""Checks on the package source itself."""
+
+import re
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "soficgibbs"
+
+# import headers and docstring quotes repeat by nature
+_HEADER = re.compile(r'(from \S+ )?import |"""$')
+
+
+def test_no_four_line_window_repeats():
+    # every window of four consecutive non-blank lines, stripped, that is
+    # not all header lines, appears once in the package
+    first, repeats = {}, []
+    for path in sorted(SRC.rglob("*.py")):
+        lines = [(n, line.strip()) for n, line in enumerate(
+            path.read_text(encoding="utf-8").splitlines(), 1) if line.strip()]
+        for i in range(len(lines) - 3):
+            window = tuple(line for _, line in lines[i:i + 4])
+            if all(map(_HEADER.match, window)):
+                continue
+            where = f"{path.relative_to(SRC)}:{lines[i][0]}"
+            if window in first:
+                repeats.append(f"{where} repeats {first[window]}")
+            else:
+                first[window] = where
+    assert repeats == []
