@@ -28,6 +28,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping
 
 from . import shifts
@@ -98,6 +99,14 @@ class SlidingBlockCode:
     def label(self, edge_id: str) -> str:
         """Image symbol of a single domain symbol (one-block codes)."""
         return self.table[(edge_id,)]
+
+    @cached_property
+    def _label_edges(self):
+        """The domain edges of each label, in edge order (one-block codes)."""
+        by_label = {}
+        for e in self.domain.edges:
+            by_label.setdefault(self.label(e.id), []).append(e)
+        return by_label
 
     def apply_to_word(self, word: Word) -> Word:
         n = self.block_size
@@ -233,20 +242,13 @@ def _labeled_triples(code):
     return [(e.source, code.label(e.id), e.target) for e in code.domain.edges]
 
 
-def _label_edges(code):
-    by_label = {}
-    for e in code.domain.edges:
-        by_label.setdefault(code.label(e.id), []).append(e)
-    return by_label
-
-
 def preimage_words(code: SlidingBlockCode, word: Word) -> list[Word]:
     """Brute enumeration of the preimage paths of an image word, in
     lexicographic order; a level of more than
     `shifts.DEFAULT_ENUMERATION_CAP` paths raises `EnumerationCapError`."""
     _require_one_block(code)
     cap = shifts.DEFAULT_ENUMERATION_CAP
-    by_label = _label_edges(code)
+    by_label = code._label_edges
     paths = [((), None)]  # (path, its end vertex)
     for s in word:
         nxt = []
@@ -354,7 +356,7 @@ def _degree_search(code):
     _require_one_block(code)
     if not is_finite_to_one(code):
         raise NotFiniteToOneError("degree undefined (infinite)")
-    by_label = _label_edges(code)
+    by_label = code._label_edges
     symbols = sorted(by_label)
     edges_of = [sorted(by_label[s], key=lambda e: e.id) for s in symbols]
     triples = _labeled_triples(code)

@@ -70,7 +70,7 @@ from .measures import (HiddenMarkovMeasure, LiftResult, _hidden,
 from .presentations import (LabeledEdge, SoficPresentation,
                             is_irreducible_sofic)
 from .shifts import Word
-from .thermo import LocallyConstantPotential
+from .thermo import LocallyConstantPotential, _sum
 
 PAIR_CAP = 200  # most exchangeable word pairs one battery tests
 # most (left, right) class pairs one battery evaluates afresh: a pair's
@@ -550,7 +550,7 @@ def verify_sofic_dobrushin(presentation: SoficPresentation,
     est = entropy_estimate(nu, entropy_horizon)
     for words, probs in nu.word_levels(potential.k):
         pass
-    integral = sum(p * potential.value(w) for w, p in zip(words, probs))
+    integral = _sum(p * potential.value(w) for w, p in zip(words, probs))
     deviation = abs(est.estimate + integral - lift.pressure_value)
     return DobrushinReport(lift, lift.pressure_value, est.h_sequence,
                            integral, deviation, deviation < tol)

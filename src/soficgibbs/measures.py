@@ -31,7 +31,8 @@ from .presentations import (SoficPresentation, image_presentation,
                             minimize_fischer)
 from .shifts import CyclicStructure, Word, cyclic_class_shift
 from .thermo import (LocallyConstantPotential, MarkovMeasure, _equilibrium,
-                     pressure, pullback_potential, reduce_to_edge_potential)
+                     _sum, pressure, pullback_potential,
+                     reduce_to_edge_potential)
 
 
 @dataclass(frozen=True)
@@ -134,7 +135,7 @@ def pushforward(measure: MarkovMeasure, code: SlidingBlockCode) -> HiddenMarkovM
 def preimage_cylinder_sum(nu: HiddenMarkovMeasure, word: Word) -> float:
     """Independent oracle: sum of upstairs cylinder probabilities over the
     enumerated preimage paths of the word."""
-    return sum(nu.upstairs.cylinder_prob(u) for u in preimage_words(nu.code, word))
+    return _sum(nu.upstairs.cylinder_prob(u) for u in preimage_words(nu.code, word))
 
 
 @dataclass(frozen=True)
@@ -282,7 +283,7 @@ def restrict_and_average(measure: MarkovMeasure, structure: CyclicStructure,
     for length in range(1, max_length + 1):
         for u in measure.shift.words_of_length(length):
             lhs = measure.cylinder_prob(u)
-            rhs = sum(offset_probs.get((j, u), 0.0) for j in range(p)) / p
+            rhs = _sum(offset_probs.get((j, u), 0.0) for j in range(p)) / p
             max_dev = max(max_dev, abs(lhs - rhs))
             checked += 1
     support = (all(v > 0 for v in measure.transitions.values())

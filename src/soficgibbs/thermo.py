@@ -28,8 +28,10 @@ and a maximum does not depend on the visiting order, so the report is exact.
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from dataclasses import dataclass
+from functools import cached_property, reduce
 from typing import Mapping
 
 import numpy as np
@@ -83,7 +85,30 @@ class LocallyConstantPotential:
     def word_sum(self, word: Word) -> float:
         """Sum of the potential over all windows of a word (length >= k)."""
         word = tuple(word)
-        return sum(self.table[word[i:i + self.k]] for i in range(len(word) - self.k + 1))
+        return _sum(self.table[word[i:i + self.k]] for i in range(len(word) - self.k + 1))
+
+    @cached_property
+    def _reduction(self):
+        """The triple of `reduce_to_edge_potential`, None standing for the
+        potential itself at window 1, so that no reference cycle forms."""
+        if self.k == 1:
+            return self.shift, None, SlidingBlockCode.identity(self.shift)
+        recoded, decode, paths = higher_block_shift(self.shift, self.k)
+        # the edges of the recoded shift are the length-k paths, each a key
+        # of the table by the constructor's check
+        table = {(eid,): self.table[w] for eid, w in paths.items()}
+        return recoded, LocallyConstantPotential(recoded, 1, table), decode
+
+    @cached_property
+    def _perron(self):
+        """`perron` of the transfer matrix of a window-1 potential."""
+        return perron(transfer_matrix(self.shift, self))
+
+
+def _sum(values):
+    """Float sum left to right from 0, one rounding per addition, as the
+    builtin `sum` before Python 3.12 (which compensates float sums)."""
+    return reduce(operator.add, values, 0)
 
 
 def variation(potential: LocallyConstantPotential, j: int) -> float:
@@ -111,7 +136,7 @@ def variation(potential: LocallyConstantPotential, j: int) -> float:
 
 def sv_norm(potential: LocallyConstantPotential) -> float:
     """Sup norm plus the sum of all variations (finite for locally constant f)."""
-    return variation(potential, -1) + sum(
+    return variation(potential, -1) + _sum(
         variation(potential, j) for j in range(potential.k - 1))
 
 
@@ -135,18 +160,14 @@ def reduce_to_edge_potential(potential: LocallyConstantPotential):
 
     Returns the recoded shift, the window-1 potential on it, and the
     one-block conjugacy back to the original shift; pressure and equilibrium
-    measures are preserved under the conjugacy.
+    measures are preserved under the conjugacy.  The recoding is built once
+    per potential: every call returns the same three objects (at window 1,
+    the shift, the potential itself and an identity code).
     """
-    shift = potential.shift
-    if not isinstance(shift, EdgeShift):
+    if not isinstance(potential.shift, EdgeShift):
         raise TypeError("reduction requires a potential on an edge shift")
-    if potential.k == 1:
-        return shift, potential, SlidingBlockCode.identity(shift)
-    recoded, decode, paths = higher_block_shift(shift, potential.k)
-    # the edges of the recoded shift are the length-k paths, each a key of
-    # the table by the constructor's check
-    table = {(eid,): potential.table[w] for eid, w in paths.items()}
-    return recoded, LocallyConstantPotential(recoded, 1, table), decode
+    shift, edge_potential, decode = potential._reduction
+    return shift, edge_potential or potential, decode
 
 
 @dataclass(frozen=True, eq=False)
@@ -362,9 +383,12 @@ def _edge_form(shift, potential):
 def pressure(shift: EdgeShift, potential: LocallyConstantPotential) -> float:
     """Topological pressure of a locally constant potential: log of the
     Perron eigenvalue of the transfer matrix.  Potentials with window > 1
-    are recoded to edge potentials first (pressure is conjugacy-invariant)."""
+    are recoded to edge potentials first (pressure is conjugacy-invariant).
+    The recoding and the Perron solve are made once per potential object
+    and shared with `equilibrium_measure`: the solve runs under the Perron
+    limits in force at the potential's first use, and later calls reuse it."""
     shift, potential = _edge_form(shift, potential)
-    return math.log(perron(transfer_matrix(shift, potential)).eigenvalue)
+    return math.log(potential._perron.eigenvalue)
 
 
 @dataclass(frozen=True)
@@ -390,15 +414,15 @@ class MarkovMeasure:
             raise ValueError("support must be exactly the edge set")
         if any(p < 0 for p in stationary.values()):
             raise ValueError("stationary vector must be nonnegative")
-        if abs(sum(stationary.values()) - 1.0) > self.TOL:
+        if abs(_sum(stationary.values()) - 1.0) > self.TOL:
             raise ValueError("stationary vector must sum to 1")
         for v in self.shift.vertices:
-            row = sum(transitions[e.id] for e in self.shift.out_edges(v))
+            row = _sum(transitions[e.id] for e in self.shift.out_edges(v))
             if abs(row - 1.0) > self.TOL:
                 raise ValueError(f"outgoing probabilities at {v!r} sum to {row}, not 1")
         for v in self.shift.vertices:
-            inflow = sum(stationary[e.source] * transitions[e.id]
-                         for e in self.shift.in_edges(v))
+            inflow = _sum(stationary[e.source] * transitions[e.id]
+                          for e in self.shift.in_edges(v))
             if abs(inflow - stationary[v]) > self.TOL:
                 raise ValueError("vector is not stationary for the transitions")
 
@@ -429,7 +453,9 @@ def equilibrium_measure(shift: EdgeShift,
                         potential: LocallyConstantPotential) -> MarkovMeasure:
     """The unique equilibrium = Gibbs-Markov measure of an edge potential on
     an irreducible shift: P(e: i->j) = exp(f(e)) r_j / (lambda r_i), with
-    stationary vector l_i r_i."""
+    stationary vector l_i r_i.  The Perron solve is the one `pressure`
+    makes: once per potential object, under the Perron limits in force at
+    its first use."""
     return _equilibrium(shift, potential)[0]
 
 
@@ -437,7 +463,7 @@ def _equilibrium(shift, potential):
     """The equilibrium measure and the pressure log(lambda), from one Perron
     solve: the same value `pressure` returns."""
     _require_edge_potential(shift, potential)
-    data = perron(transfer_matrix(shift, potential))
+    data = potential._perron
     right = data.right.tolist()
     idx, table = shift.vertex_index, potential.table
     transitions = {}
@@ -446,7 +472,7 @@ def _equilibrium(shift, potential):
             e.id: math.exp(table[(e.id,)]) * right[idx[e.target]]
             for e in shift.out_edges(v)
         }
-        total = sum(weights.values())
+        total = _sum(weights.values())
         for eid, w in weights.items():
             transitions[eid] = w / total
             if transitions[eid] < sys.float_info.min:
@@ -495,8 +521,8 @@ def integrate(potential: LocallyConstantPotential, measure: MarkovMeasure) -> fl
     cylinders of probability times table value."""
     if potential.shift != measure.shift:
         raise ValueError("potential and measure live on different shifts")
-    return sum(measure.cylinder_prob(w) * potential.value(w)
-               for w in measure.shift.words_of_length(potential.k))
+    return _sum(measure.cylinder_prob(w) * potential.value(w)
+                for w in measure.shift.words_of_length(potential.k))
 
 
 def period_sum_potential(potential: LocallyConstantPotential,
@@ -517,7 +543,7 @@ def period_sum_potential(potential: LocallyConstantPotential,
     table = {}
     for w in power0.words_of_length(m):
         path = tuple(sym for eid in w for sym in expansion[eid])
-        table[w] = sum(potential.value(path[j:j + k]) for j in range(p))
+        table[w] = _sum(potential.value(path[j:j + k]) for j in range(p))
     return LocallyConstantPotential(power0, m, table)
 
 

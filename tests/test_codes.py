@@ -223,17 +223,21 @@ class TestDegree:
                     assert coordinate_minimum(w + (s,)) <= dw
 
     def test_search_groups_edges_by_label_once(self, xor_code, monkeypatch):
-        # both subset searches and the mask search share one grouping
-        calls = []
-        label_edges = codes._label_edges
-
-        def counting(code):
-            calls.append(code)
-            return label_edges(code)
-
-        monkeypatch.setattr(codes, "_label_edges", counting)
+        # the degree search and every preimage enumeration share one
+        # grouping per code, so no enumeration labels an edge again
+        calls, labeled = [], []
+        grouping = vars(codes.SlidingBlockCode)["_label_edges"]
+        build, label = grouping.func, codes.SlidingBlockCode.label
+        monkeypatch.setattr(grouping, "func",
+                            lambda code: calls.append(code) or build(code))
+        monkeypatch.setattr(codes.SlidingBlockCode, "label",
+                            lambda code, eid: labeled.append(eid)
+                            or label(code, eid))
         assert sg.degree(xor_code) == 2
-        assert calls == [xor_code]
+        labeled.clear()
+        for word in (("0",), ("1", "0"), ("0", "1", "1")):
+            sg.preimage_words(xor_code, word)
+        assert calls == [xor_code] and labeled == []
 
     def test_subset_cap_bounds_every_subset_built(self, golden_mean,
                                                    monkeypatch):

@@ -1,5 +1,6 @@
 """Each limit of the package is one module constant, read when the code runs:
-lowering it reaches every entry point that it bounds."""
+lowering it reaches every entry point that it bounds.  A potential keeps the
+Perron solve made under the limits in force at its first use."""
 
 import ast
 from pathlib import Path
@@ -96,6 +97,21 @@ def test_perron_reads_the_iteration_limit_when_called(monkeypatch):
     monkeypatch.setattr(thermo, "PERRON_MAX_ITER", 1)
     with pytest.raises(sg.ConvergenceError):
         sg.perron(golden)
+
+
+def test_potential_keeps_the_solve_made_under_its_first_limits(monkeypatch):
+    # the solve is cached on the potential object: the limits in force at
+    # its first use hold for it, a fresh potential reads them anew
+    shift = loop_shift(2)
+    table = {("0",): 0.0, ("1",): 0.5}
+    solved = sg.LocallyConstantPotential(shift, 1, table)
+    value = sg.pressure(shift, solved)
+    assert value == pytest.approx(np.log(1 + np.exp(0.5)))
+    monkeypatch.setattr(thermo, "PERRON_DENSE_DIM", 0)
+    monkeypatch.setattr(thermo, "PERRON_MAX_ITER", 1)
+    with pytest.raises(sg.ConvergenceError):
+        sg.pressure(shift, sg.LocallyConstantPotential(shift, 1, table))
+    assert sg.pressure(shift, solved) == value
 
 
 def test_perron_reads_the_dense_limit_when_called(monkeypatch):

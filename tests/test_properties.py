@@ -207,6 +207,30 @@ def test_variational_inequality(shift, seed):
     assert sg.entropy(mu) + sg.integrate(f, mu) == pytest.approx(p, abs=1e-9)
 
 
+@settings(max_examples=40, deadline=None)
+@given(irreducible_graphs(), st.integers(min_value=1, max_value=3),
+       st.integers(min_value=0, max_value=1_000_000))
+def test_cached_solve_matches_a_fresh_potential(shift, k, seed):
+    # one potential is asked for its measure first and its pressure twice,
+    # an equal fresh one for its pressure first: every value agrees bit for
+    # bit, and with a solve made outside the cache
+    rng = np.random.default_rng(seed)
+    words = shift.words_of_length(k)
+    table = dict(zip(words, rng.uniform(-1.0, 1.0, len(words)).tolist()))
+    f = sg.LocallyConstantPotential(shift, k, table)
+    g = sg.LocallyConstantPotential(shift, k, table)
+    mu_f = sg.equilibrium_measure(*sg.reduce_to_edge_potential(f)[:2])
+    pressures_f = [sg.pressure(shift, f).hex() for _ in range(2)]
+    pressure_g = sg.pressure(shift, g).hex()
+    recoded, edge_potential, _ = sg.reduce_to_edge_potential(g)
+    mu_g = sg.equilibrium_measure(recoded, edge_potential)
+    uncached = math.log(sg.perron(sg.transfer_matrix(
+        recoded, edge_potential)).eigenvalue).hex()
+    assert pressures_f == [pressure_g, pressure_g] and pressure_g == uncached
+    assert mu_f.stationary == mu_g.stationary
+    assert mu_f.transitions == mu_g.transitions
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.dictionaries(st.sampled_from([("0",), ("1",)]),
                        st.floats(min_value=-5, max_value=5,
@@ -316,11 +340,9 @@ def _reachable_subsets(code, forward):
 def _tuple_degree_search(code):
     """Reference degree search without masks: one sorted tuple of edge ids
     per (front, back, symbol) triple, in the same visiting order."""
-    from soficgibbs import codes
-
     if not sg.is_finite_to_one(code):
         raise sg.NotFiniteToOneError("degree undefined (infinite)")
-    by_label = codes._label_edges(code)
+    by_label = code._label_edges
     fwd = _reachable_subsets(code, True)
     bwd = _reachable_subsets(code, False)
     best = best_key = best_witness = None
@@ -511,9 +533,7 @@ def test_pair_walk_finds_least_word_outside_a_component(presentation):
 
 def _edge_scan_subsets(code, forward):
     """Reference subset search: each step scans every edge of the symbol."""
-    from soficgibbs import codes
-
-    by_label = codes._label_edges(code)
+    by_label = code._label_edges
     full = frozenset(code.domain.vertices)
     seen, queue = {full: ()}, [full]
     while queue:
@@ -1174,8 +1194,8 @@ def test_cyclic_class_shift_edges_are_the_class_paths(shift):
 
 
 def _cyclic_report_oracle(shift, potential, cylinder_length):
-    """`cyclic_pressure_check` with one Perron solve per pressure and per
-    measure, and `cylinder_prob` evaluated afresh for every word."""
+    """`cyclic_pressure_check` from the public pressure and equilibrium
+    measure calls, and `cylinder_prob` evaluated afresh for every word."""
     if potential.k > 1:
         shift, potential, _ = sg.reduce_to_edge_potential(potential)
     structure = sg.cyclic_structure(shift)

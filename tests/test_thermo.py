@@ -1,6 +1,9 @@
+import gc
 import itertools
 import math
+import weakref
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -366,6 +369,70 @@ class TestPressure:
         assert sum(mu.stationary.values()) == pytest.approx(1.0, abs=1e-12)
         expected = math.log(float(np.max(np.abs(np.linalg.eigvals(debruijn)))))
         assert sg.pressure(shift, f) == pytest.approx(expected, abs=1e-10)
+
+
+class TestCachedSolve:
+    """Each potential object recodes once and solves Perron once; pressure,
+    the equilibrium measure and the cyclic check all read that solve."""
+
+    def test_one_recoding_and_one_solve_per_potential(self, full2_2block):
+        f = sg.LocallyConstantPotential(full2_2block, 3, {
+            w: 0.1 * i - 0.5
+            for i, w in enumerate(full2_2block.words_of_length(3))})
+        with mock.patch.object(thermo, "higher_block_shift",
+                               wraps=thermo.higher_block_shift) as recode, \
+                mock.patch.object(thermo, "perron",
+                                  wraps=thermo.perron) as solve:
+            value = sg.pressure(full2_2block, f)
+            recoded, edge_potential, decode = sg.reduce_to_edge_potential(f)
+            mu = sg.equilibrium_measure(recoded, edge_potential)
+            report = sg.cyclic_pressure_check(full2_2block, f)
+        assert (recode.call_count, solve.call_count) == (1, 1)
+        assert report.period == 1 and report.pressure_full == value
+        assert sum(mu.stationary.values()) == pytest.approx(1.0, abs=1e-12)
+        # the same three objects on every call
+        again = sg.reduce_to_edge_potential(f)
+        assert all(a is b for a, b in zip(again, (recoded, edge_potential,
+                                                  decode)))
+
+    def test_window1_reduction_returns_the_potential_itself(self, golden_mean):
+        f = sg.LocallyConstantPotential.zero(golden_mean)
+        first = sg.reduce_to_edge_potential(f)
+        assert first[0] is golden_mean and first[1] is f
+        assert all(a is b for a, b in zip(first, sg.reduce_to_edge_potential(f)))
+
+    def test_overflow_is_raised_on_every_call(self, golden_mean):
+        eid = golden_mean.edges[0].id
+        f = sg.LocallyConstantPotential(golden_mean, 1, {
+            (e.id,): 800.0 if e.id == eid else 0.0 for e in golden_mean.edges})
+        messages = []
+        for _ in range(2):
+            with pytest.raises(sg.SoficGibbsError) as info:
+                sg.pressure(golden_mean, f)
+            messages.append(str(info.value))
+        assert messages[0] == messages[1] and repr(eid) in messages[0]
+
+    def test_reducible_shift_is_refused_on_every_call(self):
+        shift = sg.EdgeShift(("a", "b"), (sg.Edge("a", "a", "x"),
+                                          sg.Edge("a", "b", "y"),
+                                          sg.Edge("b", "b", "z")))
+        f = sg.LocallyConstantPotential.zero(shift)
+        for _ in range(2):
+            with pytest.raises(sg.ReducibleShiftError):
+                sg.equilibrium_measure(shift, f)
+
+    def test_window1_potential_is_freed(self, golden_mean):
+        f = sg.LocallyConstantPotential.zero(golden_mean)
+        sg.pressure(golden_mean, f)
+        sg.reduce_to_edge_potential(f)
+        ref = weakref.ref(f)
+        # no reference cycle: freed by its count, without a collection
+        gc.disable()
+        try:
+            del f
+            assert ref() is None
+        finally:
+            gc.enable()
 
 
 class TestEquilibrium:
