@@ -343,22 +343,18 @@ def degree(code: SlidingBlockCode) -> int:
     backward-reachable subset from the suffix, and the symbol, and every such
     triple is realized, so the mask search over triples is exact.
     """
-    return _degree_search(code)[0]
+    return find_magic_word(code).multiplicity
 
 
 def find_magic_word(code: SlidingBlockCode) -> MagicWord:
-    """A shortest image word and coordinate achieving d*(w) = degree."""
-    _, magic = _degree_search(code)
-    return magic
-
-
-def _degree_search(code):
+    """A shortest image word and coordinate achieving d*(w) = degree: its
+    preimage symbols at the coordinate number the degree."""
     _require_one_block(code)
     if not is_finite_to_one(code):
         raise NotFiniteToOneError("degree undefined (infinite)")
     by_label = code._label_edges
     symbols = sorted(by_label)
-    edges_of = [sorted(by_label[s], key=lambda e: e.id) for s in symbols]
+    edges_of = [by_label[s] for s in symbols]  # each in id order
     triples = _labeled_triples(code)
 
     def masks(forward, end):
@@ -392,7 +388,7 @@ def _degree_search(code):
     # of a front, a symbol and a back: while a walk may still grow, the
     # levels held number more than the length.
     best = best_len = math.inf
-    best_key, best_at = (math.inf,), None
+    best_key = (math.inf,)
     for length in itertools.count(1):
         for a in range(length):
             front = level(fronts, a)
@@ -414,11 +410,9 @@ def _degree_search(code):
                             best_at = (word, a, j, hit)
         if best == 1 or length >= len(fronts[0]) + len(backs[0]):
             break
-    if best_at is None:
-        return None, None
     word, coordinate, j, hit = best_at
     hits = tuple(e.id for i, e in enumerate(edges_of[j]) if hit >> i & 1)
-    return best, MagicWord(word, coordinate, hits)
+    return MagicWord(word, coordinate, hits)
 
 
 @dataclass(frozen=True)
@@ -441,6 +435,6 @@ def analyze_code(code: SlidingBlockCode) -> CodeAnalysis:
         magic = find_magic_word(code)
     except NotFiniteToOneError:
         return CodeAnalysis(rr, False, None, None, False)
-    d = magic.multiplicity if magic else None
+    d = magic.multiplicity
     return CodeAnalysis(rr, True, d, magic, d == 1)
 

@@ -33,15 +33,16 @@ context, and the levels stop once no pair is live.
 A battery computes each value once, keyed on its exact inputs, since a
 recompute would be the same numpy call on the same bytes: the level cells
 carry interned vector ids, each (side, vector id) is pushed by every symbol
-in one stacked product per level, and each word matrix, left product, dot
-and window delta is memoized.  Each pair's worst deviation and its valid
-(left, right) class pairs are memoized on the length's synchronized (vector
-id, boundary) lists: once those repeat, a tested length only re-sums its
-exact integer context counts.  A stacked product of vectors, `(k, 1, 1, n) @
-(1, S, n, n)` or `(1, S, n, n) @ (k, 1, n, 1)`, is one gemv per row and
-bit-identical to the 1-D `vec @ mat` or `mat @ vec`; a matrix-matrix product
-such as `L @ T_u @ R.T` (one BLAS gemm) rounds differently, so it is not
-used.
+in one stacked product per level, each word matrix is built once, and the
+boundary and sync steps, left products, dots and window deltas are
+`functools.cache` closures that live as long as the battery.  Each pair's
+worst deviation and its valid (left, right) class pairs are memoized on the
+length's synchronized (vector id, boundary) lists: once those repeat, a
+tested length only re-sums its exact integer context counts.  A stacked
+product of vectors, `(k, 1, 1, n) @ (1, S, n, n)` or `(1, S, n, n) @ (k, 1,
+n, 1)`, is one gemv per row and bit-identical to the 1-D `vec @ mat` or
+`mat @ vec`; a matrix-matrix product such as `L @ T_u @ R.T` (one BLAS gemm)
+rounds differently, so it is not used.
 
 The pipelines read one `measures.LiftResult`, the equilibrium measure
 upstairs pushed down.  The Gibbs verdicts (Lanford-Ruelle, finite-to-one)
@@ -54,6 +55,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache, partial, reduce
 from typing import Sequence
 
 import numpy as np
@@ -138,10 +140,6 @@ class GibbsRatioReport:
     def final_deviation(self) -> float:
         return self.max_deviations[-1]
 
-    @property
-    def trend_ok(self) -> bool:
-        return _trend_non_increasing(self.max_deviations)
-
 
 def _trend_non_increasing(devs):
     return all(b <= (1.0 + TREND_SLACK) * a + TREND_FLOOR
@@ -158,17 +156,6 @@ def _sync_step(pattern, state, symbol):
         if text[-j:] == pattern[:j]:
             return j
     return 0
-
-
-class _Memo(dict):
-    """A dict that computes a missing value from its key, once."""
-
-    def __init__(self, compute):
-        self.compute = compute
-
-    def __missing__(self, key):
-        value = self[key] = self.compute(*key)
-        return value
 
 
 class _ContextLevels:
@@ -193,7 +180,7 @@ class _ContextLevels:
     float tuples are equal, a level sorts in the same order, and since cells
     are pushed in that order, symbol by symbol, each class keeps the same
     first vector pushed onto its key.  The boundary and sync steps of each
-    (boundary, sync state) are read from a per-battery table."""
+    (boundary, sync state) are cached for the life of the levels."""
 
     def __init__(self, nu: HiddenMarkovMeasure, boundary_len: int,
                  sync_word: Word | None):
@@ -206,10 +193,10 @@ class _ContextLevels:
         # reversed: boundary tracks the eventual first symbols, and
         # containment is matched against the reversed pattern
         self.steps = (
-            _Memo(lambda bnd, st: tuple(
+            cache(lambda bnd, st: tuple(
                 ((bnd + (s,))[-b:] if b else (), _sync_step(pattern, st, s))
                 for s in nu.symbols)),
-            _Memo(lambda bnd, st: tuple(
+            cache(lambda bnd, st: tuple(
                 (((s,) + bnd)[:b] if b else (),
                  _sync_step(pattern[::-1], st, s))
                 for s in nu.symbols)))
@@ -258,7 +245,7 @@ class _ContextLevels:
                 successors[vid] = rows[i * n_sym:(i + 1) * n_sym]
         nxt = {}
         for (_, bnd, st), (vid, count) in level:
-            for pushed, (bnd2, st2) in zip(successors[vid], steps[bnd, st]):
+            for pushed, (bnd2, st2) in zip(successors[vid], steps(bnd, st)):
                 if pushed is None:
                     continue
                 key = (pushed[0], bnd2, st2)
@@ -329,10 +316,10 @@ def _ratio_engine(measure, potential, pairs, context_lengths, tol,
     if hidden is not None:
         levels = _ContextLevels(hidden, k - 1, sync)
         mats = {w: _word_matrix(hidden, w) for w in set().union(*pairs)}
-        products = _Memo(lambda w, lid: levels.vectors[lid] @ mats[w])
-        dots = _Memo(lambda w, lid, rid: float(products[w, lid]
+        products = cache(lambda w, lid: levels.vectors[lid] @ mats[w])
+        dots = cache(lambda w, lid, rid: float(products(w, lid)
                                                @ levels.vectors[rid]))
-        deltas = _Memo(lambda pair, lbnd, rbnd: _window_delta(
+        deltas = cache(lambda pair, lbnd, rbnd: _window_delta(
             potential, lbnd, *pair, rbnd))
         # per synced (vector id, boundary) lists: pair index -> (worst
         # deviation, valid class index pairs)
@@ -361,8 +348,9 @@ def _ratio_engine(measure, potential, pairs, context_lengths, tol,
                 results.append((worst, sum(lefts[a][2] * rights[b][2]
                                            for a, b in valid)))
         else:
-            words = [w for w in measure.words_of_length(c)
-                     if not sync or _contains(w, sync)]
+            # containment of the sync word, by the automaton of the levels
+            words = [w for w in measure.words_of_length(c) if not sync
+                     or reduce(partial(_sync_step, sync), w, 0) == len(sync)]
             results = [_max_deviation_generic(measure, potential, pairs[i],
                                               words) for i in live]
         for i, (dev, count) in zip(live, results):
@@ -405,21 +393,16 @@ def _max_deviation_hidden(pair, lefts, rights, mats, dots, deltas):
     worst, valid = 0.0, []
     for a, (lid, lbnd) in enumerate(lefts):
         for b, (rid, rbnd) in enumerate(rights):
-            num, den = dots[u, lid, rid], dots[v, lid, rid]
+            num, den = dots(u, lid, rid), dots(v, lid, rid)
             # positive mass is equivalent to language membership here (the
             # upstairs measure has full support), so a context is a valid
             # exchange exactly when both sides carry mass
             if num <= 0.0 or den <= 0.0:
                 continue
             valid.append((a, b))
-            delta = deltas[pair, lbnd, rbnd]
+            delta = deltas(pair, lbnd, rbnd)
             worst = max(worst, abs(math.log(num) - math.log(den) - delta))
     return worst, valid
-
-
-def _contains(word, pattern):
-    n, m = len(word), len(pattern)
-    return any(word[i:i + m] == pattern for i in range(n - m + 1))
 
 
 def _max_deviation_generic(measure, potential, pair, words):

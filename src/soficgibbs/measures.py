@@ -30,8 +30,8 @@ from . import shifts
 from .presentations import (SoficPresentation, image_presentation,
                             minimize_fischer)
 from .shifts import CyclicStructure, Word, cyclic_class_shift
-from .thermo import (LocallyConstantPotential, MarkovMeasure, _equilibrium,
-                     _sum, pressure, pullback_potential,
+from .thermo import (LocallyConstantPotential, MarkovMeasure, _sum,
+                     equilibrium_measure, pressure, pullback_potential,
                      reduce_to_edge_potential)
 
 
@@ -191,10 +191,10 @@ def equilibrium_upstairs(code: SlidingBlockCode,
     off the same Perron solve."""
     lifted = pullback_potential(code, potential)
     shift, edge_potential, decode = reduce_to_edge_potential(lifted)
-    mu, pressure_value = _equilibrium(shift, edge_potential)
+    mu = equilibrium_measure(shift, edge_potential)
     return LiftResult(code,
                       HiddenMarkovMeasure(mu, compose_one_block(code, decode)),
-                      edge_potential, pressure_value)
+                      edge_potential, pressure(shift, edge_potential))
 
 
 def lift_equilibrium(presentation: SoficPresentation,

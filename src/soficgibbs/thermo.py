@@ -456,12 +456,6 @@ def equilibrium_measure(shift: EdgeShift,
     stationary vector l_i r_i.  The Perron solve is the one `pressure`
     makes: once per potential object, under the Perron limits in force at
     its first use."""
-    return _equilibrium(shift, potential)[0]
-
-
-def _equilibrium(shift, potential):
-    """The equilibrium measure and the pressure log(lambda), from one Perron
-    solve: the same value `pressure` returns."""
     _require_edge_potential(shift, potential)
     data = potential._perron
     right = data.right.tolist()
@@ -480,8 +474,7 @@ def _equilibrium(shift, potential):
                     f"the transition probability of edge {eid!r} underflows a double")
     stationary = _polished_stationary(shift, transitions,
                                       data.left * data.right)
-    return (MarkovMeasure(shift, stationary, transitions),
-            math.log(data.eigenvalue))
+    return MarkovMeasure(shift, stationary, transitions)
 
 
 def _polished_stationary(shift, transitions, seed):
@@ -600,10 +593,10 @@ def cyclic_pressure_check(shift: EdgeShift, potential: LocallyConstantPotential,
     if p == 1:
         p_full = pressure(shift, potential)
         return CyclicPressureReport(1, p_full, p_full, 0.0, 0.0, 0, True, True)
-    mu, p_full = _equilibrium(shift, potential)
     g = period_sum_potential(potential, structure)
     power0, expansion = cyclic_class_shift(structure, 0)
-    mu0, p_class0 = _equilibrium(power0, g)
+    mu, mu0 = equilibrium_measure(shift, potential), equilibrium_measure(power0, g)
+    p_full, p_class0 = pressure(shift, potential), pressure(power0, g)
     identity_dev = abs(p_full - p_class0 / p)
 
     for length in range(1, cylinder_length + 1):

@@ -369,7 +369,7 @@ class TestLanfordRuelle:
             assert report.cover_analysis.degree == 1
             assert report.battery.max_final_deviation < 1e-6
             for r in report.battery.reports:
-                assert r.trend_ok
+                assert r.passed
 
     def test_full_shift_exact(self):
         p = identity_presentation(loop_shift(2))

@@ -694,8 +694,8 @@ def _per_edge_polished_stationary(shift, transitions, seed):
 
 
 def _per_edge_transitions(shift, potential, data):
-    """The transitions of `thermo._equilibrium` as they were: each weight
-    a Python float times a numpy scalar of the right Perron vector."""
+    """The transitions of `thermo.equilibrium_measure` as they were: each
+    weight a Python float times a numpy scalar of the right Perron vector."""
     idx = shift.vertex_index
     transitions = {}
     for v in shift.vertices:
@@ -724,7 +724,7 @@ def test_edge_form_is_bit_identical_to_per_edge_numpy_forms(shift, copies,
     m = sg.transfer_matrix(shift, f)
     assert np.array_equal(m, _per_edge_transfer_matrix(shift, f))
     data = sg.perron(m)
-    mu, _ = thermo._equilibrium(shift, f)
+    mu = sg.equilibrium_measure(shift, f)
     assert mu.transitions == _per_edge_transitions(shift, f, data)
     seed_vector = data.left * data.right
     expected = _per_edge_polished_stationary(shift, mu.transitions, seed_vector)
@@ -1112,7 +1112,8 @@ def test_incremental_context_classes_match_fresh_propagation(
         # independently: the classes partition the context words of length
         # c that contain the sync word, by their boundary windows
         words = [w for w in presentation.words_of_length(c)
-                 if not sync or gibbs._contains(w, sync)]
+                 if not sync or any(w[i:i + sync_len] == sync
+                                    for i in range(c - sync_len + 1))]
         lefts, rights = snapshot
         expected = (Counter(w[c - (k - 1):] for w in words),
                     Counter(w[:k - 1] for w in words))
