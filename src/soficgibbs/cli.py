@@ -62,10 +62,18 @@ def _load_system(path) -> LoadedSystem:
     return build_system(_read_spec(path))
 
 
-def _load_potential(arg, presentation):
+def _load_potential(arg, presentation, alphabet):
     if arg is None or arg == "zero":
         return LocallyConstantPotential.zero(presentation)
-    return build_potential(_read_spec(arg), presentation)
+    return build_potential(_read_spec(arg), presentation, alphabet)
+
+
+def _load_weighted(args):
+    """The system of the file and the potential on its presentation, read
+    over the codomain of its labeling."""
+    system = _load_system(args.file)
+    return system, _load_potential(args.potential, system.presentation,
+                                   system.labeling.codomain)
 
 
 def cmd_analyze(args):
@@ -108,8 +116,7 @@ def cmd_fischer(args):
 
 
 def cmd_pressure(args):
-    system = _load_system(args.file)
-    potential = _load_potential(args.potential, system.presentation)
+    system, potential = _load_weighted(args)
     if system.kind == "labeled":
         value = sofic_pressure(system.presentation, potential)
         method = "fischer-cover-transfer-matrix"
@@ -121,8 +128,7 @@ def cmd_pressure(args):
 
 
 def cmd_eqmeasure(args):
-    system = _load_system(args.file)
-    potential = _load_potential(args.potential, system.presentation)
+    system, potential = _load_weighted(args)
     lift = equilibrium_upstairs(system.labeling, potential)
     mu = lift.downstairs.upstairs
     lines = [("shift_vertices", len(mu.shift.vertices)),
@@ -140,8 +146,7 @@ def cmd_eqmeasure(args):
 
 
 def cmd_pushforward(args):
-    system = _load_system(args.file)
-    potential = _load_potential(args.potential, system.presentation)
+    system, potential = _load_weighted(args)
     nu = equilibrium_upstairs(system.labeling, potential).downstairs
     lines = [("image_symbols", " ".join(nu.symbols))]
     for words, probs in nu.word_levels(args.depth):
@@ -150,8 +155,7 @@ def cmd_pushforward(args):
 
 
 def cmd_gibbs_check(args):
-    system = _load_system(args.file)
-    potential = _load_potential(args.potential, system.presentation)
+    system, potential = _load_weighted(args)
     nu = equilibrium_upstairs(system.labeling, potential).downstairs
     _, battery = synchronized_battery(nu, potential, args.tol, args.cmax)
     lines = [("pairs_tested", len(battery.reports)),
@@ -164,8 +168,7 @@ def cmd_gibbs_check(args):
 
 
 def cmd_verify_lanford_ruelle(args):
-    system = _load_system(args.file)
-    potential = _load_potential(args.potential, system.presentation)
+    system, potential = _load_weighted(args)
     report = verify_sofic_lanford_ruelle(system.presentation, potential,
                                          tol=args.tol, c_max=args.cmax)
     lines = [
@@ -181,8 +184,7 @@ def cmd_verify_lanford_ruelle(args):
 
 
 def cmd_verify_dobrushin(args):
-    system = _load_system(args.file)
-    potential = _load_potential(args.potential, system.presentation)
+    system, potential = _load_weighted(args)
     report = verify_sofic_dobrushin(system.presentation, potential,
                                     tol=args.tol, entropy_horizon=args.depth)
     lines = [
@@ -199,7 +201,8 @@ def cmd_verify_finite_to_one(args):
     spec = _read_spec(args.file)
     code = build_code(spec, build_system(spec))
     _, one_block = recode_to_one_block(code)
-    potential = _load_potential(args.potential, image_presentation(one_block))
+    potential = _load_potential(args.potential, image_presentation(one_block),
+                                one_block.codomain)
     report = verify_finite_to_one_preservation(one_block, potential,
                                                tol=args.tol, c_max=args.cmax)
     lines = [

@@ -166,13 +166,13 @@ def parse_spec(text: str) -> ShiftSpecFile:
                 try:
                     code_memory = int(attrs.get("memory", ["0"])[0])
                     code_anticipation = int(attrs.get("anticipation", ["0"])[0])
-                except ValueError:
+                except (ValueError, IndexError):
                     raise SpecFileError("memory/anticipation must be integers", lineno)
             elif section == "potential":
                 attrs = _parse_attrs(rest, lineno, {"range"})
                 try:
                     potential_range = int(attrs.get("range", ["1"])[0])
-                except ValueError:
+                except (ValueError, IndexError):
                     raise SpecFileError("range must be an integer", lineno)
             else:
                 raise SpecFileError(f"unknown section [{section}]", lineno, 1)
@@ -203,13 +203,19 @@ def parse_spec(text: str) -> ShiftSpecFile:
             m = _MAP_RE.match(line)
             if not m:
                 raise SpecFileError(f"malformed code declaration {line!r}", lineno)
-            code_entries.append(CodeEntry(tuple(m.group("word").split()),
-                                          m.group("sym")))
+            word = tuple(m.group("word").split())
+            if any(c.word == word for c in code_entries):
+                raise SpecFileError(f"duplicate map word {m.group('word')!r}",
+                                    lineno)
+            code_entries.append(CodeEntry(word, m.group("sym")))
             continue
         if section == "potential":
             m = _POT_RE.match(line)
             if not m:
                 raise SpecFileError(f"malformed potential declaration {line!r}", lineno)
+            if any(p.word_text == m.group("word") for p in potential_entries):
+                raise SpecFileError(
+                    f"duplicate potential word {m.group('word')!r}", lineno)
             raw_value = m.group("value").strip()
             value = parse_real(raw_value, lineno)
             potential_entries.append(PotentialEntry(m.group("word"), raw_value, value))
@@ -309,17 +315,22 @@ def _build_labeling(spec: ShiftSpecFile) -> SlidingBlockCode:
     return SlidingBlockCode.one_block(shift, labels, codomain)
 
 
-def build_potential(spec: ShiftSpecFile, presentation: SoficPresentation):
-    """Potential over the label alphabet of a presented shift."""
+def build_potential(spec: ShiftSpecFile, presentation: SoficPresentation,
+                    alphabet: Alphabet):
+    """Potential on a presented shift, its words read over `alphabet`: the
+    codomain of the code that labels the presentation, which keeps the
+    symbols the trimmed presentation no longer carries.  Two spellings of
+    one word raise SpecFileError."""
     if spec.potential_range is None:
         raise SpecFileError("missing [potential] section")
-    alphabet = presentation.label_alphabet
     table = {}
     for entry in spec.potential_entries:
         try:
             word = alphabet.word(entry.word_text)
         except ValueError as exc:
             raise SpecFileError(f"potential word {entry.word_text!r}: {exc}")
+        if word in table:
+            raise SpecFileError(f"duplicate potential word {entry.word_text!r}")
         if len(word) != spec.potential_range:
             raise SpecFileError(
                 f"potential word {entry.word_text!r} does not have length "

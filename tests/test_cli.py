@@ -509,6 +509,18 @@ def test_labeled_file_is_trimmed_to_its_essential_part(tmp_path, capsys):
     assert (values["vertices"], values["edges"]) == ("1", "1")
 
 
+def test_potential_words_are_read_over_the_declared_alphabet(tmp_path, capsys):
+    # `1` is declared and carried only by the trimmed dead-end edge: the
+    # potential may name it, as a word outside the language
+    (tmp_path / "s.shift").write_text(LABELED_DEAD_END)
+    (tmp_path / "f.pot").write_text("[potential] range=1\nf(0) = 0.5\n"
+                                    "f(1) = -0.25\n")
+    code, values, _ = run(capsys, "pressure", str(tmp_path / "s.shift"),
+                          "--potential", str(tmp_path / "f.pot"),
+                          "--format", "machine")
+    assert (code, values["pressure"]) == (0, "0.5")
+
+
 def test_readme_command_block_names_every_subcommand():
     readme = (ROOT / "README.md").read_text()
     block = readme.split("## Command line\n\n```\n", 1)[1].split("```", 1)[0]
@@ -545,6 +557,8 @@ CORPUS = {
                   "edge a: A -> B label 0\nedge b: B -> A label 1\n",
     "composite_collision": COMPOSITE_COLLISION,
     "labeled_dead_end": LABELED_DEAD_END,
+    "empty_memory": GOLDEN_MEAN + "[code] memory= anticipation=0\n"
+                    "map e1 -> 0\nmap e2 -> 1\nmap e3 -> 0\n",
 }
 
 POTENTIALS = {
@@ -554,6 +568,7 @@ POTENTIALS = {
     "range3": "[potential] range=3\n" + "".join(
         f"f({w:03b}) = {w / 10}\n" for w in range(8)),
     "empty": "[potential] range=1\n",
+    "empty_range": "[potential] range=\nf(0) = 0.5\nf(1) = -0.25\n",
 }
 
 # small values for the options that size the work
@@ -586,3 +601,86 @@ def test_no_input_makes_the_cli_raise(tmp_path, capsys, name):
             if code not in (0, 1, 2) or code == 2 and not one_error_line:
                 bad.append((run, code, captured.err))
     assert not bad
+
+
+FORBIDDEN_11 = "[alphabet] 0 1\n[shift] kind=forbidden window=2\nforbid 11\n"
+ONE_LOOP = "[alphabet] 0\n[shift] kind=edge vertices=A\nedge a: A -> A\n"
+
+# One small file for each refusal of the spec-file reader: the shift file,
+# the potential file or None, the command, and the one error line it prints.
+SPEC_REFUSALS = {
+    "unknown-attribute": ("[shift] kind=edge vertices=A colour=red\n", None,
+                          "analyze", "line 1: unknown attribute 'colour'"),
+    "stray-token": ("[shift] edge kind=edge vertices=A\n", None, "analyze",
+                    "line 1: stray token 'edge'"),
+    "unterminated-header": ("[shift kind=edge vertices=A\n", None, "analyze",
+                            "line 1, column 1: unterminated section header"),
+    "empty-alphabet": ("[alphabet]\n" + ONE_LOOP.split("\n", 1)[1], None,
+                       "analyze", "line 1: empty [alphabet] section"),
+    "two-kinds": ("[shift] kind=edge labeled vertices=A\n", None, "analyze",
+                  "line 1: kind takes one value"),
+    "unknown-kind": ("[shift] kind=graph vertices=A\n", None, "analyze",
+                     "line 1: unknown shift kind 'graph'"),
+    "window-not-integer": (FORBIDDEN_11.replace("window=2", "window=two"),
+                           None, "analyze", "line 2: window must be an integer"),
+    "memory-not-integer": (GOLDEN_MEAN + "[code] memory=one\nmap e1 -> 0\n",
+                           None, "verify finite-to-one",
+                           "line 6: memory/anticipation must be integers"),
+    "empty-memory": (GOLDEN_MEAN + "[code] memory=\nmap e1 -> 0\n", None,
+                     "verify finite-to-one",
+                     "line 6: memory/anticipation must be integers"),
+    "empty-anticipation": (GOLDEN_MEAN + "[code] anticipation=\nmap e1 -> 0\n",
+                           None, "verify finite-to-one",
+                           "line 6: memory/anticipation must be integers"),
+    "range-not-integer": (GOLDEN_MEAN, "[potential] range=x\nf(0) = 0\n",
+                          "pressure", "line 1: range must be an integer"),
+    "empty-range": (GOLDEN_MEAN, "[potential] range=\nf(0) = 0\n", "pressure",
+                    "line 1: range must be an integer"),
+    "bad-forbid": (FORBIDDEN_11.replace("forbid 11", "forbid 1 1"), None,
+                   "analyze", "line 3: expected: forbid <word>"),
+    "bad-map": (GOLDEN_MEAN + "[code] memory=0\nmapping e1 -> 0\n", None,
+                "verify finite-to-one",
+                "line 7: malformed code declaration 'mapping e1 -> 0'"),
+    "bad-potential": (GOLDEN_MEAN, "[potential] range=1\ng(0) = 1\n",
+                      "pressure",
+                      "line 2: malformed potential declaration 'g(0) = 1'"),
+    "outside-section": ("edge a: A -> A\n", None, "analyze",
+                        "line 1, column 1: declaration outside any section: "
+                        "'edge a: A -> A'"),
+    "forbidden-without-alphabet": (FORBIDDEN_11.split("\n", 1)[1], None,
+                                   "analyze", "forbidden-words shift requires "
+                                   "[alphabet]"),
+    "forbidden-without-window": (FORBIDDEN_11.replace(" window=2", ""), None,
+                                 "analyze", "forbidden-words shift requires "
+                                 "window=<n>"),
+    "labeled-edge-without-label": (
+        ONE_LOOP.replace("kind=edge", "kind=labeled"), None, "analyze",
+        "edge 'a' needs a label"),
+    "no-potential-section": (GOLDEN_MEAN, "# no section\n", "pressure",
+                             "missing [potential] section"),
+    "repeated-potential-word": (
+        GOLDEN_MEAN, "[potential] range=1\nf(0) = 0\nf(0) = 1\nf(1) = 0\n",
+        "pressure", "line 3: duplicate potential word '0'"),
+    "respelled-potential-word": (
+        GOLDEN_MEAN, "[potential] range=2\nf(01) = 0\nf(0.1) = 1\n"
+        "f(00) = 0\nf(10) = 0\n", "pressure",
+        "duplicate potential word '01'"),
+    "repeated-map-word": (
+        TWO_LOOPS + "[code] memory=0 anticipation=0\n"
+        "map a -> 0\nmap a -> 1\nmap b -> 1\n", None, "verify finite-to-one",
+        "line 7: duplicate map word 'a'"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SPEC_REFUSALS))
+def test_spec_file_refusal_exits_2_with_its_one_error_line(tmp_path, capsys,
+                                                          name):
+    shift, potential, command, message = SPEC_REFUSALS[name]
+    (tmp_path / "s.shift").write_text(shift)
+    argv = [*command.split(), str(tmp_path / "s.shift")]
+    if potential is not None:
+        (tmp_path / "f.pot").write_text(potential)
+        argv += ["--potential", str(tmp_path / "f.pot")]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {message}\n")

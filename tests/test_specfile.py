@@ -52,7 +52,7 @@ class TestParse:
     def test_potential_with_log_literal(self):
         spec = parse_spec(GOLDEN_MEAN)
         system = build_system(spec)
-        f = build_potential(spec, system.presentation)
+        f = build_potential(spec, system.presentation, system.labeling.codomain)
         assert f.value(("1",)) == pytest.approx(math.log(2), abs=0)
         assert f.value(("0",)) == 0.0
 
