@@ -19,8 +19,9 @@ edge id), `labeled` (a sofic presentation, labels required, trimmed to the
 bi-infinite paths it presents), and `forbidden` (`[shift] kind=forbidden
 window=2` followed by `forbid 11` lines; the essential shift is built over
 the alphabet with the last-symbol read-off labeling).  Reals are decimal
-literals or `log(<rational>)`, so exact pressures are expressible.  Parsing
-then serializing yields a canonical form that round-trips byte-identically.
+literals or `log(<rational>)`, so exact pressures are expressible.  A
+potential word or `map` word given twice is refused.  Parsing then
+serializing yields a canonical form that round-trips byte-identically.
 """
 
 from __future__ import annotations

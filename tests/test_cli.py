@@ -658,6 +658,12 @@ SPEC_REFUSALS = {
         "edge 'a' needs a label"),
     "no-potential-section": (GOLDEN_MEAN, "# no section\n", "pressure",
                              "missing [potential] section"),
+    "potential-word-too-short": (GOLDEN_MEAN, "[potential] range=2\nf(0) = 0\n",
+                                 "pressure", "potential word '0' does not have "
+                                 "length 2"),
+    "map-misses-an-edge": (GOLDEN_MEAN + "[code] memory=0\nmap e1 -> 0\n", None,
+                           "verify finite-to-one",
+                           "table missing domain word ('e2',)"),
     "repeated-potential-word": (
         GOLDEN_MEAN, "[potential] range=1\nf(0) = 0\nf(0) = 1\nf(1) = 0\n",
         "pressure", "line 3: duplicate potential word '0'"),
