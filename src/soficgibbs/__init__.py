@@ -28,7 +28,7 @@ from .measures import (EntropyEstimate, HiddenMarkovMeasure, LiftResult,
                        RestrictAverageResult, entropy_estimate,
                        equilibrium_upstairs, lift_equilibrium,
                        preimage_cylinder_sum, pushforward,
-                       restrict_and_average, sofic_pressure)
+                       restrict_and_average)
 from .presentations import (LabeledEdge, SoficPresentation, determinize,
                             image_presentation, is_irreducible_sofic,
                             minimize_fischer)

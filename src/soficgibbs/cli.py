@@ -6,8 +6,10 @@ Subcommands map one-to-one onto the library pipelines: `analyze`, `fischer`,
 `verify` pipeline included, has its own parser built from one option table
 and accepts only the options it reads; its row of `_SUBCOMMANDS` names
 the handler that `main` calls.
-The weighted commands read the fields of the one `measures.LiftResult` of
-`equilibrium_upstairs`.
+The weighted commands other than `pressure` read the fields of the one
+`measures.LiftResult` of `equilibrium_upstairs`; `pressure` reads only the
+Perron solve of the potential pulled back through the file's code, so it
+builds no equilibrium measure.
 
 Reports are flat `key = value` lines followed by a final `verdict` line;
 identical inputs produce byte-identical machine reports.  Exit codes:
@@ -25,7 +27,7 @@ from .errors import SoficGibbsError, SpecFileError
 from .gibbs import (sunny_side_up_counterexample, synchronized_battery,
                     verify_finite_to_one_preservation, verify_sofic_dobrushin,
                     verify_sofic_lanford_ruelle)
-from .measures import equilibrium_upstairs, sofic_pressure
+from .measures import equilibrium_upstairs
 from .presentations import image_presentation, minimize_fischer
 from .shifts import component_periods, cyclic_structure, format_word
 from .specfile import (LoadedSystem, build_code, build_potential, build_system,
@@ -117,13 +119,11 @@ def cmd_fischer(args):
 
 def cmd_pressure(args):
     system, potential = _load_weighted(args)
+    code, method = system.labeling, "transfer-matrix"
     if system.kind == "labeled":
-        value = sofic_pressure(system.presentation, potential)
+        code = minimize_fischer(system.presentation)[1]
         method = "fischer-cover-transfer-matrix"
-    else:
-        lifted = pullback_potential(system.labeling, potential)
-        value = pressure(system.edge_shift, lifted)
-        method = "transfer-matrix"
+    value = pressure(code.domain, pullback_potential(code, potential))
     return [("pressure", value), ("method", method)], True
 
 

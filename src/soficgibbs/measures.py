@@ -215,15 +215,6 @@ def _hidden(measure) -> HiddenMarkovMeasure | None:
     return None
 
 
-def sofic_pressure(presentation: SoficPresentation,
-                   potential: LocallyConstantPotential) -> float:
-    """Pressure of a potential on an irreducible sofic shift, computed on the
-    minimal right-resolving cover (lifting preserves pressure)."""
-    _, cover_code = minimize_fischer(presentation)
-    lifted = pullback_potential(cover_code, potential)
-    return pressure(cover_code.domain, lifted)
-
-
 @dataclass(frozen=True)
 class RestrictAverageResult:
     restricted: MarkovMeasure

@@ -123,14 +123,16 @@ def parse_spec(text: str) -> ShiftSpecFile:
     alphabet = None
     kind = None
     vertices: list[str] = []
-    edges: list[EdgeDecl] = []
+    vertex_set: set[str] = set()
+    # keyed by what must not repeat: edge id, map word, potential word text
+    edges: dict[str, EdgeDecl] = {}
     forbidden: list[str] = []
     window = None
     code_memory = None
     code_anticipation = None
-    code_entries: list[CodeEntry] = []
+    code_entries: dict[Word, CodeEntry] = {}
     potential_range = None
-    potential_entries: list[PotentialEntry] = []
+    potential_entries: dict[str, PotentialEntry] = {}
 
     section = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -157,6 +159,7 @@ def parse_spec(text: str) -> ShiftSpecFile:
                         raise SpecFileError(f"unknown shift kind {kind!r}", lineno)
                 if "vertices" in attrs:
                     vertices = list(attrs["vertices"])
+                    vertex_set = set(vertices)
                 if "window" in attrs:
                     try:
                         window = int(attrs["window"][0])
@@ -183,15 +186,15 @@ def parse_spec(text: str) -> ShiftSpecFile:
             if m and kind in ("edge", "labeled", None):
                 decl = EdgeDecl(m.group("id"), m.group("src"),
                                 m.group("tgt"), m.group("label"))
-                if any(e.id == decl.id for e in edges):
+                if decl.id in edges:
                     raise SpecFileError(f"duplicate edge id {decl.id!r}",
                                         lineno, raw.find(decl.id) + 1)
                 for endpoint in (decl.source, decl.target):
-                    if endpoint not in vertices:
+                    if endpoint not in vertex_set:
                         raise SpecFileError(
                             f"edge {decl.id!r}: undeclared vertex {endpoint!r}",
                             lineno, raw.find(endpoint) + 1)
-                edges.append(decl)
+                edges[decl.id] = decl
                 continue
             if line.startswith("forbid"):
                 parts = line.split()
@@ -205,33 +208,34 @@ def parse_spec(text: str) -> ShiftSpecFile:
             if not m:
                 raise SpecFileError(f"malformed code declaration {line!r}", lineno)
             word = tuple(m.group("word").split())
-            if any(c.word == word for c in code_entries):
+            if word in code_entries:
                 raise SpecFileError(f"duplicate map word {m.group('word')!r}",
                                     lineno)
-            code_entries.append(CodeEntry(word, m.group("sym")))
+            code_entries[word] = CodeEntry(word, m.group("sym"))
             continue
         if section == "potential":
             m = _POT_RE.match(line)
             if not m:
                 raise SpecFileError(f"malformed potential declaration {line!r}", lineno)
-            if any(p.word_text == m.group("word") for p in potential_entries):
+            word_text = m.group("word")
+            if word_text in potential_entries:
                 raise SpecFileError(
-                    f"duplicate potential word {m.group('word')!r}", lineno)
+                    f"duplicate potential word {word_text!r}", lineno)
             raw_value = m.group("value").strip()
-            value = parse_real(raw_value, lineno)
-            potential_entries.append(PotentialEntry(m.group("word"), raw_value, value))
+            potential_entries[word_text] = PotentialEntry(
+                word_text, raw_value, parse_real(raw_value, lineno))
             continue
         raise SpecFileError(f"declaration outside any section: {line!r}", lineno, 1)
 
     return ShiftSpecFile(
         alphabet=alphabet, kind=kind, vertices=tuple(vertices),
-        edges=tuple(sorted(edges, key=lambda e: e.id)),
+        edges=tuple(edges[i] for i in sorted(edges)),
         forbidden=tuple(sorted(forbidden)), window=window,
         code_memory=code_memory, code_anticipation=code_anticipation,
-        code_entries=tuple(sorted(code_entries, key=lambda c: c.word)),
+        code_entries=tuple(code_entries[w] for w in sorted(code_entries)),
         potential_range=potential_range,
-        potential_entries=tuple(sorted(potential_entries,
-                                       key=lambda p: p.word_text)),
+        potential_entries=tuple(potential_entries[w]
+                                for w in sorted(potential_entries)),
     )
 
 

@@ -573,7 +573,6 @@ class CyclicPressureReport:
     identity_deviation: float
     cylinder_max_deviation: float
     cylinders_checked: int
-    full_support_both: bool
     passed: bool
 
 
@@ -592,7 +591,7 @@ def cyclic_pressure_check(shift: EdgeShift, potential: LocallyConstantPotential,
     p = structure.period
     if p == 1:
         p_full = pressure(shift, potential)
-        return CyclicPressureReport(1, p_full, p_full, 0.0, 0.0, 0, True, True)
+        return CyclicPressureReport(1, p_full, p_full, 0.0, 0.0, 0, True)
     g = period_sum_potential(potential, structure)
     power0, expansion = cyclic_class_shift(structure, 0)
     mu, mu0 = equilibrium_measure(shift, potential), equilibrium_measure(power0, g)
@@ -633,8 +632,6 @@ def cyclic_pressure_check(shift: EdgeShift, potential: LocallyConstantPotential,
         max_dev = max(max_dev, float(np.max(np.abs(prob0 - p * prob))))
         checked += edge.size
         at = target[edge]
-    support_ok = all(v > 0 for v in mu.transitions.values()) and all(
-        v > 0 for v in mu0.transitions.values())
     passed = identity_dev < tol and max_dev < tol
     return CyclicPressureReport(p, p_full, p_class0, identity_dev, max_dev,
-                                checked, support_ok, passed)
+                                checked, passed)

@@ -89,6 +89,26 @@ class TestPressure:
         assert abs(float(values["pressure"])
                    - math.log((1 + math.sqrt(5)) / 2)) < 1e-9
 
+    def test_pressure_builds_no_equilibrium_measure(self, files, tmp_path,
+                                                    capsys):
+        # the equilibrium transition of the loop `a` is about exp(-1400),
+        # which underflows a double: only a route that builds the measure
+        # fails here
+        pot = tmp_path / "f700.pot"
+        pot.write_text("[potential] range=1\nf(0) = 700\nf(1) = -700\n")
+        argv = (files["even_shift.shift"], "--potential", str(pot),
+                "--format", "machine")
+        code, _, out = run(capsys, "pressure", *argv)
+        assert code == 0
+        assert out == ("pressure = 700.0\n"
+                       "method = fischer-cover-transfer-matrix\n"
+                       "verdict = pass\n")
+        assert main(["eqmeasure", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: the transition probability of edge "
+                                "'a' underflows a double\n")
+
 
 class TestAnalyze:
     def test_golden_mean(self, files, capsys):

@@ -633,7 +633,7 @@ class TestRunLengthLimited:
         # the adjacency characteristic polynomial is x^4 - x^2 - x - 1
         fischer, _ = sg.minimize_fischer(rll_cover)
         f = sg.LocallyConstantPotential.zero(fischer)
-        p = sg.sofic_pressure(fischer, f)
+        p = sg.lift_equilibrium(fischer, f).pressure_value
         root = max(abs(np.roots([1, 0, -1, -1, -1])))
         assert p == pytest.approx(math.log(root), abs=1e-10)
 

@@ -235,8 +235,8 @@ class TestLift:
 
     def test_sofic_pressure_shortcut(self, even_cover):
         f = sg.LocallyConstantPotential.zero(even_cover)
-        assert sg.sofic_pressure(even_cover, f) == pytest.approx(math.log(PHI),
-                                                                 abs=1e-10)
+        p = sg.lift_equilibrium(even_cover, f).pressure_value
+        assert p == pytest.approx(math.log(PHI), abs=1e-10)
 
 
 class TestRestrictAverage:

@@ -1216,11 +1216,9 @@ def _cyclic_report_oracle(shift, potential, cylinder_length):
             dev = abs(mu0.cylinder_prob(w) - p * mu.cylinder_prob(path))
             max_dev = max(max_dev, dev)
             checked += 1
-    support_ok = all(v > 0 for v in mu.transitions.values()) and all(
-        v > 0 for v in mu0.transitions.values())
     passed = identity_dev < 1e-10 and max_dev < 1e-10
     return sg.CyclicPressureReport(p, p_full, p_class0, identity_dev, max_dev,
-                                   checked, support_ok, passed)
+                                   checked, passed)
 
 
 def _restrict_average_oracle(measure, structure, max_length):

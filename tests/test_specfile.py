@@ -1,4 +1,6 @@
+import itertools
 import math
+import time
 
 import pytest
 
@@ -114,6 +116,24 @@ class TestParse:
     def test_comments_and_blank_lines_ignored(self):
         text = "\n# header\n\n[alphabet] 0 1  # trailing\n"
         assert parse_spec(text).alphabet == ("0", "1")
+
+    def test_range_7_potential_parses_in_linear_time(self):
+        # 16 384 potential lines; a check of each word against every earlier
+        # one took half a minute
+        lines = ["[alphabet] 0 1 2 3", "[shift] kind=forbidden window=2",
+                 "[potential] range=7"]
+        lines += [f"f({''.join(w)}) = 0.5"
+                  for w in itertools.product("0123", repeat=7)]
+        start = time.perf_counter()
+        spec = parse_spec("\n".join(lines))
+        assert time.perf_counter() - start < 2
+        assert len(spec.potential_entries) == 4 ** 7
+        lines.append("f(0123012) = 1")
+        with pytest.raises(sg.SpecFileError) as info:
+            parse_spec("\n".join(lines))
+        assert info.value.line == len(lines)
+        assert str(info.value) == (f"line {len(lines)}: duplicate potential "
+                                   "word '0123012'")
 
 
 class TestReals:
