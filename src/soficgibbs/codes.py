@@ -247,19 +247,25 @@ def preimage_words(code: SlidingBlockCode, word: Word) -> list[Word]:
     lexicographic order; a level of more than
     `shifts.DEFAULT_ENUMERATION_CAP` paths raises `EnumerationCapError`."""
     _require_one_block(code)
-    cap = shifts.DEFAULT_ENUMERATION_CAP
-    by_label = code._label_edges
-    paths = [((), None)]  # (path, its end vertex)
+    paths = [((), None)]
     for s in word:
-        nxt = []
-        for path, at in paths:
-            for e in by_label.get(s, ()):
-                if at is None or e.source == at:
-                    nxt.append((path + (e.id,), e.target))
-            if len(nxt) > cap:
-                raise EnumerationCapError(len(nxt), cap)
-        paths = nxt
+        paths = _extend_preimages(code, paths, s, lambda path, e: path + (e.id,))
     return [path for path, _ in paths]
+
+
+def _extend_preimages(code, paths, symbol, extend):
+    """The next level of (value, end vertex) preimage paths, the end None for
+    the empty path: each path, by each edge labeled `symbol` from its end in
+    edge order, gives (extend(value, edge), edge target), up to the cap."""
+    cap = shifts.DEFAULT_ENUMERATION_CAP
+    edges = code._label_edges.get(symbol, ())
+    nxt = []
+    for value, at in paths:
+        nxt += [(extend(value, e), e.target) for e in edges
+                if at is None or e.source == at]
+        if len(nxt) > cap:
+            raise EnumerationCapError(len(nxt), cap)
+    return nxt
 
 
 @dataclass(frozen=True)

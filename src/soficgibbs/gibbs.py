@@ -38,7 +38,8 @@ boundary and sync steps, left products, dots and window deltas are
 `functools.cache` closures that live as long as the battery.  Each pair's
 worst deviation and its valid (left, right) class pairs are memoized on the
 length's synchronized (vector id, boundary) lists: once those repeat, a
-tested length only re-sums its exact integer context counts.  A stacked
+tested length only re-sums its exact integer context counts, once per
+distinct tuple of valid class pairs.  A stacked
 product of vectors, `(k, 1, 1, n) @ (1, S, n, n)` or `(1, S, n, n) @ (k, 1,
 n, 1)`, is one gemv per row and bit-identical to the 1-D `vec @ mat` or
 `mat @ vec`; a matrix-matrix product such as `L @ T_u @ R.T` (one BLAS gemm)
@@ -47,6 +48,8 @@ rounds differently, so it is not used.
 The pipelines read one `measures.LiftResult`, the equilibrium measure
 upstairs pushed down.  The Gibbs verdicts (Lanford-Ruelle, finite-to-one)
 run `synchronized_battery` on the image, which also analyzes its push code;
+the finite-to-one verdict also matches every image cylinder up to
+`CROSS_CHECK_LENGTH` against its preimage sum, from one level walk of both;
 the Dobrushin verdict holds the variational pressure certificate, its
 integral read off the last level of the image's word walk.
 """
@@ -67,8 +70,8 @@ from .errors import (EnumerationCapError, InsufficientContextError,
                      NoExchangeableContextError, NotFiniteToOneError,
                      NotInLanguageError)
 from .measures import (HiddenMarkovMeasure, LiftResult, _hidden,
-                       entropy_estimate, equilibrium_upstairs,
-                       lift_equilibrium, preimage_cylinder_sum)
+                       _preimage_sum_levels, entropy_estimate,
+                       equilibrium_upstairs, lift_equilibrium)
 from .presentations import (LabeledEdge, SoficPresentation,
                             is_irreducible_sofic)
 from .shifts import Word
@@ -336,7 +339,7 @@ def _ratio_engine(measure, potential, pairs, context_lengths, tol,
             classes = tuple(tuple((vid, bnd) for vid, bnd, _ in side)
                             for side in (lefts, rights))
             memo = deviations.setdefault(classes, {})
-            results = []
+            counts, results = {}, []
             for i in live:
                 if i not in memo:
                     evaluated += len(lefts) * len(rights)
@@ -345,8 +348,10 @@ def _ratio_engine(measure, potential, pairs, context_lengths, tol,
                     memo[i] = _max_deviation_hidden(pairs[i], *classes, mats,
                                                     dots, deltas)
                 worst, valid = memo[i]
-                results.append((worst, sum(lefts[a][2] * rights[b][2]
-                                           for a, b in valid)))
+                if valid not in counts:
+                    counts[valid] = sum(lefts[a][2] * rights[b][2]
+                                        for a, b in valid)
+                results.append((worst, counts[valid]))
         else:
             # containment of the sync word, by the automaton of the levels
             words = [w for w in measure.words_of_length(c) if not sync
@@ -402,7 +407,7 @@ def _max_deviation_hidden(pair, lefts, rights, mats, dots, deltas):
             valid.append((a, b))
             delta = deltas(pair, lbnd, rbnd)
             worst = max(worst, abs(math.log(num) - math.log(den) - delta))
-    return worst, valid
+    return worst, tuple(valid)
 
 
 def _max_deviation_generic(measure, potential, pair, words):
@@ -455,8 +460,13 @@ def run_ratio_battery(measure, potential, context_lengths, tol,
                       synchronizing_word=None,
                       max_word_length: int = 3) -> RatioBattery:
     """Ratio tests over an enumerated battery of exchangeable word pairs;
-    a pair with no valid exchange context at some tested length is skipped."""
-    pairs = exchangeable_pairs(measure.words_of_length, max_word_length)
+    a pair with no valid exchange context at some tested length is skipped.
+    On a hidden Markov measure the pairs read one `word_levels` walk."""
+    words = measure.words_of_length
+    if isinstance(measure, HiddenMarkovMeasure):
+        levels = measure.word_levels(max_word_length)
+        words = lambda n: next(levels)[0]
+    pairs = exchangeable_pairs(words, max_word_length)
     reports, skipped = _ratio_engine(measure, potential, pairs,
                                      context_lengths, tol, synchronizing_word)
     passed = bool(reports) and all(r.passed for r in reports)
@@ -560,9 +570,9 @@ def verify_finite_to_one_preservation(code: SlidingBlockCode,
     nu = equilibrium_upstairs(code, potential).downstairs
     analysis, battery = synchronized_battery(nu, potential, tol, c_max)
     cross_dev = 0.0
-    for words, probs in nu.word_levels(CROSS_CHECK_LENGTH):
-        for w, p in zip(words, probs):
-            cross_dev = max(cross_dev, abs(p - preimage_cylinder_sum(nu, w)))
+    for _, probs, sums in _preimage_sum_levels(nu, CROSS_CHECK_LENGTH):
+        for p, q in zip(probs, sums):
+            cross_dev = max(cross_dev, abs(p - q))
     passed = battery.passed and cross_dev < 1e-10
     return FiniteToOneReport(analysis, battery, cross_dev, passed)
 
@@ -631,8 +641,8 @@ def sunny_side_up_counterexample() -> CounterexampleReport:
     counts_ok = all(len(nu.words_of_length(n)) == n + 1
                     for n in range(1, COUNTEREXAMPLE_COUNT_LENGTH + 1))
     counts_ok = counts_ok and all(
-        nu.words_of_length(n) == presentation.words_of_length(n)
-        for n in range(0, 13))
+        nu.words_of_length(n) == words
+        for n, words in enumerate(presentation.word_levels(12), start=1))
     # block entropies of the point mass vanish at every horizon
     h = 0.0
     for w in nu.words_of_length(8):

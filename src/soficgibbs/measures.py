@@ -5,7 +5,8 @@ operators (a forward pass of sub-transition matrices), which is exact and
 linear in the word length; its level walk pushes the forward vectors of all
 words of one length by every symbol in one stacked product, each row the same
 double as `cylinder_prob`, up to `shifts.DEFAULT_ENUMERATION_CAP` words of
-one length.  Brute-force preimage enumeration is kept as an independent oracle.
+one length.  Brute-force preimage enumeration is kept as an independent oracle,
+and walked by levels for the finite-to-one cross-check, each sum the same double.
 
 `equilibrium_upstairs` is the one upstairs step of every pipeline: pull a
 potential back through a one-block code, take the equilibrium measure of the
@@ -24,7 +25,8 @@ from typing import Mapping
 
 import numpy as np
 
-from .codes import SlidingBlockCode, compose_one_block, preimage_words
+from .codes import (SlidingBlockCode, _extend_preimages, compose_one_block,
+                    preimage_words)
 from .errors import EnumerationCapError
 from . import shifts
 from .presentations import (SoficPresentation, image_presentation,
@@ -136,6 +138,21 @@ def preimage_cylinder_sum(nu: HiddenMarkovMeasure, word: Word) -> float:
     """Independent oracle: sum of upstairs cylinder probabilities over the
     enumerated preimage paths of the word."""
     return _sum(nu.upstairs.cylinder_prob(u) for u in preimage_words(nu.code, word))
+
+
+def _preimage_sum_levels(nu: HiddenMarkovMeasure, n_max: int):
+    """`nu.word_levels(n_max)` with each word's `preimage_cylinder_sum`, the
+    same doubles: a word's preimage paths extend its prefix's, each with its
+    end and running product stationary[source] * t(e1) * ... * t(en), the
+    products `MarkovMeasure.cylinder_prob` takes, in `preimage_words` order."""
+    mu = nu.upstairs
+    extend = (lambda p, e: (mu.stationary[e.source] if p is None else p)
+              * mu.transitions[e.id])
+    paths = {(): [(None, None)]}
+    for words, probs in nu.word_levels(n_max):
+        paths = {w: _extend_preimages(nu.code, paths[w[:-1]], w[-1], extend)
+                 for w in words}
+        yield words, probs, [_sum(p for p, _ in paths[w]) for w in words]
 
 
 @dataclass(frozen=True)

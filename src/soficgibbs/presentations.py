@@ -7,7 +7,9 @@ sequences along paths.  It shares the graph core `shifts._Graph` with
 part, trimmed without building an edge shift.  Language queries run on the
 label subset automaton kept in `codes`: its successor sets, its subset step,
 and its breadth-first closure over the reachable nonempty subsets, with its
-one state cap.
+one state cap.  The words of every length up to n come from one level walk,
+`word_levels`, each level extending the one before by the symbols in order;
+`words_of_length(n)` is its last level.
 
 The subset construction has one home, a private integer table built from the
 closure's transitions and trimmed to its essential states: the subsets in
@@ -26,7 +28,7 @@ q1, ...
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Mapping
 
 from .codes import (SlidingBlockCode, _pair_walk, _right_resolving,
@@ -109,29 +111,30 @@ class SoficPresentation(_Graph):
         return bool(self.vertices)
 
     def words_of_length(self, n: int) -> list[Word]:
-        """Labels of the length-n paths, in lexicographic order as walked:
-        B_n of the presented shift when the graph is essential.  More than
-        `shifts.DEFAULT_ENUMERATION_CAP` words raise `EnumerationCapError`."""
-        if n == 0:
-            return [] if self.is_empty else [()]
-        if not self.edges:
-            return []
+        """Labels of the length-n paths in lexicographic order: the last
+        level of `word_levels`."""
+        words = [] if n or self.is_empty else [()]
+        for words in self.word_levels(n):
+            pass
+        return words
+
+    def word_levels(self, n_max: int):
+        """The labels of the paths of each length 1..n_max, as lists in
+        lexicographic order (B_n when the graph is essential; then no level is
+        shorter than the one before), each subset's steps taken once.  A level
+        of more than `shifts.DEFAULT_ENUMERATION_CAP` words raises
+        `EnumerationCapError`."""
         cap = shifts.DEFAULT_ENUMERATION_CAP
-        symbols = tuple(self.label_alphabet)
-        out = []
-        stack = [((), frozenset(self.vertices))]
-        while stack:
-            word, states = stack.pop()
-            if len(word) == n:
-                out.append(word)
-                if len(out) > cap:
-                    raise EnumerationCapError(len(out), cap)
-                continue
-            for s in reversed(symbols):
-                nxt = self._step(states, s)
-                if nxt:
-                    stack.append((word + (s,), nxt))
-        return out
+        symbols = sorted(self._successors)
+        moves = cache(lambda states: [(s, nxt) for s in symbols
+                                      if (nxt := self._step(states, s))])
+        level = [((), frozenset(self.vertices))]
+        for _ in range(n_max):
+            level = [(word + (s,), nxt) for word, states in level
+                     for s, nxt in moves(states)]
+            if len(level) > cap:
+                raise EnumerationCapError(cap + 1, cap)
+            yield [word for word, _ in level]
 
 
 def image_presentation(code: SlidingBlockCode) -> SoficPresentation:

@@ -20,8 +20,9 @@ bi-infinite paths it presents), and `forbidden` (`[shift] kind=forbidden
 window=2` followed by `forbid 11` lines; the essential shift is built over
 the alphabet with the last-symbol read-off labeling).  Reals are decimal
 literals or `log(<rational>)`, so exact pressures are expressible.  A
-potential word or `map` word given twice is refused.  Parsing then
-serializing yields a canonical form that round-trips byte-identically.
+potential word or `map` word given twice is refused, and so is an edge
+`label` outside a declared `[alphabet]`.  Parsing then serializing yields a
+canonical form that round-trips byte-identically.
 """
 
 from __future__ import annotations
@@ -133,6 +134,7 @@ def parse_spec(text: str) -> ShiftSpecFile:
     code_entries: dict[Word, CodeEntry] = {}
     potential_range = None
     potential_entries: dict[str, PotentialEntry] = {}
+    label_lines: list[tuple[str | None, int]] = []  # each edge's label, line
 
     section = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -195,6 +197,7 @@ def parse_spec(text: str) -> ShiftSpecFile:
                             f"edge {decl.id!r}: undeclared vertex {endpoint!r}",
                             lineno, raw.find(endpoint) + 1)
                 edges[decl.id] = decl
+                label_lines.append((decl.label, lineno))
                 continue
             if line.startswith("forbid"):
                 parts = line.split()
@@ -226,6 +229,9 @@ def parse_spec(text: str) -> ShiftSpecFile:
                 word_text, raw_value, parse_real(raw_value, lineno))
             continue
         raise SpecFileError(f"declaration outside any section: {line!r}", lineno, 1)
+    for label, lineno in label_lines:
+        if alphabet and label is not None and label not in alphabet:
+            raise SpecFileError(f"label {label!r} is not in [alphabet]", lineno)
 
     return ShiftSpecFile(
         alphabet=alphabet, kind=kind, vertices=tuple(vertices),

@@ -695,6 +695,17 @@ SPEC_REFUSALS = {
         TWO_LOOPS + "[code] memory=0 anticipation=0\n"
         "map a -> 0\nmap a -> 1\nmap b -> 1\n", None, "verify finite-to-one",
         "line 7: duplicate map word 'a'"),
+    # an explicit label is read against the declared alphabet, wherever the
+    # alphabet is declared; an edge without a label reads its id (ONE_LOOP)
+    "label-outside-alphabet": (
+        "[alphabet] 0 1\n[shift] kind=labeled vertices=A B\n"
+        "edge a: A -> A label 0\nedge b: A -> B label 2\n"
+        "edge c: B -> A label 1\n", None, "analyze",
+        "line 4: label '2' is not in [alphabet]"),
+    "label-outside-later-alphabet": (
+        "[shift] kind=edge vertices=A\nedge a: A -> A label 1\n"
+        "edge b: A -> A\n[alphabet] 0\n", None, "fischer",
+        "line 2: label '1' is not in [alphabet]"),
 }
 
 
@@ -710,3 +721,13 @@ def test_spec_file_refusal_exits_2_with_its_one_error_line(tmp_path, capsys,
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert (captured.out, captured.err) == ("", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("command", ["analyze", "fischer"])
+def test_edge_without_label_reads_its_id_outside_the_alphabet(tmp_path, capsys,
+                                                              command):
+    # ONE_LOOP declares [alphabet] 0 and an unlabeled edge `a`: only an
+    # explicit label is read against the alphabet
+    (tmp_path / "s.shift").write_text(ONE_LOOP)
+    assert main([command, str(tmp_path / "s.shift"), "--format", "machine"]) == 0
+    assert capsys.readouterr().out.endswith("verdict = pass\n")

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import soficgibbs as sg
-from soficgibbs import gibbs, shifts, thermo
+from soficgibbs import gibbs, measures, shifts, thermo
 
 from conftest import identity_presentation, loop_shift
 
@@ -32,6 +32,12 @@ def _full2_languages():
                 mu, sg.SlidingBlockCode.identity(shift))}
 
 
+def _all_ones():
+    """The code reading 1 on both loops of the full 2-shift."""
+    return sg.SlidingBlockCode.one_block(loop_shift(2), {"0": "1", "1": "1"},
+                                         sg.Alphabet(("1",)))
+
+
 ENUMERATIONS = {
     **{f"{name}.words_of_length": (lambda name=name: _full2_languages()[name]
                                    .words_of_length(2))
@@ -39,11 +45,14 @@ ENUMERATIONS = {
                     "HiddenMarkovMeasure")},
     "HiddenMarkovMeasure.level_walk": lambda: list(
         _full2_languages()["HiddenMarkovMeasure"].level_walk(2)),
+    "SoficPresentation.word_levels": lambda: list(
+        _full2_languages()["SoficPresentation"].word_levels(2)),
     "sft_from_forbidden_words": lambda: sg.sft_from_forbidden_words(
         sg.Alphabet(("0", "1")), (), 3),
     # the two loops of the full 2-shift both read 1: 11 has 4 preimage paths
-    "preimage_words": lambda: sg.preimage_words(sg.SlidingBlockCode.one_block(
-        loop_shift(2), {"0": "1", "1": "1"}, sg.Alphabet(("1",))), ("1", "1")),
+    "preimage_words": lambda: sg.preimage_words(_all_ones(), ("1", "1")),
+    "preimage level walk": lambda: list(measures._preimage_sum_levels(
+        sg.pushforward(_full2_languages()["MarkovMeasure"], _all_ones()), 2)),
 }
 
 

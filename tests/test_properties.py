@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 import soficgibbs as sg
-from soficgibbs import gibbs, shifts, thermo
+from soficgibbs import gibbs, measures, shifts, thermo
 
 from conftest import (loop_shift, random_markov_measure, string_determinize,
                       string_minimize_fischer, unmemoized_battery)
@@ -799,6 +799,54 @@ def test_enumerations_come_out_in_lexicographic_order(presentation):
             preimages = sg.preimage_words(code, w)
             assert _strictly_increasing(preimages)
             assert preimages == _sorted_preimage_paths(presentation, w)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(labeled_graphs(), untrimmed_labeled_graphs()))
+@example(sg.SoficPresentation(("v0",), ()))
+@example(sg.SoficPresentation((), ()))
+def test_word_levels_list_the_labels_of_the_paths(presentation):
+    # each level, and words_of_length, is the sorted set of the label words
+    # of the edge shift's paths, on graphs that are not essential too
+    label = {e.id: e.label for e in presentation.edges}
+    paths = presentation.underlying_edge_shift().words_of_length
+    levels = [[()] if presentation.vertices else []]
+    levels += presentation.word_levels(6)
+    for n in range(7):
+        words = sorted({tuple(map(label.get, path)) for path in paths(n)})
+        assert levels[n] == presentation.words_of_length(n) == words
+
+
+@settings(max_examples=80, deadline=None)
+@given(labeled_covers(), st.integers(min_value=0, max_value=1_000_000))
+def test_cross_check_sums_are_the_preimage_oracle_doubles(code, seed):
+    # the level walk of the finite-to-one cross-check sums the same products
+    # in the same order as the per-word oracle: equal doubles, not close ones
+    mu = random_markov_measure(code.domain, np.random.default_rng(seed))
+    nu = sg.pushforward(mu, code)
+    walk = measures._preimage_sum_levels(nu, 4)
+    for (words, probs), (listed, listed_probs, sums) in zip(nu.word_levels(4),
+                                                            walk):
+        assert (listed, listed_probs) == (words, probs)
+        assert sums == [sg.preimage_cylinder_sum(nu, w) for w in words]
+
+
+@settings(max_examples=40, deadline=None)
+@given(labeled_graphs(), st.integers(min_value=0, max_value=4),
+       st.integers(min_value=0, max_value=1_000_000))
+def test_battery_pair_list_is_the_word_list_pair_list(presentation,
+                                                      max_word_length, seed):
+    # run_ratio_battery reads one level walk for its pairs on a hidden Markov
+    # measure: the pairs that exchangeable_pairs lists from words_of_length
+    f = random_potential(presentation, 1, seed)
+    nu = sg.equilibrium_upstairs(presentation.labeling_code(), f).downstairs
+    seen = []
+    with mock.patch.object(gibbs, "_ratio_engine", lambda measure, potential,
+                           pairs, *rest: seen.append(pairs) or ([], [])):
+        sg.run_ratio_battery(nu, f, [1], 1e-6,
+                             max_word_length=max_word_length)
+    assert seen == [gibbs.exchangeable_pairs(nu.words_of_length,
+                                             max_word_length)]
 
 
 def _depth_first_determinize(presentation):
