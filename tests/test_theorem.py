@@ -210,8 +210,8 @@ SINGLE_ORBITS = {"000": _named(["A"], "AA0"),
 
 @pytest.mark.parametrize("name", sorted(SINGLE_ORBITS))
 def test_single_orbit_fails_lanford_ruelle_with_no_pair(name):
-    # a cycle has no two words of one length that exchange inside a point,
-    # so nothing is tested, and an empty battery fails
+    # in a single orbit no exchange of two words keeps both sides in the
+    # language, so no pair is tested, and an empty battery fails
     p = SINGLE_ORBITS[name]
     assert _name(p) == name and name in _census()
     f = sg.LocallyConstantPotential.zero(p)
