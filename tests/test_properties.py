@@ -801,19 +801,35 @@ def test_enumerations_come_out_in_lexicographic_order(presentation):
             assert preimages == _sorted_preimage_paths(presentation, w)
 
 
+def _spelled_label_words(presentation, n):
+    # every length-n string over the labels, in order, kept when some edge
+    # path spells it; no edge path is listed, so parallel edges cost nothing
+    alphabet = sorted({e.label for e in presentation.edges})
+    words = []
+    for word in itertools.product(alphabet, repeat=n):
+        ends = set(presentation.vertices)
+        for a in word:
+            ends = {e.target for e in presentation.edges
+                    if e.source in ends and e.label == a}
+        if ends:
+            words.append(word)
+    return words
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.one_of(labeled_graphs(), untrimmed_labeled_graphs()))
 @example(sg.SoficPresentation(("v0",), ()))
 @example(sg.SoficPresentation((), ()))
+@example(sg.SoficPresentation(("v0", "v1"), tuple(
+    sg.LabeledEdge("v1", "v1", "0", f"e{i}") for i in range(9))))
 def test_word_levels_list_the_labels_of_the_paths(presentation):
     # each level, and words_of_length, is the sorted set of the label words
-    # of the edge shift's paths, on graphs that are not essential too
-    label = {e.id: e.label for e in presentation.edges}
-    paths = presentation.underlying_edge_shift().words_of_length
+    # of the graph's paths, on graphs that are not essential too, and on
+    # graphs with more edge paths than an edge shift lists
     levels = [[()] if presentation.vertices else []]
     levels += presentation.word_levels(6)
     for n in range(7):
-        words = sorted({tuple(map(label.get, path)) for path in paths(n)})
+        words = _spelled_label_words(presentation, n)
         assert levels[n] == presentation.words_of_length(n) == words
 
 
