@@ -38,8 +38,7 @@ boundary and sync steps, left products, dots and window deltas are
 `functools.cache` closures that live as long as the battery.  Each pair's
 worst deviation and its valid (left, right) class pairs are memoized on the
 length's synchronized (vector id, boundary) lists: once those repeat, a
-tested length only re-sums its exact integer context counts, once per
-distinct tuple of valid class pairs.  A stacked
+tested length only re-sums its exact integer context counts.  A stacked
 product of vectors, `(k, 1, 1, n) @ (1, S, n, n)` or `(1, S, n, n) @ (k, 1,
 n, 1)`, is one gemv per row and bit-identical to the 1-D `vec @ mat` or
 `mat @ vec`; a matrix-matrix product such as `L @ T_u @ R.T` (one BLAS gemm)
@@ -339,7 +338,7 @@ def _ratio_engine(measure, potential, pairs, context_lengths, tol,
             classes = tuple(tuple((vid, bnd) for vid, bnd, _ in side)
                             for side in (lefts, rights))
             memo = deviations.setdefault(classes, {})
-            counts, results = {}, []
+            results = []
             for i in live:
                 if i not in memo:
                     evaluated += len(lefts) * len(rights)
@@ -348,10 +347,8 @@ def _ratio_engine(measure, potential, pairs, context_lengths, tol,
                     memo[i] = _max_deviation_hidden(pairs[i], *classes, mats,
                                                     dots, deltas)
                 worst, valid = memo[i]
-                if valid not in counts:
-                    counts[valid] = sum(lefts[a][2] * rights[b][2]
-                                        for a, b in valid)
-                results.append((worst, counts[valid]))
+                results.append((worst, sum(lefts[a][2] * rights[b][2]
+                                           for a, b in valid)))
         else:
             # containment of the sync word, by the automaton of the levels
             words = [w for w in measure.words_of_length(c) if not sync
@@ -407,7 +404,7 @@ def _max_deviation_hidden(pair, lefts, rights, mats, dots, deltas):
             valid.append((a, b))
             delta = deltas(pair, lbnd, rbnd)
             worst = max(worst, abs(math.log(num) - math.log(den) - delta))
-    return worst, tuple(valid)
+    return worst, valid
 
 
 def _max_deviation_generic(measure, potential, pair, words):
@@ -460,13 +457,8 @@ def run_ratio_battery(measure, potential, context_lengths, tol,
                       synchronizing_word=None,
                       max_word_length: int = 3) -> RatioBattery:
     """Ratio tests over an enumerated battery of exchangeable word pairs;
-    a pair with no valid exchange context at some tested length is skipped.
-    On a hidden Markov measure the pairs read one `word_levels` walk."""
-    words = measure.words_of_length
-    if isinstance(measure, HiddenMarkovMeasure):
-        levels = measure.word_levels(max_word_length)
-        words = lambda n: next(levels)[0]
-    pairs = exchangeable_pairs(words, max_word_length)
+    a pair with no valid exchange context at some tested length is skipped."""
+    pairs = exchangeable_pairs(measure.words_of_length, max_word_length)
     reports, skipped = _ratio_engine(measure, potential, pairs,
                                      context_lengths, tol, synchronizing_word)
     passed = bool(reports) and all(r.passed for r in reports)

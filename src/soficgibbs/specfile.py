@@ -229,8 +229,9 @@ def parse_spec(text: str) -> ShiftSpecFile:
                 word_text, raw_value, parse_real(raw_value, lineno))
             continue
         raise SpecFileError(f"declaration outside any section: {line!r}", lineno, 1)
+    declared = set(alphabet or ())
     for label, lineno in label_lines:
-        if alphabet and label is not None and label not in alphabet:
+        if declared and label is not None and label not in declared:
             raise SpecFileError(f"label {label!r} is not in [alphabet]", lineno)
 
     return ShiftSpecFile(

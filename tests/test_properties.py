@@ -852,8 +852,8 @@ def test_cross_check_sums_are_the_preimage_oracle_doubles(code, seed):
        st.integers(min_value=0, max_value=1_000_000))
 def test_battery_pair_list_is_the_word_list_pair_list(presentation,
                                                       max_word_length, seed):
-    # run_ratio_battery reads one level walk for its pairs on a hidden Markov
-    # measure: the pairs that exchangeable_pairs lists from words_of_length
+    # the pairs run_ratio_battery hands its engine on a hidden Markov measure
+    # are the ones exchangeable_pairs lists from words_of_length
     f = random_potential(presentation, 1, seed)
     nu = sg.equilibrium_upstairs(presentation.labeling_code(), f).downstairs
     seen = []

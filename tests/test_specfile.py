@@ -135,6 +135,23 @@ class TestParse:
         assert str(info.value) == (f"line {len(lines)}: duplicate potential "
                                    "word '0123012'")
 
+    def test_large_alphabet_labels_parse_in_linear_time(self):
+        # 30 000 labels on 30 000 edges; a scan of the alphabet for each
+        # label took seconds
+        symbols = [f"s{i}" for i in range(30_000)]
+        lines = ["[alphabet] " + " ".join(symbols),
+                 "[shift] kind=labeled vertices=A"]
+        lines += [f"edge e{i}: A -> A label {s}" for i, s in enumerate(symbols)]
+        start = time.perf_counter()
+        spec = parse_spec("\n".join(lines))
+        assert time.perf_counter() - start < 2
+        assert len(spec.edges) == len(symbols)
+        lines.append("edge f: A -> A label t")
+        with pytest.raises(sg.SpecFileError) as info:
+            parse_spec("\n".join(lines))
+        assert str(info.value) == (f"line {len(lines)}: label 't' is not in "
+                                   "[alphabet]")
+
 
 class TestReals:
     @pytest.mark.parametrize("text,value", [
