@@ -223,8 +223,12 @@ def minimize_fischer(presentation: SoficPresentation):
 
     Returns the presentation together with its cover code (the one-block
     labeling code from the presentation's edge shift onto the shift), which
-    has degree one.  Raises ReducibleShiftError when no strongly connected
-    component of the merged deterministic graph presents the full language.
+    has degree one.  The follower sets of synchronizing words are closed
+    under every step and reachable from every state (Lind & Marcus §3.3), so
+    for an irreducible shift they are the one terminal component of the
+    merged deterministic graph, and it presents the whole shift.  Raises
+    ReducibleShiftError when that graph has more than one terminal
+    component, or one that does not present the full language.
     """
     subsets, symbols, delta = _subset_table(presentation)
     if not subsets:
@@ -237,22 +241,13 @@ def minimize_fischer(presentation: SoficPresentation):
     # members' steps in and out
     merged = [[block_of[t] if t >= 0 else -1 for t in delta[ms[0]]]
               for ms in members]
-    # Only a component that carries an edge can present the shift, and at
-    # most one does: the merged table is right-resolving and follower-
-    # separated, so it has a word along which every path ends in one state
-    # (Lind & Marcus §3.3), and a component that reads every word holds
-    # that state.  Smaller components are tested first.
-    candidates = []
-    for comp in _strong_components([[t for t in row if t >= 0]
-                                    for row in merged]):
-        part = set(comp)
-        if any(t in part for b in comp for t in merged[b]):
-            candidates.append(part)
-    for part in sorted(candidates, key=len):
-        if _presents_whole(merged, part):
-            break
-    else:
+    components = map(set, _strong_components([[t for t in row if t >= 0]
+                                              for row in merged]))
+    terminal = [part for part in components
+                if all(t < 0 or t in part for b in part for t in merged[b])]
+    if len(terminal) != 1 or not _presents_whole(merged, terminal[0]):
         raise ReducibleShiftError("requires irreducible sofic shift")
+    part = terminal[0]
     names = {b: _subset_name(_subset_name(subsets[i]) for i in members[b])
              for b in part}
     q = {b: f"q{k}" for k, b in enumerate(sorted(part, key=names.get))}
