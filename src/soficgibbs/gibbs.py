@@ -17,24 +17,25 @@ uniqueness argument controls.  Pass `synchronizing_word=None` to test over
 all valid contexts.
 
 Contexts are collapsed into classes with equal normalized forward or backward
-state vectors, equal boundary windows, and equal synchronization status; the
-deviation is a function of the class, so the maximum over classes equals the
-maximum over all contexts (up to the 1e-13 rounding of the class key).  The
-classes do not depend on the exchanged pair: one engine serves
-`gibbs_ratio_test` and `run_ratio_battery`.  Each battery pushes its context
-levels forward once, one symbol per level, and each tested length reads a
-snapshot shared by every pair still live; a level of more than
-`shifts.DEFAULT_ENUMERATION_CAP` classes, or more than `CLASS_PAIR_CAP`
-(left, right) class pairs evaluated in one battery, raises
-`EnumerationCapError`; the limits below are module constants too, read when
-called.  A pair is skipped at the first length without a valid exchange
-context, and the levels stop once no pair is live.
+state vectors, rounded to 13 digits, equal boundary windows, and equal
+synchronization status.  Each rounded vector has one canonical vector, the
+first that reached it in the battery, and the deviation of a class is read
+off that vector, so the maximum over classes equals the maximum over all
+contexts up to the 1e-13 rounding of the class key.  The classes do not
+depend on the exchanged pair: one engine serves `gibbs_ratio_test` and
+`run_ratio_battery`.  Each battery pushes its context levels forward once,
+one symbol per level, and each tested length reads a snapshot shared by every
+pair still live; a level of more than `shifts.DEFAULT_ENUMERATION_CAP`
+classes, or more than `CLASS_PAIR_CAP` (left, right) class pairs evaluated in
+one battery, raises `EnumerationCapError`; the limits below are module
+constants too, read when called.  A pair is skipped at the first length
+without a valid exchange context, and the levels stop once no pair is live.
 
 A battery computes each value once, keyed on its exact inputs, since a
 recompute would be the same numpy call on the same bytes: the level cells
-carry interned vector ids, each (side, vector id) is pushed by every symbol
-in one stacked product per level, each word matrix is built once, and the
-boundary and sync steps, left products, dots and window deltas are
+carry the ids of canonical vectors, each (side, vector id) is pushed by every
+symbol in one stacked product per level, each word matrix is built once, and
+the boundary and sync steps, left products, dots and window deltas are
 `functools.cache` closures that live as long as the battery.  Each pair's
 worst deviation and its valid (left, right) class pairs are memoized on the
 length's synchronized (vector id, boundary) lists: once those repeat, a
@@ -167,22 +168,21 @@ class _ContextLevels:
     A left class is keyed by its normalized forward vector (the stationary
     row pushed through the context's sub-transition matrices) rounded to 13
     digits, its last boundary_len symbols and its progress through the sync
-    word; it carries the id of its vector and its number of contexts.  Right
-    classes are symmetric with backward vectors.
+    word; a level holds ((vector id, boundary, sync state), number of
+    contexts) cells, sorted.  Right classes are symmetric with backward
+    vectors.
 
-    Every vector is interned by its exact bytes, and each (side, vector id)
-    is pushed once per battery: a level's new vectors go through every
-    sub-transition matrix in one stacked product, `(k, 1, 1, n) @ (1, S, n,
-    n)` on the left and `(1, S, n, n) @ (k, 1, n, 1)` on the right.  Numpy
-    evaluates each of its rows with one gemv, the call of `vec @ mats[s]` or
-    `mats[s] @ vec`, so every row is the same double; rows are summed,
-    normalized and rounded as one array.  The rounded key is stored as
-    big-endian bytes: for nonnegative doubles without NaN or -0.0 these bytes
-    order and compare as the values do.  So cells merge exactly where the
-    float tuples are equal, a level sorts in the same order, and since cells
-    are pushed in that order, symbol by symbol, each class keeps the same
-    first vector pushed onto its key.  The boundary and sync steps of each
-    (boundary, sync state) are cached for the life of the levels."""
+    Every vector is interned by the bytes of its rounded key, shared by both
+    sides: the first vector that reaches a key is that key's one vector for
+    the whole battery, so a class read at two lengths carries one id.  Each
+    (side, vector id) is pushed once per battery: a level's new vectors go
+    through every sub-transition matrix in one stacked product, `(k, 1, 1,
+    n) @ (1, S, n, n)` on the left and `(1, S, n, n) @ (k, 1, n, 1)` on the
+    right.  Numpy evaluates each of its rows with one gemv, the call of
+    `vec @ mats[s]` or `mats[s] @ vec`, so every row is the same double;
+    rows are summed, normalized and rounded as one array.  The boundary and
+    sync steps of each (boundary, sync state) are cached for the life of the
+    levels."""
 
     def __init__(self, nu: HiddenMarkovMeasure, boundary_len: int,
                  sync_word: Word | None):
@@ -206,25 +206,24 @@ class _ContextLevels:
         self.successors = ({}, {})
         starts = np.stack([nu._stationary_row,
                            np.ones(len(nu.upstairs.shift.vertices))])
-        self.levels = tuple([((key, (), 0), [vid, 1])]
-                            for key, vid in self._normalized(starts))
+        self.levels = tuple([((vid, (), 0), 1)]
+                            for vid in self._normalized(starts))
 
     def _normalized(self, vecs):
-        """(key bytes, vector id) of each row over its sum; None for a row
-        without mass."""
+        """The vector id of each row over its sum; None for a row without
+        mass."""
         totals = vecs.sum(axis=1)
         live = totals > 0.0
         normed = vecs[live] / totals[live, None]
         width = 8 * vecs.shape[1]
-        exact = normed.tobytes()
-        keys = normed.round(13).astype(">f8").tobytes()
+        keys = normed.round(13).tobytes()
         out = [None] * len(vecs)
         for j, row in enumerate(np.flatnonzero(live).tolist()):
-            cut = slice(j * width, (j + 1) * width)
-            vid = self.ids.setdefault(exact[cut], len(self.ids))
+            vid = self.ids.setdefault(keys[j * width:(j + 1) * width],
+                                      len(self.ids))
             if vid == len(self.vectors):
                 self.vectors.append(normed[j])
-            out[row] = (keys[cut], vid)
+            out[row] = vid
         return out
 
     def advance(self):
@@ -235,7 +234,7 @@ class _ContextLevels:
 
     def _push(self, side, level):
         successors, steps = self.successors[side], self.steps[side]
-        fresh = [vid for vid in dict.fromkeys(vid for _, (vid, _) in level)
+        fresh = [vid for vid in dict.fromkeys(vid for (vid, _, _), _ in level)
                  if vid not in successors]
         if fresh:
             vecs = np.array([self.vectors[vid] for vid in fresh])
@@ -246,16 +245,11 @@ class _ContextLevels:
             for i, vid in enumerate(fresh):
                 successors[vid] = rows[i * n_sym:(i + 1) * n_sym]
         nxt = {}
-        for (_, bnd, st), (vid, count) in level:
-            for pushed, (bnd2, st2) in zip(successors[vid], steps(bnd, st)):
-                if pushed is None:
-                    continue
-                key = (pushed[0], bnd2, st2)
-                cell = nxt.get(key)
-                if cell is None:
-                    nxt[key] = [pushed[1], count]
-                else:
-                    cell[1] += count
+        for (vid, bnd, st), count in level:
+            for pushed, step in zip(successors[vid], steps(bnd, st)):
+                if pushed is not None:
+                    key = (pushed, *step)
+                    nxt[key] = nxt.get(key, 0) + count
         cap = shifts.DEFAULT_ENUMERATION_CAP
         if len(nxt) > cap:
             raise EnumerationCapError(cap + 1, cap)
@@ -264,11 +258,11 @@ class _ContextLevels:
 
 def _context_classes(levels: _ContextLevels, length: int):
     """Synchronized left and right classes of one context length, as lists
-    of (vector id, boundary, count) in key order: the levels are pushed up to
-    that length and read."""
+    of (vector id, boundary, count) in level order: the levels are pushed up
+    to that length and read."""
     while levels.length < length:
         levels.advance()
-    return tuple([(vid, bnd, count) for (_, bnd, st), (vid, count) in level
+    return tuple([(vid, bnd, count) for (vid, bnd, st), count in level
                   if st == levels.synced]
                  for level in levels.levels)
 

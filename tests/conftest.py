@@ -89,13 +89,18 @@ def brute_sft_language(alphabet, forbidden, window, n, cycle_length=None):
 def unmemoized_battery(nu, potential, lengths, tol, sync, max_word_length):
     """The ratio battery with nothing reused: every class is pushed, and
     every word matrix, left product, dot and window delta is computed, where
-    it is used."""
+    it is used.  A class carries the first vector that reached its rounded
+    key on either side, as the engine's does."""
     b, mats = potential.k - 1, nu._sub_matrices
     pattern = tuple(sync) if sync else ()
     rules = ((lambda vec, s: vec @ mats[s],
               lambda bnd, s: (bnd + (s,))[-b:] if b else (), pattern),
              (lambda vec, s: mats[s] @ vec,
               lambda bnd, s: ((s,) + bnd)[:b] if b else (), pattern[::-1]))
+    canon = {}  # rounded key -> (index, canonical vector), both sides
+
+    def canonical(vec):
+        return canon.setdefault(tuple(np.round(vec, 13)), (len(canon), vec))
 
     def push(level, apply_mat, boundary_update, pattern):
         nxt = {}
@@ -105,8 +110,8 @@ def unmemoized_battery(nu, potential, lengths, tol, sync, max_word_length):
                 total = vec2.sum()
                 if total <= 0.0:
                     continue
-                vec2 = vec2 / total
-                key = (tuple(np.round(vec2, 13)), boundary_update(bnd, s),
+                index, vec2 = canonical(vec2 / total)
+                key = (index, boundary_update(bnd, s),
                        gibbs._sync_step(pattern, st, s))
                 if key in nxt:
                     nxt[key][1] += count
@@ -139,8 +144,8 @@ def unmemoized_battery(nu, potential, lengths, tol, sync, max_word_length):
         return worst, count
 
     starts = (nu._stationary_row, np.ones(len(nu.upstairs.shift.vertices)))
-    levels = [[((tuple(np.round(v0, 13)), (), 0), [v0, 1])]
-              for v0 in (v / v.sum() for v in starts)]
+    levels = [[((index, (), 0), [v0, 1])]
+              for index, v0 in map(canonical, (v / v.sum() for v in starts))]
     pairs = gibbs.exchangeable_pairs(nu.words_of_length, max_word_length)
     rows, dropped, reached = {pair: [] for pair in pairs}, {}, 0
     for c in lengths:

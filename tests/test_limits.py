@@ -70,7 +70,7 @@ def test_enumeration_reads_the_cap_when_called(name, monkeypatch):
 
 
 def test_battery_reads_the_class_pair_cap_when_called(monkeypatch):
-    # the largest count on the golden runs and the bench workloads is 1758
+    # the largest count on the golden runs and the bench workloads is 478
     assert gibbs.CLASS_PAIR_CAP == 200_000
     # the full 2-shift with a window-2 potential: at every length two left
     # and two right classes, split by their boundary symbol
