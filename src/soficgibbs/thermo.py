@@ -453,9 +453,9 @@ def equilibrium_measure(shift: EdgeShift,
                         potential: LocallyConstantPotential) -> MarkovMeasure:
     """The unique equilibrium = Gibbs-Markov measure of an edge potential on
     an irreducible shift: P(e: i->j) = exp(f(e)) r_j / (lambda r_i), with
-    stationary vector l_i r_i.  The Perron solve is the one `pressure`
-    makes: once per potential object, under the Perron limits in force at
-    its first use."""
+    stationary vector l_i r_i over its sum, read off the certified Perron
+    vectors.  The Perron solve is the one `pressure` makes: once per
+    potential object, under the Perron limits in force at its first use."""
     _require_edge_potential(shift, potential)
     data = potential._perron
     right = data.right.tolist()
@@ -472,29 +472,9 @@ def equilibrium_measure(shift: EdgeShift,
             if transitions[eid] < sys.float_info.min:
                 raise SoficGibbsError(
                     f"the transition probability of edge {eid!r} underflows a double")
-    stationary = _polished_stationary(shift, transitions,
-                                      data.left * data.right)
+    mass = data.left * data.right
+    stationary = dict(zip(shift.vertices, (mass / mass.sum()).tolist()))
     return MarkovMeasure(shift, stationary, transitions)
-
-
-def _polished_stationary(shift, transitions, seed):
-    """Refine a positive seed to the stationary vector, to near machine
-    precision, by iterating the aperiodic half-step chain (T + I)/2."""
-    n = len(shift.vertices)
-    idx = shift.vertex_index
-    # bincount sums the parallel edges in edge order, from 0.0
-    t = np.bincount([idx[e.source] * n + idx[e.target] for e in shift.edges],
-                    [transitions[e.id] for e in shift.edges], n * n)
-    half = 0.5 * (t.reshape(n, n) + np.eye(n))
-    x = seed / seed.sum()
-    for _ in range(100_000):
-        y = x @ half
-        y /= y.sum()
-        done = np.max(np.abs(y - x)) < 1e-15
-        x = y
-        if done:
-            break
-    return dict(zip(shift.vertices, x.tolist()))
 
 
 def entropy(measure: MarkovMeasure) -> float:

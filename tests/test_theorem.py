@@ -256,7 +256,7 @@ def test_diamond_even_shift_answers_by_its_presentation(tmp_path, capsys):
     code, values = _machine(capsys, "pushforward", str(path), "--depth", "2")
     assert code == 0 and values["cylinder(1)"] == "0.33333333333333337"
     values = _machine(capsys, "pushforward", str(EVEN_SHIFT), "--depth", "2")[1]
-    assert values["cylinder(1)"] == "0.44721359549995804"
+    assert values["cylinder(1)"] == "0.4472135954999581"
     code, values = _machine(capsys, "gibbs-check", str(path))
     assert code == 1
     assert float(values["max_final_deviation"]) == pytest.approx(math.log(4))
