@@ -13,9 +13,11 @@ not matter, for at most `PERRON_MAX_ITER` steps.  Every solve ends in a
 Collatz-Wielandt bracket on the Perron root, widened by a rounding allowance
 of (nonzeros per row + 1) eps and narrower than `PERRON_TOL` times the root,
 and in a residual at the rounding floor of the product Mx; the limits are
-read when called.  Transfer-matrix weights and transition
-probabilities must be normal doubles: one that overflows or underflows raises
-`SoficGibbsError`, nothing is rescaled.  Potentials on an image pull back
+read when called.  The equilibrium measure's stationary vector is l_i r_i
+over its sum, from the two certified Perron vectors, with no further
+iteration.  Transfer-matrix weights and transition probabilities must be
+normal doubles: one that overflows or underflows raises `SoficGibbsError`,
+nothing is rescaled.  Potentials on an image pull back
 through a one-block code.  A brute-force periodic-point oracle provides an
 independent route to the same pressure.
 
