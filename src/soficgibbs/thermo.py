@@ -17,9 +17,9 @@ read when called.  The equilibrium measure's stationary vector is l_i r_i
 over its sum, from the two certified Perron vectors, with no further
 iteration.  Transfer-matrix weights and transition probabilities must be
 normal doubles: one that overflows or underflows raises `SoficGibbsError`,
-nothing is rescaled.  Potentials on an image pull back
-through a one-block code.  A brute-force periodic-point oracle provides an
-independent route to the same pressure.
+nothing is rescaled.  Potentials on an image pull back through a one-block
+code.  A brute-force periodic-point oracle provides an independent route to
+the same pressure.
 
 The periodic certificate walks the cylinders of the class-0 power shift level
 by level over numpy arrays.  Each element takes the same correctly rounded

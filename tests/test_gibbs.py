@@ -294,6 +294,36 @@ class TestRatioEngine:
         assert {side for side, _, _ in pushes} == {"left", "right"}
         assert max(Counter(pushes).values()) == 1
 
+    def test_each_rounded_key_has_one_vector(self, synced, monkeypatch):
+        # the even shift next to the sync word 1 reaches some rounded keys
+        # by vectors that differ in their last bits; each key keeps the
+        # first of them, on both sides and at every length
+        nu = synced[0]
+        reached = {}
+        normalized = gibbs._ContextLevels._normalized
+
+        def spying(levels, vecs):
+            rows = vecs[vecs.sum(axis=1) > 0.0]
+            for row in rows / rows.sum(axis=1)[:, None]:
+                reached.setdefault(row.round(13).tobytes(),
+                                   set()).add(row.tobytes())
+            return normalized(levels, vecs)
+
+        monkeypatch.setattr(gibbs._ContextLevels, "_normalized", spying)
+        levels = gibbs._ContextLevels(nu, 1, ("1",))
+        lengths = {}  # (rounded key, boundary, vector id) -> lengths read
+        for c in range(1, 10):
+            for side in gibbs._context_classes(levels, c):
+                for vid, bnd, _ in side:
+                    key = levels.vectors[vid].round(13).tobytes()
+                    lengths.setdefault((key, bnd, vid), set()).add(c)
+        assert any(len(rows) > 1 for rows in reached.values())
+        keys = [vec.round(13).tobytes() for vec in levels.vectors]
+        assert len(set(keys)) == len(keys)
+        classes = Counter((key, bnd) for key, bnd, _ in lengths)
+        assert max(classes.values()) == 1
+        assert max(map(len, lengths.values())) > 1
+
     def test_repeated_class_sets_reuse_each_pair_deviation(self, synced,
                                                           monkeypatch):
         # from some length on the synchronized (vector, boundary) classes

@@ -166,3 +166,17 @@ def test_no_function_level_package_import():
                 found += [f"{path.name}:{sub.lineno}" for sub in ast.walk(node)
                           if isinstance(sub, ast.ImportFrom) and sub.level]
     assert found == []
+
+
+def test_no_range_takes_a_literal_bound():
+    # a loop bound written as a literal is a limit outside the constants
+    found = []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id == "range"):
+                found += [f"{path.name}:{node.lineno}"
+                          for arg in node.args for sub in ast.walk(arg)
+                          if isinstance(sub, ast.Constant)
+                          and type(sub.value) is int and sub.value >= 100]
+    assert found == []
