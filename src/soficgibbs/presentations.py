@@ -12,17 +12,22 @@ one state cap.  The words of every length up to n come from one level walk,
 `words_of_length(n)` is its last level.
 
 The subset construction has one home, a private integer table built from the
-closure's transitions and trimmed to its essential states: the subsets in
+closure's transitions, untrimmed: every subset the closure reaches, in
 closure order, the sorted symbols, and delta[state][symbol], a target index
-or -1.  `determinize` names its states; `minimize_fischer` reduces it to the
-minimal right-resolving presentation of an irreducible sofic shift without
-building a presentation on the way.  States with equal follower sets are
-merged by Moore refinement over index lists; the strongly connected
-components of the merged table that carry an edge are the candidates, the
-smallest first, and the one whose language contains every word of the
-table, by `codes._pair_walk` over pairs of index subsets (at most one does),
-is named: its states, sorted by the names of their sets of subsets, become q0,
-q1, ...
+or -1.  `determinize` names its states and trims its essential part;
+`minimize_fischer` reduces it to the minimal right-resolving presentation of
+an irreducible sofic shift without building a presentation on the way.
+States with equal follower sets are merged by Moore refinement over index
+lists; the one terminal strongly connected component of the merged table is
+the cover, when the class of the full vertex set reads no word outside it
+(`codes._pair_walk` over a state and an index subset).  Its classes keep
+their block order as q0, q1, ...: the subset that a word w reaches from the
+full vertex set of an essential presentation has follower set F_X(w), the
+closure visits subsets in shortlex order of their least words, and classes
+are numbered by their first member, so q_k is the follower set of the k-th
+shortlex-least word that reaches a new one of the cover.  That depends on
+the language alone (Lind & Marcus Thm 3.3.18): one shift, however presented,
+gets one cover, state names and edge ids included.
 """
 
 from __future__ import annotations
@@ -36,8 +41,7 @@ from .codes import (SlidingBlockCode, _pair_walk, _right_resolving,
 from . import shifts
 from .errors import (EmptyShiftError, EnumerationCapError,
                      ReducibleShiftError)
-from .shifts import (Alphabet, Edge, EdgeShift, Word, _essential_states,
-                     _Graph, _strong_components)
+from .shifts import Alphabet, Edge, EdgeShift, Word, _Graph, _strong_components
 
 
 @dataclass(frozen=True)
@@ -151,24 +155,22 @@ def _subset_name(states) -> str:
 
 
 def _subset_table(presentation: SoficPresentation):
-    """The subset automaton of the essential part of a presentation, trimmed
-    to its essential states: the reachable subsets in closure order, the
-    sorted symbols, and delta[i][j], the index of subset i stepped by symbol
-    j, or -1."""
+    """The subset automaton of the essential part of a presentation, with
+    every subset the closure reaches: the subsets in closure order (subset 0
+    is the full vertex set), the sorted symbols, and delta[i][j], the index
+    of subset i stepped by symbol j, or -1."""
     p = presentation.essential()
     if p.is_empty:
         return [], [], []
     transitions = {}
-    reached = _subset_closure(p.vertices, p._successors, transitions=transitions)
-    subsets = _essential_states(reached, [(src, tgt) for (src, _), tgt
-                                          in transitions.items()])
+    subsets = list(_subset_closure(p.vertices, p._successors,
+                                   transitions=transitions))
     symbols = sorted(p._successors)
     index = {states: i for i, states in enumerate(subsets)}
     column = {s: j for j, s in enumerate(symbols)}
     delta = [[-1] * len(symbols) for _ in subsets]
     for (src, s), tgt in transitions.items():
-        if src in index and tgt in index:
-            delta[index[src]][column[s]] = index[tgt]
+        delta[index[src]][column[s]] = index[tgt]
     return subsets, symbols, delta
 
 
@@ -180,7 +182,8 @@ def determinize(presentation: SoficPresentation) -> SoficPresentation:
     name = [_subset_name(states) for states in subsets]
     return SoficPresentation(tuple(name), tuple(
         LabeledEdge(name[i], name[t], s, f"{name[i]}.{s}")
-        for i, row in enumerate(delta) for s, t in zip(symbols, row) if t >= 0))
+        for i, row in enumerate(delta) for s, t in zip(symbols, row)
+        if t >= 0)).essential()
 
 
 def _follower_classes(delta):
@@ -195,27 +198,27 @@ def _follower_classes(delta):
                    (block_of[i], *map(block_of.__getitem__, row)), len(signatures))
                for i, row in enumerate(delta)]
         if len(signatures) == count:
-            return new, count
+            return new
         block_of, count = new + [-1], len(signatures)
 
 
 def _presents_whole(delta, part):
-    """Exact test that every word read from the full state set of a table
-    is read inside `part`, along steps that stay in it."""
-    if len(part) == len(delta):
-        return True
+    """Exact test that every word read from state 0 of a table is read
+    inside `part`, a set of states that no step leaves."""
     columns = list(enumerate(zip(*delta)))
     # intersecting a step with a set of states drops its -1
-    full, part = frozenset(range(len(delta))), frozenset(part)
+    part = frozenset(part)
 
     def step(pair):
-        whole, sub = pair
+        at, sub = pair
+        # no step leaves `part`: from `at` in `sub`, it reads what `at` reads
+        if at in sub:
+            return
         for j, col in columns:
-            nxt = frozenset(map(col.__getitem__, whole)) & full
-            if nxt:
-                yield j, (nxt, frozenset(map(col.__getitem__, sub)) & part)
+            if col[at] >= 0:
+                yield j, (col[at], frozenset(map(col.__getitem__, sub)) & part)
 
-    return _pair_walk([(full, part)], step, lambda pair: not pair[1]) is None
+    return _pair_walk([(0, part)], step, lambda pair: not pair[1]) is None
 
 
 def minimize_fischer(presentation: SoficPresentation):
@@ -226,34 +229,33 @@ def minimize_fischer(presentation: SoficPresentation):
     has degree one.  The follower sets of synchronizing words are closed
     under every step and reachable from every state (Lind & Marcus §3.3), so
     for an irreducible shift they are the one terminal component of the
-    merged deterministic graph, and it presents the whole shift.  Raises
-    ReducibleShiftError when that graph has more than one terminal
-    component, or one that does not present the full language.
+    merged deterministic graph, and it presents the whole shift.  Its states
+    are named q0, q1, ... in block order, which depends on the language
+    alone (see the module docstring).  Raises ReducibleShiftError when that
+    graph has more than one terminal component, or one that does not read
+    every word the full vertex set reads.
     """
     subsets, symbols, delta = _subset_table(presentation)
     if not subsets:
         raise EmptyShiftError("requires a nonempty sofic shift")
-    block_of, count = _follower_classes(delta)
-    members = [[] for _ in range(count)]
-    for i, b in enumerate(block_of):
-        members[b].append(i)
-    # the quotient of an essential table is essential: each class keeps its
-    # members' steps in and out
-    merged = [[block_of[t] if t >= 0 else -1 for t in delta[ms[0]]]
-              for ms in members]
+    block_of = _follower_classes(delta)
+    # a member of each class, in class order: the members of a class step
+    # into the same classes
+    member = dict(zip(block_of, range(len(delta))))
+    merged = [[block_of[t] if t >= 0 else -1 for t in delta[i]]
+              for i in member.values()]
     components = map(set, _strong_components([[t for t in row if t >= 0]
                                               for row in merged]))
     terminal = [part for part in components
                 if all(t < 0 or t in part for b in part for t in merged[b])]
+    # class 0 holds subset 0, the full vertex set, which reads every word
     if len(terminal) != 1 or not _presents_whole(merged, terminal[0]):
         raise ReducibleShiftError("requires irreducible sofic shift")
-    part = terminal[0]
-    names = {b: _subset_name(_subset_name(subsets[i]) for i in members[b])
-             for b in part}
-    q = {b: f"q{k}" for k, b in enumerate(sorted(part, key=names.get))}
+    part = sorted(terminal[0])
+    q = {b: f"q{k}" for k, b in enumerate(part)}
     fischer = SoficPresentation(tuple(q.values()), tuple(
         LabeledEdge(q[b], q[t], s, f"{q[b]}.{s}")
-        for b in part for s, t in zip(symbols, merged[b]) if t in part))
+        for b in part for s, t in zip(symbols, merged[b]) if t >= 0))
     return fischer, fischer.labeling_code()
 
 

@@ -529,6 +529,41 @@ def test_labeled_file_is_trimmed_to_its_essential_part(tmp_path, capsys):
     assert (values["vertices"], values["edges"]) == ("1", "1")
 
 
+# A labeled graph on which cover states numbered by the vertex names would
+# move the last bits of the reports when A and C swap names
+THREE_VERTICES = """\
+[alphabet] 0 1
+[shift] kind=labeled vertices=A B C
+edge e0: C -> A label 1
+edge e1: B -> C label 1
+edge e2: B -> B label 1
+edge e3: A -> C label 0
+edge e4: A -> C label 0
+edge e5: B -> A label 1
+edge e6: A -> B label 1
+"""
+
+
+@pytest.mark.parametrize("command", [["fischer"], ["pressure"],
+                                     ["verify", "lanford-ruelle"],
+                                     ["verify", "dobrushin"]])
+def test_vertex_renaming_leaves_the_machine_bytes(tmp_path, capsys, command):
+    # the cover's states are numbered from the language alone
+    (tmp_path / "f.pot").write_text("[potential] range=1\nf(0) = 0.25\n"
+                                    "f(1) = -0.5\n")
+    potential = ([] if command == ["fischer"]
+                 else ["--potential", str(tmp_path / "f.pot")])
+    outs = []
+    for text in (THREE_VERTICES,
+                 THREE_VERTICES.translate(str.maketrans("AC", "CA"))):
+        (tmp_path / "s.shift").write_text(text)
+        code, _, out = run(capsys, *command, str(tmp_path / "s.shift"),
+                           *potential, "--format", "machine")
+        outs.append((code, out))
+    assert outs[0] == outs[1]
+    assert outs[0][0] == 0
+
+
 def test_potential_words_are_read_over_the_declared_alphabet(tmp_path, capsys):
     # `1` is declared and carried only by the trimmed dead-end edge: the
     # potential may name it, as a word outside the language

@@ -273,6 +273,24 @@ def labeled_graphs(draw):
     return sg.SoficPresentation(shift.vertices, edges)
 
 
+@st.composite
+def untrimmed_labeled_graphs(draw):
+    """Labeled graphs over {0, 1} as drawn, not trimmed to their essential
+    part: vertices without in- or out-edges, vertices with two out-edges of
+    one label, and, when a drawn edge is repeated, parallel edges with the
+    same label."""
+    n = draw(st.integers(min_value=1, max_value=5))
+    vertices = [f"v{i}" for i in range(n)]
+    triples = draw(st.lists(st.tuples(st.sampled_from(vertices),
+                                      st.sampled_from(vertices),
+                                      st.sampled_from("01")),
+                            max_size=3 * n))
+    if triples and draw(st.booleans()):
+        triples.append(draw(st.sampled_from(triples)))
+    return sg.SoficPresentation(tuple(vertices), tuple(
+        sg.LabeledEdge(a, b, s, f"e{i}") for i, (a, b, s) in enumerate(triples)))
+
+
 def random_potential(presentation, k, seed):
     rng = np.random.default_rng(seed)
     words = presentation.words_of_length(k)
@@ -480,47 +498,47 @@ def _merged_table(presentation):
     from soficgibbs import presentations
 
     _, _, delta = presentations._subset_table(presentation)
-    block_of, count = presentations._follower_classes(delta)
+    block_of = presentations._follower_classes(delta)
     first = {}
     for i, b in enumerate(block_of):
         first.setdefault(b, i)
     return [[block_of[t] if t >= 0 else -1 for t in delta[first[b]]]
-            for b in range(count)]
+            for b in range(len(first))]
 
 
 def _least_word_outside(table, part, longest):
     """Brute force: the shortlex-least word, up to `longest` symbols, that
-    some state of the table reads and no path inside `part` reads, or None."""
+    state 0 of the table reads and no path inside `part` reads, or None."""
 
-    def read_in(states, word):
-        # some state of `states` reads `word` along steps that stay in it
-        for state in states:
-            for j in word:
-                state = table[state][j]
-                if state not in states:
-                    break
-            else:
-                return True
-        return False
+    def reads(state, word, inside):
+        # `state` reads `word` along steps that stay in `inside`
+        for j in word:
+            state = table[state][j]
+            if state not in inside:
+                return False
+        return True
 
     for length in range(longest + 1):
         for word in itertools.product(range(len(table[0])), repeat=length):
-            if read_in(range(len(table)), word) and not read_in(part, word):
+            if (reads(0, word, range(len(table)))
+                    and not any(reads(v, word, part) for v in part)):
                 return word
     return None
 
 
 @settings(max_examples=300, deadline=None)
-@given(labeled_graphs())
+@given(st.one_of(labeled_graphs(), untrimmed_labeled_graphs()))
 def test_pair_walk_finds_least_word_outside_a_component(presentation):
     from soficgibbs import presentations
 
+    # state 0 is the class of the full vertex set, which reads every word;
+    # the walk is asked only about components that no step leaves
     table = _merged_table(presentation)
     for comp in shifts._strong_components([[t for t in row if t >= 0]
                                            for row in table]):
-        if len(comp) == len(table):
-            continue
         part = set(comp)
+        if any(t >= 0 and t not in part for v in part for t in table[v]):
+            continue
         whole, found = _walk_of(presentations, presentations._presents_whole,
                                 table, part)
         assert whole == (found is None)
@@ -568,24 +586,6 @@ def test_reachable_subsets_match_edge_scan_oracle(code, forward):
                 _reachable_subsets(code, forward)
             assert (info.value.count, info.value.cap) == (len(expected),
                                                           len(expected) - 1)
-
-
-@st.composite
-def untrimmed_labeled_graphs(draw):
-    """Labeled graphs over {0, 1} as drawn, not trimmed to their essential
-    part: vertices without in- or out-edges, vertices with two out-edges of
-    one label, and, when a drawn edge is repeated, parallel edges with the
-    same label."""
-    n = draw(st.integers(min_value=1, max_value=5))
-    vertices = [f"v{i}" for i in range(n)]
-    triples = draw(st.lists(st.tuples(st.sampled_from(vertices),
-                                      st.sampled_from(vertices),
-                                      st.sampled_from("01")),
-                            max_size=3 * n))
-    if triples and draw(st.booleans()):
-        triples.append(draw(st.sampled_from(triples)))
-    return sg.SoficPresentation(tuple(vertices), tuple(
-        sg.LabeledEdge(a, b, s, f"e{i}") for i, (a, b, s) in enumerate(triples)))
 
 
 @settings(max_examples=150, deadline=None)
@@ -922,7 +922,28 @@ def test_determinize_matches_depth_first_oracle(presentation):
     assert det.is_deterministic
 
 
+def _isomorphism(a, b):
+    """The vertex map that carries the right-resolving irreducible
+    presentation `a` onto `b`, labels kept, or None."""
+    out_a = {(e.source, e.label): e.target for e in a.edges}
+    out_b = {(e.source, e.label): e.target for e in b.edges}
+    for image in b.vertices:
+        phi, todo = {a.vertices[0]: image}, [a.vertices[0]]
+        for v in todo:
+            for (u, s), t in out_a.items():
+                if u == v and t not in phi:
+                    phi[t] = out_b.get((phi[v], s))
+                    todo.append(t)
+        if (len(set(phi.values())) == len(phi) == len(b.vertices)
+                and {(phi[u], s): phi[t] for (u, s), t in out_a.items()}
+                == out_b):
+            return phi
+    return None
+
+
 def _assert_cover_matches_string_oracle(presentation):
+    # the oracle names the cover's states by their sets of subsets, so the
+    # covers agree up to a renaming of states and, with it, of edge ids
     assert sg.determinize(presentation) == string_determinize(presentation)
     try:
         oracle_fischer, oracle_code = string_minimize_fischer(presentation)
@@ -933,9 +954,11 @@ def _assert_cover_matches_string_oracle(presentation):
             assert not sg.is_irreducible_sofic(presentation)
         return
     fischer, code = sg.minimize_fischer(presentation)
-    assert fischer == oracle_fischer
-    assert code.table == oracle_code.table
-    assert code == oracle_code
+    phi = _isomorphism(fischer, oracle_fischer)
+    assert phi is not None
+    ids = {e.id: f"{phi[e.source]}.{e.label}" for e in fischer.edges}
+    assert {(ids[e],): s for (e,), s in code.table.items()} == oracle_code.table
+    assert code == fischer.labeling_code()
     assert sg.is_irreducible_sofic(presentation)
 
 
@@ -949,6 +972,70 @@ def test_fischer_cover_matches_string_oracle(presentation):
 @given(untrimmed_labeled_graphs())
 def test_fischer_cover_of_untrimmed_graph_matches_string_oracle(presentation):
     _assert_cover_matches_string_oracle(presentation)
+
+
+def _out_split(presentation, v, part):
+    """The out-split of vertex v, labels kept (Lind & Marcus §2.4): the
+    out-edges of v with an id in `part` leave copy v+"a", the others copy
+    v+"b", and each edge into v is doubled, one into each copy."""
+    edges = []
+    for e in presentation.edges:
+        source = v + ("a" if e.id in part else "b") if e.source == v else e.source
+        if e.target == v:
+            edges += [sg.LabeledEdge(source, v + c, e.label, e.id + c)
+                      for c in "ab"]
+        else:
+            edges.append(sg.LabeledEdge(source, e.target, e.label, e.id))
+    return sg.SoficPresentation(
+        tuple(u for u in presentation.vertices if u != v) + (v + "a", v + "b"),
+        tuple(edges))
+
+
+def _reversed(presentation):
+    return sg.SoficPresentation(presentation.vertices, tuple(
+        sg.LabeledEdge(e.target, e.source, e.label, e.id)
+        for e in presentation.edges))
+
+
+def _cover_or_error(presentation):
+    try:
+        return sg.minimize_fischer(presentation)
+    except (sg.EmptyShiftError, sg.ReducibleShiftError) as error:
+        return type(error)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(labeled_graphs(), untrimmed_labeled_graphs()), st.data())
+def test_fischer_cover_is_invariant_under_presentation_moves(presentation,
+                                                             data):
+    # the cover, state names and edge ids included, and the error alike
+    # depend on the presented shift alone
+    p = presentation
+    names = dict(zip(p.vertices, data.draw(st.permutations(p.vertices))))
+    ids = data.draw(st.permutations([e.id for e in p.edges]))
+    v = data.draw(st.sampled_from(p.vertices))
+    side = data.draw(st.lists(st.booleans(), min_size=len(p.edges),
+                              max_size=len(p.edges)))
+    part = {e.id for e, a in zip(p.edges, side) if a}
+    ends = data.draw(st.tuples(st.sampled_from("01"), st.sampled_from("01")))
+    moves = {
+        "renamed": sg.SoficPresentation(tuple(names.values()), tuple(
+            sg.LabeledEdge(names[e.source], names[e.target], e.label, e.id)
+            for e in p.edges)),
+        "ids permuted": sg.SoficPresentation(p.vertices, tuple(
+            sg.LabeledEdge(e.source, e.target, e.label, i)
+            for e, i in zip(p.edges, ids))),
+        # a vertex without in-edges and one without out-edges
+        "tail": sg.SoficPresentation(p.vertices + ("in", "out"), p.edges + (
+            sg.LabeledEdge("in", v, ends[0], "t0"),
+            sg.LabeledEdge(v, "out", ends[1], "t1"))),
+        "out-split": _out_split(p, v, part),
+        "in-split": _reversed(_out_split(_reversed(p), v, part)),
+        "determinized": sg.determinize(p),
+    }
+    cover = _cover_or_error(p)
+    for move, moved in moves.items():
+        assert _cover_or_error(moved) == cover, move
 
 
 @settings(max_examples=60, deadline=None)
