@@ -42,10 +42,6 @@ class NoExchangeableContextError(SoficGibbsError):
 class ConvergenceError(SoficGibbsError):
     """An iterative solver failed to reach its tolerance."""
 
-    def __init__(self, message, residual=None):
-        super().__init__(message)
-        self.residual = residual
-
 
 class SpecFileError(SoficGibbsError):
     """A shift description file failed to parse or validate."""

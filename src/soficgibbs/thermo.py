@@ -243,14 +243,17 @@ def _power_side(a, allowance, tol, floor):
     the product, each cost about 5 ms more per batch.)"""
     n = a.shape[0]
     with np.errstate(over="ignore"):
-        rows = a.sum(axis=1)
+        rows, cols = a.sum(axis=1), a.sum(axis=0)
         s = 0.25 * math.sqrt(float(rows.min())) * math.sqrt(float(rows.max()))
-        sums = a.sum(axis=0) + s
-    if not np.isfinite(sums).all():
-        raise SoficGibbsError("a row or column sum of the matrix overflows a double")
-    # the column sums as one more row: one product gives (A + sI)x and its sum
-    step = np.vstack((a + s * np.eye(n), sums))
-    diagonal = np.arange(n)
+        if not np.isfinite(cols + s).all():
+            raise SoficGibbsError("a row or column sum of the matrix overflows a double")
+
+    def shifted(s):
+        # the column sums as one more row: one product gives (A + sI)x and
+        # its sum; built afresh from A, so no earlier shift's rounding stays
+        return np.vstack((a + s * np.eye(n), cols + s))
+
+    step = shifted(s)
     x = np.full(n, 1.0 / n)
     for i in range(PERRON_MAX_ITER):
         y = step @ x
@@ -265,17 +268,12 @@ def _power_side(a, allowance, tol, floor):
             # the shift when it is off by more than a factor of 2
             t = 0.25 * (float(y[n]) - s)
             if t > 2 * s or 0 < 2 * t < s:
-                step[diagonal, diagonal] += t - s
-                step[n] += t - s
-                s = t
+                step, s = shifted(t), t
         x = y[:n] / y[n]
-    ax = a @ x
-    ratio = ax / x
-    lo, hi = float(ratio.min()), float(ratio.max())
+    ratio = a @ x / x
     raise ConvergenceError(
         f"power iteration did not converge within {PERRON_MAX_ITER} iterations "
-        f"(bracket [{lo:.17g}, {hi:.17g}])",
-        residual=float(np.max(np.abs(ax - 0.5 * (lo + hi) * x))))
+        f"(bracket [{ratio.min():.17g}, {ratio.max():.17g}])")
 
 
 def perron(m: np.ndarray) -> PerronData:

@@ -1,6 +1,7 @@
 import gc
 import itertools
 import math
+import time
 import weakref
 from fractions import Fraction
 from unittest import mock
@@ -215,6 +216,21 @@ class TestPerron:
         assert data.eigenvalue == pytest.approx(
             float(max(np.linalg.eigvals(m).real)), rel=1e-13)
         self._assert_at_the_rounding_floor(m, data)
+
+    def test_moved_shift_keeps_no_rounding_of_the_first(self):
+        # the first shift, about 8.7e11, rounds the diagonal to multiples of
+        # 1.2e-4 against lambda about 2.1e6: moved in place, the shift kept
+        # that rounding, the iteration converged to a perturbed matrix, and
+        # its bracket stuck 2.6e-11 of lambda wide until all 10**6 steps ran
+        m = np.array([[0.0, 2.7493014878882044e-09, 0.0],
+                      [25244123476.63958, 0.0, 1.18091869252045e-35],
+                      [4.441668747618587e+33, 1.0032310315012933e+17,
+                       2116414.1561950333]])
+        start = time.perf_counter()
+        data = sg.perron(m)
+        assert time.perf_counter() - start < 1.0
+        assert data.lower <= data.eigenvalue <= data.upper
+        assert data.upper - data.lower < thermo.PERRON_TOL * data.eigenvalue
 
     def test_power_route_refuses_sums_beyond_a_double(self):
         # every entry is finite, but (M + sI)x and its sum would overflow
