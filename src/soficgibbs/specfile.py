@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -93,7 +94,12 @@ def parse_real(text: str, line: int | None = None) -> float:
         den = int(m.group("den") or 1)
         if num == 0 or den == 0:
             raise SpecFileError("log of zero or division by zero", line)
-        value = math.log(Fraction(num, den))
+        x = Fraction(num, den)
+        # math.log rounds x to a double first: refuse what that loses
+        if not sys.float_info.min <= x <= sys.float_info.max:
+            raise SpecFileError("log argument is not a positive normal double",
+                                line)
+        value = math.log(x)
         return -value if m.group("sign") else value
     if _FLOAT_RE.match(text):
         value = float(text)

@@ -741,6 +741,20 @@ SPEC_REFUSALS = {
         "[shift] kind=edge vertices=A\nedge a: A -> A label 1\n"
         "edge b: A -> A\n[alphabet] 0\n", None, "fischer",
         "line 2: label '1' is not in [alphabet]"),
+    # log(p/q) is taken of the quotient rounded to a double: one that
+    # overflows, underflows to zero or to a subnormal is refused
+    "log-above-the-doubles": (
+        GOLDEN_MEAN, f"[potential] range=1\nf(0) = log({10 ** 400})\n"
+        "f(1) = 0\n", "pressure",
+        "line 2: log argument is not a positive normal double"),
+    "log-below-the-doubles": (
+        GOLDEN_MEAN, f"[potential] range=1\nf(0) = 0\n"
+        f"f(1) = log(1/{10 ** 400})\n", "pressure",
+        "line 3: log argument is not a positive normal double"),
+    "log-of-a-subnormal": (
+        GOLDEN_MEAN, f"[potential] range=1\nf(0) = 0\n"
+        f"f(1) = log(1/{10 ** 320})\n", "pressure",
+        "line 3: log argument is not a positive normal double"),
 }
 
 
