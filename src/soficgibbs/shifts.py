@@ -169,6 +169,14 @@ class EdgeShift(_Graph):
         return {e.id: e for e in self.edges}
 
     @cached_property
+    def _ends(self) -> tuple[np.ndarray, np.ndarray]:
+        """The source and the target vertex index of each edge, in edge
+        order, for `adjacency` and the whole-array sums of `thermo`."""
+        idx = self.vertex_index
+        return (np.array([idx[e.source] for e in self.edges], dtype=np.intp),
+                np.array([idx[e.target] for e in self.edges], dtype=np.intp))
+
+    @cached_property
     def _in(self) -> Mapping[str, tuple[Edge, ...]]:
         inc = {v: [] for v in self.vertices}
         for e in self.edges:
@@ -190,11 +198,8 @@ class EdgeShift(_Graph):
     def adjacency(self) -> np.ndarray:
         """Vertex-indexed matrix of edge multiplicities."""
         n = len(self.vertices)
-        a = np.zeros((n, n), dtype=np.int64)
-        idx = self.vertex_index
-        for e in self.edges:
-            a[idx[e.source], idx[e.target]] += 1
-        return a
+        src, tgt = self._ends
+        return np.bincount(src * n + tgt, minlength=n * n).reshape(n, n)
 
     # -- essentiality ------------------------------------------------------
 

@@ -17,9 +17,13 @@ read when called.  The equilibrium measure's stationary vector is l_i r_i
 over its sum, from the two certified Perron vectors, with no further
 iteration.  Transfer-matrix weights and transition probabilities must be
 normal doubles: one that overflows or underflows raises `SoficGibbsError`,
-nothing is rescaled.  Potentials on an image pull back through a one-block
-code.  A brute-force periodic-point oracle provides an independent route to
-the same pressure.
+nothing is rescaled.  The per-vertex sums of the edge form (transfer matrix
+entries, transition normalizers, the row sums and inflows a Markov measure
+is checked by) are each one `np.bincount` over the edge ends of `shifts`:
+it adds in edge order from 0.0, so every sum is the left-to-right one, to
+the bit.  The exp weights are taken once per edge potential.  Potentials on
+an image pull back through a one-block code.  A brute-force periodic-point
+oracle provides an independent route to the same pressure.
 
 The periodic certificate walks the cylinders of the class-0 power shift level
 by level over numpy arrays.  Each element takes the same correctly rounded
@@ -100,6 +104,22 @@ class LocallyConstantPotential:
         # of the table by the constructor's check
         table = {(eid,): self.table[w] for eid, w in paths.items()}
         return recoded, LocallyConstantPotential(recoded, 1, table), decode
+
+    @cached_property
+    def _weights(self) -> np.ndarray:
+        """exp(f(e)) for each edge of a window-1 potential on an edge shift,
+        in edge order, every one a normal double; otherwise SoficGibbsError
+        names the first defect in edge order, as `transfer_matrix` does.
+        `math.exp`, not `np.exp`, which differs from it by 1 ulp on some
+        hosts."""
+        table = self.table
+        try:
+            weights = np.array([math.exp(table[(e.id,)]) for e in self.shift.edges])
+            if not (weights < sys.float_info.min).any():
+                return weights
+        except OverflowError:
+            pass
+        raise SoficGibbsError(_weight_defect(self.shift, table))
 
     @cached_property
     def _perron(self):
@@ -240,13 +260,16 @@ def _power_side(a, allowance, tol, floor):
     bracket on lambda + s, is compared with tol times lambda; once it is
     narrower, the first certified x is returned.  (On the `window` bench
     matrices, looking every step instead, or summing (A + sI)x apart from
-    the product, each cost about 5 ms more per batch.)"""
+    the product, each cost about 5 ms more per batch.)  An entry of the
+    iterate that underflows, to 0 or so far that its ratio overflows, gives
+    a ratio of inf or nan, which never certifies; when the last iterate
+    still has one, the ConvergenceError says that an entry vanished, in
+    place of a bracket."""
     n = a.shape[0]
-    with np.errstate(over="ignore"):
-        rows, cols = a.sum(axis=1), a.sum(axis=0)
-        s = 0.25 * math.sqrt(float(rows.min())) * math.sqrt(float(rows.max()))
-        if not np.isfinite(cols + s).all():
-            raise SoficGibbsError("a row or column sum of the matrix overflows a double")
+    rows, cols = a.sum(axis=1), a.sum(axis=0)
+    s = 0.25 * math.sqrt(float(rows.min())) * math.sqrt(float(rows.max()))
+    if not np.isfinite(cols + s).all():
+        raise SoficGibbsError("a row or column sum of the matrix overflows a double")
 
     def shifted(s):
         # the column sums as one more row: one product gives (A + sI)x and
@@ -273,7 +296,8 @@ def _power_side(a, allowance, tol, floor):
     ratio = a @ x / x
     raise ConvergenceError(
         f"power iteration did not converge within {PERRON_MAX_ITER} iterations "
-        f"(bracket [{ratio.min():.17g}, {ratio.max():.17g}])")
+        + (f"(bracket [{ratio.min():.17g}, {ratio.max():.17g}])"
+           if np.isfinite(ratio).all() else "(an entry of the iterate vanished)"))
 
 
 def perron(m: np.ndarray) -> PerronData:
@@ -314,13 +338,16 @@ def perron(m: np.ndarray) -> PerronData:
     for a in (m, m.T):
         allowance = float(np.count_nonzero(a, axis=1).max() + 1) * eps
         tol = max(PERRON_TOL, 4 * allowance)
-        # a is nonnegative, so its largest row sum is ||a||_inf; where that
-        # overflows, the power route refuses the matrix
-        with np.errstate(over="ignore"):
+        # a vector entry that underflows gives a ratio of inf or nan, which
+        # no certificate accepts: the routes read that, so numpy need not
+        # warn of it
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            # a is nonnegative, so its largest row sum is ||a||_inf; where
+            # that overflows, the power route refuses the matrix
             floor = max(PERRON_TOL, 8 * eps * float(a.sum(axis=1).max()))
-        side = (_dense_side(a, allowance, tol, floor)
-                if len(a) <= PERRON_DENSE_DIM else None)
-        sides.append(side or _power_side(a, allowance, tol, floor))
+            side = (_dense_side(a, allowance, tol, floor)
+                    if len(a) <= PERRON_DENSE_DIM else None)
+            sides.append(side or _power_side(a, allowance, tol, floor))
     (right, lower_r, upper_r), (left, lower_l, upper_l) = sides
     lower, upper = max(lower_r, lower_l), min(upper_r, upper_l)
     lam = 0.5 * (lower + upper)
@@ -332,32 +359,40 @@ def perron(m: np.ndarray) -> PerronData:
 
 
 def transfer_matrix(shift: EdgeShift, potential: LocallyConstantPotential) -> np.ndarray:
-    """M[i, j] = sum over edges i -> j of exp(f(edge)).  A weight outside the
-    normal doubles raises SoficGibbsError: an exp that overflows or
-    underflows names its edge, and a sum of parallel edges that overflows
-    names its vertex pair."""
+    """M[i, j] = sum over edges i -> j of exp(f(edge)): one `np.bincount` of
+    the potential's exp weights in edge order, which adds them in that order
+    from 0.0, so each sum of parallel edges is the left-to-right one.  A
+    weight outside the normal doubles raises SoficGibbsError naming the
+    first defect in edge order: an exp that overflows or underflows names
+    its edge, and a sum of parallel edges that overflows names its vertex
+    pair."""
     _require_edge_potential(shift, potential)
     n = len(shift.vertices)
-    idx, table = shift.vertex_index, potential.table
+    src, tgt = shift._ends
+    # float also without edges, where bincount returns integer zeros
+    m = np.bincount(src * n + tgt, potential._weights, n * n).reshape(n, n)
+    m = m.astype(float, copy=False)
+    if np.isinf(m).any():
+        raise SoficGibbsError(_weight_defect(shift, potential.table))
+    return m
+
+
+def _weight_defect(shift, table):
+    """The message naming the first defect of the transfer-matrix weights
+    of an edge potential, scanned in edge order once one is detected."""
     sums = {}  # parallel edges summed in edge order, from 0.0
     for e in shift.edges:
         try:
             weight = math.exp(table[(e.id,)])
         except OverflowError:
-            raise SoficGibbsError(
-                f"exp of the potential on edge {e.id!r} overflows a double")
+            return f"exp of the potential on edge {e.id!r} overflows a double"
         if weight < sys.float_info.min:
-            raise SoficGibbsError(
-                f"exp of the potential on edge {e.id!r} underflows a double")
-        at = idx[e.source] * n + idx[e.target]
+            return f"exp of the potential on edge {e.id!r} underflows a double"
+        at = (e.source, e.target)
         total = sums[at] = sums.get(at, 0.0) + weight  # overflow gives inf
         if math.isinf(total):
-            raise SoficGibbsError(
-                "the summed exp of the potential on the edges "
-                f"{e.source!r} -> {e.target!r} overflows a double")
-    m = np.zeros((n, n))
-    m.flat[list(sums)] = list(sums.values())
-    return m
+            return ("the summed exp of the potential on the edges "
+                    f"{e.source!r} -> {e.target!r} overflows a double")
 
 
 def _require_same_shift(shift, potential):
@@ -393,7 +428,12 @@ def pressure(shift: EdgeShift, potential: LocallyConstantPotential) -> float:
 
 @dataclass(frozen=True)
 class MarkovMeasure:
-    """A stationary Markov measure supported on exactly the edges of a shift."""
+    """A stationary Markov measure supported on exactly the edges of a shift.
+
+    The constructor checks, within TOL, that the outgoing probabilities at
+    each vertex sum to 1 and that the stationary vector is stationary: each
+    vertex's row sum and inflow is one `np.bincount` over the edges in edge
+    order, and the first vertex off is named."""
 
     shift: EdgeShift
     stationary: Mapping[str, float]
@@ -416,15 +456,20 @@ class MarkovMeasure:
             raise ValueError("stationary vector must be nonnegative")
         if abs(_sum(stationary.values()) - 1.0) > self.TOL:
             raise ValueError("stationary vector must sum to 1")
-        for v in self.shift.vertices:
+        n = len(self.shift.vertices)
+        src, tgt = self.shift._ends
+        t = np.array([transitions[e.id] for e in self.shift.edges])
+        rows = np.bincount(src, t, n)
+        off = np.abs(rows - 1.0) > self.TOL
+        if off.any():
+            v = self.shift.vertices[off.argmax()]
+            # summed again for the message: 0, not 0.0, at a vertex without
+            # an out-edge
             row = _sum(transitions[e.id] for e in self.shift.out_edges(v))
-            if abs(row - 1.0) > self.TOL:
-                raise ValueError(f"outgoing probabilities at {v!r} sum to {row}, not 1")
-        for v in self.shift.vertices:
-            inflow = _sum(stationary[e.source] * transitions[e.id]
-                          for e in self.shift.in_edges(v))
-            if abs(inflow - stationary[v]) > self.TOL:
-                raise ValueError("vector is not stationary for the transitions")
+            raise ValueError(f"outgoing probabilities at {v!r} sum to {row}, not 1")
+        st = self.stationary_vector()
+        if (np.abs(np.bincount(tgt, st[src] * t, n) - st) > self.TOL).any():
+            raise ValueError("vector is not stationary for the transitions")
 
     def cylinder_prob(self, word: Word) -> float:
         """Exact probability of the cylinder on a word of edge ids."""
@@ -454,24 +499,24 @@ def equilibrium_measure(shift: EdgeShift,
     """The unique equilibrium = Gibbs-Markov measure of an edge potential on
     an irreducible shift: P(e: i->j) = exp(f(e)) r_j / (lambda r_i), with
     stationary vector l_i r_i over its sum, read off the certified Perron
-    vectors.  The Perron solve is the one `pressure` makes: once per
-    potential object, under the Perron limits in force at its first use."""
+    vectors.  The weights w_e = exp(f(e)) r_j and their sum per source are
+    whole arrays in edge order; the transitions are listed by source vertex
+    and then in edge order, and the first one in that order that underflows
+    a double is named.  The exp weights and the Perron solve are the ones
+    `pressure` takes: once per potential object, under the Perron limits in
+    force at its first use."""
     _require_edge_potential(shift, potential)
     data = potential._perron
-    right = data.right.tolist()
-    idx, table = shift.vertex_index, potential.table
-    transitions = {}
-    for v in shift.vertices:
-        weights = {
-            e.id: math.exp(table[(e.id,)]) * right[idx[e.target]]
-            for e in shift.out_edges(v)
-        }
-        total = _sum(weights.values())
-        for eid, w in weights.items():
-            transitions[eid] = w / total
-            if transitions[eid] < sys.float_info.min:
-                raise SoficGibbsError(
-                    f"the transition probability of edge {eid!r} underflows a double")
+    src, tgt = shift._ends
+    w = potential._weights * data.right[tgt]
+    t = w / np.bincount(src, w, len(shift.vertices))[src]
+    order, edges = src.argsort(kind="stable"), shift.edges
+    transitions = dict(zip([edges[i].id for i in order.tolist()],
+                           t[order].tolist()))
+    if (t < sys.float_info.min).any():
+        eid = next(eid for eid, p in transitions.items() if p < sys.float_info.min)
+        raise SoficGibbsError(
+            f"the transition probability of edge {eid!r} underflows a double")
     mass = data.left * data.right
     stationary = dict(zip(shift.vertices, (mass / mass.sum()).tolist()))
     return MarkovMeasure(shift, stationary, transitions)

@@ -687,6 +687,28 @@ def _per_edge_transitions(shift, potential, data):
     return transitions
 
 
+def _per_vertex_markov_defect(shift, stationary, transitions):
+    """The refusal of `MarkovMeasure` as it was, each vertex's out-flow and
+    in-flow summed left to right over its edges, or None."""
+    tol = sg.MarkovMeasure.TOL
+    if any(p <= 0 for p in transitions.values()):
+        return "support must be exactly the edge set"
+    if any(p < 0 for p in stationary.values()):
+        return "stationary vector must be nonnegative"
+    if abs(thermo._sum(stationary.values()) - 1.0) > tol:
+        return "stationary vector must sum to 1"
+    for v in shift.vertices:
+        row = thermo._sum(transitions[e.id] for e in shift.out_edges(v))
+        if abs(row - 1.0) > tol:
+            return f"outgoing probabilities at {v!r} sum to {row}, not 1"
+    for v in shift.vertices:
+        inflow = thermo._sum(stationary[e.source] * transitions[e.id]
+                             for e in shift.in_edges(v))
+        if abs(inflow - stationary[v]) > tol:
+            return "vector is not stationary for the transitions"
+    return None
+
+
 @settings(max_examples=60, deadline=None)
 @given(multigraphs(), st.integers(min_value=0, max_value=3),
        st.floats(min_value=0.1, max_value=30.0),
@@ -706,10 +728,32 @@ def test_edge_form_is_bit_identical_to_per_edge_numpy_forms(shift, copies,
     data = sg.perron(m)
     mu = sg.equilibrium_measure(shift, f)
     assert mu.transitions == _per_edge_transitions(shift, f, data)
+    assert list(mu.transitions) == [e.id for v in shift.vertices
+                                    for e in shift.out_edges(v)]
     mass = data.left * data.right
     assert list(mu.stationary) == list(shift.vertices)
     assert np.array_equal(np.array(list(mu.stationary.values())),
                           mass / mass.sum())
+    # the whole-array checks of MarkovMeasure accept and refuse what the
+    # per-vertex sums did, on one transition or one stationary entry moved
+    # by the tolerance give or take a few half-ulps of 1
+    assert _per_vertex_markov_defect(shift, mu.stationary,
+                                     mu.transitions) is None
+    for trial in range(8):
+        stationary, transitions = dict(mu.stationary), dict(mu.transitions)
+        delta = float(rng.choice((-1.0, 1.0))) * (
+            sg.MarkovMeasure.TOL + int(rng.integers(-4, 5)) * 2.0 ** -53)
+        if trial % 2:
+            stationary[shift.vertices[rng.integers(len(shift.vertices))]] += delta
+        else:
+            transitions[shift.edges[rng.integers(len(shift.edges))].id] += delta
+        expected = _per_vertex_markov_defect(shift, stationary, transitions)
+        try:
+            sg.MarkovMeasure(shift, stationary, transitions)
+        except ValueError as error:
+            assert str(error) == expected
+        else:
+            assert expected is None
 
 
 @st.composite

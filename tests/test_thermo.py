@@ -1,7 +1,9 @@
 import gc
 import itertools
 import math
+import re
 import time
+import warnings
 import weakref
 from fractions import Fraction
 from unittest import mock
@@ -232,6 +234,37 @@ class TestPerron:
         assert data.lower <= data.eigenvalue <= data.upper
         assert data.upper - data.lower < thermo.PERRON_TOL * data.eigenvalue
 
+    def test_a_failed_power_route_warns_of_nothing(self, monkeypatch):
+        # a cycle through every vertex plus up to 2n edges, of weights
+        # e^-100 to e^100: some iterates lose an entry to underflow, where
+        # dividing by the iterate warned and the bracket read inf or nan
+        monkeypatch.setattr(thermo, "PERRON_MAX_ITER", 2000)
+        rng = np.random.default_rng(1)
+        messages = []
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for _ in range(300):
+                n = int(rng.integers(3, 12))
+                cycle = rng.permutation(n)
+                pairs = [(cycle[i], cycle[(i + 1) % n]) for i in range(n)]
+                pairs += rng.integers(0, n, (int(rng.integers(0, 2 * n + 1)),
+                                             2)).tolist()
+                m = np.zeros((n, n))
+                for a, b in pairs:
+                    m[a, b] += math.exp(rng.uniform(-100, 100))
+                try:
+                    sg.perron(m)
+                except sg.ConvergenceError as error:
+                    messages.append(str(error))
+        vanished = [message for message in messages if message.endswith(
+            "(an entry of the iterate vanished)")]
+        assert vanished
+        for message in messages:
+            if message not in vanished:
+                lower, upper = re.search(r"bracket \[(.*), (.*)\]\)$",
+                                         message).groups()
+                assert math.isfinite(float(lower)) and math.isfinite(float(upper))
+
     def test_power_route_refuses_sums_beyond_a_double(self):
         # every entry is finite, but (M + sI)x and its sum would overflow
         m = np.full((thermo.PERRON_DENSE_DIM + 1,) * 2, 1e307)
@@ -338,6 +371,26 @@ class TestPressure:
                            match="'\\*' -> '\\*' overflows a double"):
             sg.transfer_matrix(shift, f)
 
+    def test_parallel_sum_overflow_before_a_later_underflow_is_named(self):
+        # edge order 0, 1, 2: the sum of 0 and 1 overflows before exp(-746)
+        # underflows on 2
+        shift = loop_shift(3)
+        f = range1(shift, {"0": 709.5, "1": 709.5, "2": -746.0})
+        for call in (sg.transfer_matrix, sg.pressure):
+            with pytest.raises(sg.SoficGibbsError) as info:
+                call(shift, f)
+            assert str(info.value) == ("the summed exp of the potential on "
+                                       "the edges '*' -> '*' overflows a double")
+
+    def test_underflow_before_a_later_overflow_is_named(self):
+        shift = loop_shift(2)
+        f = range1(shift, {"0": -746.0, "1": 800.0})
+        for call in (sg.transfer_matrix, sg.pressure):
+            with pytest.raises(sg.SoficGibbsError) as info:
+                call(shift, f)
+            assert str(info.value) == ("exp of the potential on edge '0' "
+                                       "underflows a double")
+
     def test_transition_underflow_names_the_edge(self):
         # every weight is a normal double, but P(a) = exp(-1400) r_A / r_B
         # is not
@@ -350,12 +403,28 @@ class TestPressure:
                            match="edge 'a' underflows a double"):
             sg.equilibrium_measure(shift, f)
 
+    def test_transition_underflow_names_the_first_edge_by_vertex(self):
+        # P(a) and P(z) are both about exp(-1400); 'a' comes first in edge
+        # order, but 'z' leaves the first vertex
+        shift = sg.EdgeShift(("A", "B"), (sg.Edge("A", "A", "z"),
+                                          sg.Edge("A", "B", "y"),
+                                          sg.Edge("B", "A", "x"),
+                                          sg.Edge("B", "B", "a")))
+        f = range1(shift, {"a": -700.0, "x": 700.0, "y": 700.0, "z": -700.0})
+        with pytest.raises(sg.SoficGibbsError) as info:
+            sg.equilibrium_measure(shift, f)
+        assert str(info.value) == ("the transition probability of edge 'z' "
+                                   "underflows a double")
+
     def test_edgeless_shift_has_no_pressure(self):
         shift = sg.EdgeShift(("a",), ())
         with pytest.raises(sg.EmptyShiftError):
             sg.LocallyConstantPotential.zero(shift)
+        f = sg.LocallyConstantPotential(shift, 1, {})
+        assert np.array_equal(sg.transfer_matrix(shift, f), np.zeros((1, 1)))
+        assert sg.transfer_matrix(shift, f).dtype == float
         with pytest.raises(sg.ReducibleShiftError):
-            sg.pressure(shift, sg.LocallyConstantPotential(shift, 1, {}))
+            sg.pressure(shift, f)
 
     def test_edgeless_shift_window2_pressure_is_a_library_error(self):
         # the window-2 recoding of a shift without edges is refused as
@@ -410,6 +479,19 @@ class TestCachedSolve:
         again = sg.reduce_to_edge_potential(f)
         assert all(a is b for a, b in zip(again, (recoded, edge_potential,
                                                   decode)))
+
+    def test_one_exp_per_recoded_edge(self, full2_2block, monkeypatch):
+        # pressure and the equilibrium measure read one set of exp weights
+        f = sg.LocallyConstantPotential(full2_2block, 2, {
+            w: 0.1 * i - 0.5
+            for i, w in enumerate(full2_2block.words_of_length(2))})
+        calls = []
+        exp = math.exp
+        monkeypatch.setattr(math, "exp", lambda x: calls.append(x) or exp(x))
+        sg.pressure(full2_2block, f)
+        recoded, edge_potential, _ = sg.reduce_to_edge_potential(f)
+        sg.equilibrium_measure(recoded, edge_potential)
+        assert len(calls) == len(recoded.edges) == 8
 
     def test_window1_reduction_returns_the_potential_itself(self, golden_mean):
         f = sg.LocallyConstantPotential.zero(golden_mean)
@@ -500,6 +582,14 @@ class TestEquilibrium:
                             * math.exp(f.word_sum(w)) * data.right[idx[tgt]]
                             / data.eigenvalue ** len(w))
                 assert mu.cylinder_prob(w) == pytest.approx(expected, abs=1e-9)
+
+
+class TestMarkovMeasure:
+    def test_vertex_without_an_out_edge_sums_to_0(self):
+        shift = sg.EdgeShift(("A", "B"), (sg.Edge("A", "B", "e"),))
+        with pytest.raises(ValueError) as info:
+            sg.MarkovMeasure(shift, {"A": 0.5, "B": 0.5}, {"e": 1.0})
+        assert str(info.value) == "outgoing probabilities at 'B' sum to 0, not 1"
 
 
 class TestEntropyIntegral:
