@@ -5,7 +5,8 @@ built by `shifts._path_shift`, returns the recoded shift, the conjugacy back
 and the map from each recoded edge id to its path.  The label subset
 automaton of a labeled graph (Lind & Marcus, §3.3 and §9.1) lives here too:
 successor sets, a subset step, and a breadth-first walk that yields one level
-at a time; exhausted, it is the closure that the subset construction of
+at a time, numbering each subset by its closure position; exhausted, it is
+the closure, and its rows of step numbers are the subset table that
 `presentations` reads.  `SUBSET_STATE_CAP` bounds the subsets one walk
 builds, however far it is taken.  Degree and magic word come from one search
 over (forward subset, backward subset, symbol) triples of the automaton: a
@@ -301,40 +302,41 @@ def _subset_step(succ, states, symbol):
     return frozenset().union(*[at[v] for v in states if v in at])
 
 
-def _subset_levels(vertices, succ, forward=True, transitions=None):
+def _subset_levels(vertices, succ, forward=True, rows=None):
     """Breadth-first levels of the nonempty subsets reachable from the full
     vertex set: each level maps its new subsets, in closure order, to their
     shortest witness words (the first in label order), read backward when
-    not `forward`.  A level is built only when it is asked for.  Fills
-    `transitions`, when given, with every nonempty step out of the levels
-    walked past; raises EnumerationCapError once more than SUBSET_STATE_CAP
-    subsets are built."""
+    not `forward`.  A level is built only when it is asked for.  A subset is
+    numbered, when first met, by its closure position; `rows`, when given,
+    gets one row per subset walked past: its step by each sorted label, by
+    number, or -1 when empty.  Raises EnumerationCapError once more than
+    SUBSET_STATE_CAP subsets are built."""
     cap = SUBSET_STATE_CAP
     symbols = sorted(succ)
     level = {frozenset(vertices): ()}
-    seen = set(level)
+    index = dict.fromkeys(level, 0)
     while level:
         yield level
         nxt_level = {}
         for cur, word in level.items():
+            row = []
             for s in symbols:
                 nxt = _subset_step(succ, cur, s)
-                if not nxt:
-                    continue
-                if transitions is not None:
-                    transitions[(cur, s)] = nxt
-                if nxt not in seen:
-                    seen.add(nxt)
+                if nxt and nxt not in index:
+                    index[nxt] = len(index)
                     nxt_level[nxt] = word + (s,) if forward else (s,) + word
-                    if len(seen) > cap:
-                        raise EnumerationCapError(len(seen), cap)
+                    if len(index) > cap:
+                        raise EnumerationCapError(len(index), cap)
+                row.append(index[nxt] if nxt else -1)
+            if rows is not None:
+                rows.append(row)
         level = nxt_level
 
 
-def _subset_closure(vertices, succ, forward=True, transitions=None):
+def _subset_closure(vertices, succ, forward=True, rows=None):
     """All of `_subset_levels` in one dict, in closure order."""
     reached = {}
-    for level in _subset_levels(vertices, succ, forward, transitions):
+    for level in _subset_levels(vertices, succ, forward, rows):
         reached.update(level)
     return reached
 
@@ -364,16 +366,16 @@ def find_magic_word(code: SlidingBlockCode) -> MagicWord:
     triples = _labeled_triples(code)
 
     def masks(forward, end):
-        # bit i of a vertex's mask for symbol j: the i-th edge of j in
-        # sorted-id order has the vertex as its `end`; these masks are
+        # bit i of a vertex in column j: the i-th edge of symbol j in
+        # sorted-id order has the vertex as its `end`; a column's masks are
         # disjoint, so a subset's union of them is their sum
-        at = {v: [0] * len(symbols) for v in code.domain.vertices}
-        for j, edges in enumerate(edges_of):
+        columns = [dict.fromkeys(code.domain.vertices, 0) for _ in symbols]
+        for column, edges in zip(columns, edges_of):
             for i, e in enumerate(edges):
-                at[getattr(e, end)][j] |= 1 << i
+                column[getattr(e, end)] |= 1 << i
         succ = _successor_sets(triples, forward)
         for level in _subset_levels(code.domain.vertices, succ, forward):
-            yield [(word, [sum(col) for col in zip(*map(at.get, subset))])
+            yield [(word, [sum(map(col.__getitem__, subset)) for col in columns])
                    for subset, word in level.items()]
 
     fronts, backs = ([], masks(True, "source")), ([], masks(False, "target"))

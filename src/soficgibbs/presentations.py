@@ -11,15 +11,16 @@ one state cap.  The words of every length up to n come from one level walk,
 `word_levels`, each level extending the one before by the symbols in order;
 `words_of_length(n)` is its last level.
 
-The subset construction has one home, a private integer table built from the
-closure's transitions, untrimmed: every subset the closure reaches, in
-closure order, the sorted symbols, and delta[state][symbol], a target index
-or -1.  `determinize` names its states and trims its essential part;
-`minimize_fischer` reduces it to the minimal right-resolving presentation of
-an irreducible sofic shift without building a presentation on the way.
-States with equal follower sets are merged by Moore refinement over index
-lists; the one terminal strongly connected component of the merged table is
-the cover, when the class of the full vertex set reads no word outside it
+The subset construction has one home, a private integer table, untrimmed,
+filled by the closure walk of `codes` as it numbers the subsets it meets:
+every subset the closure reaches, in closure order, the sorted symbols, and
+delta[state][symbol], a target index or -1.  `determinize` names its states
+and trims its essential part; `minimize_fischer` reduces it to the minimal
+right-resolving presentation of an irreducible sofic shift without building
+a presentation on the way.  States with equal follower sets are merged by
+Moore refinement, its signatures zipped from the table's columns; the one
+terminal strongly connected component of the merged table is the cover, when
+the class of the full vertex set reads no word outside it
 (`codes._pair_walk` over a state and an index subset).  Its classes keep
 their block order as q0, q1, ...: the subset that a word w reaches from the
 full vertex set of an essential presentation has follower set F_X(w), the
@@ -158,20 +159,13 @@ def _subset_table(presentation: SoficPresentation):
     """The subset automaton of the essential part of a presentation, with
     every subset the closure reaches: the subsets in closure order (subset 0
     is the full vertex set), the sorted symbols, and delta[i][j], the index
-    of subset i stepped by symbol j, or -1."""
+    of subset i stepped by symbol j, or -1, as the closure walk numbers it."""
     p = presentation.essential()
     if p.is_empty:
         return [], [], []
-    transitions = {}
-    subsets = list(_subset_closure(p.vertices, p._successors,
-                                   transitions=transitions))
-    symbols = sorted(p._successors)
-    index = {states: i for i, states in enumerate(subsets)}
-    column = {s: j for j, s in enumerate(symbols)}
-    delta = [[-1] * len(symbols) for _ in subsets]
-    for (src, s), tgt in transitions.items():
-        delta[index[src]][column[s]] = index[tgt]
-    return subsets, symbols, delta
+    delta = []
+    subsets = list(_subset_closure(p.vertices, p._successors, rows=delta))
+    return subsets, sorted(p._successors), delta
 
 
 def determinize(presentation: SoficPresentation) -> SoficPresentation:
@@ -189,14 +183,15 @@ def determinize(presentation: SoficPresentation) -> SoficPresentation:
 def _follower_classes(delta):
     """Moore refinement of a deterministic table with an implicit sink for
     the -1 steps: the class of each state, classes numbered in the order of
-    their first member."""
+    their first member.  Signatures are zipped from the table's columns."""
+    columns = list(zip(*delta))
     # block_of ends in the sink's class -1, which a -1 step reads
     block_of, count = [0] * len(delta) + [-1], 1
     while True:
         signatures = {}
-        new = [signatures.setdefault(
-                   (block_of[i], *map(block_of.__getitem__, row)), len(signatures))
-               for i, row in enumerate(delta)]
+        new = [signatures.setdefault(signature, len(signatures))
+               for signature in zip(block_of[:-1], *[
+                   map(block_of.__getitem__, col) for col in columns])]
         if len(signatures) == count:
             return new
         block_of, count = new + [-1], len(signatures)

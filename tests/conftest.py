@@ -189,11 +189,11 @@ def string_determinize(presentation: SoficPresentation) -> SoficPresentation:
     p = presentation.essential()
     if p.is_empty:
         return p
-    transitions = {}
-    reached = _subset_closure(p.vertices, p._successors, transitions=transitions)
+    reached = _subset_closure(p.vertices, p._successors)
     name = {states: _subset_name(states) for states in reached}
     edges = tuple(LabeledEdge(name[src], name[tgt], s, f"{name[src]}.{s}")
-                  for (src, s), tgt in transitions.items())
+                  for src in reached for s in p.label_alphabet
+                  if (tgt := p._step(src, s)))
     return SoficPresentation(tuple(name.values()), edges).essential()
 
 

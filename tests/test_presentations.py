@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 import soficgibbs as sg
@@ -149,6 +151,23 @@ class TestMinimizeFischer:
         for p in cases:
             _, cover = sg.minimize_fischer(p)
             assert sg.degree(cover) == 1
+
+    def test_large_subset_closure_refused_at_default_cap(self):
+        # a right-resolving presentation of the full 2-shift: a 0-labeled
+        # cycle through all 18 vertices and one 1-labeled edge out of each;
+        # its subset closure has 40 006 subsets, so the walk is refused when
+        # it builds the 10 001st
+        rng = random.Random(2)
+        v = [f"v{i}" for i in range(18)]
+        edges = [sg.LabeledEdge(v[i], v[(i + 1) % 18], "0", f"a{i}")
+                 for i in range(18)]
+        edges += [sg.LabeledEdge(v[i], v[rng.randrange(18)], "1", f"b{i}")
+                  for i in range(18)]
+        p = sg.SoficPresentation(tuple(v), tuple(edges))
+        assert p.is_deterministic and p.is_irreducible_graph()
+        with pytest.raises(sg.EnumerationCapError) as info:
+            sg.minimize_fischer(p)
+        assert (info.value.count, info.value.cap) == (10_001, 10_000)
 
 
 class TestMergeAndEdgeCases:

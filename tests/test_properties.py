@@ -966,6 +966,78 @@ def test_determinize_matches_depth_first_oracle(presentation):
     assert det.is_deterministic
 
 
+def _row_follower_classes(delta):
+    """Moore refinement as `presentations._follower_classes` did it before
+    it read the table by columns: one signature tuple per row."""
+    block_of, count = [0] * len(delta) + [-1], 1
+    while True:
+        signatures = {}
+        new = [signatures.setdefault(
+                   (block_of[i], *map(block_of.__getitem__, row)), len(signatures))
+               for i, row in enumerate(delta)]
+        if len(signatures) == count:
+            return new
+        block_of, count = new + [-1], len(signatures)
+
+
+@st.composite
+def deterministic_tables(draw):
+    """Tables of 1-40 states over 1-3 symbols, each step a state or -1."""
+    n = draw(st.integers(min_value=1, max_value=40))
+    k = draw(st.integers(min_value=1, max_value=3))
+    row = st.lists(st.integers(min_value=-1, max_value=n - 1),
+                   min_size=k, max_size=k)
+    return draw(st.lists(row, min_size=n, max_size=n))
+
+
+@settings(max_examples=200, deadline=None)
+@given(deterministic_tables())
+def test_column_refinement_matches_row_signatures(delta):
+    from soficgibbs import presentations
+
+    assert presentations._follower_classes(delta) == _row_follower_classes(delta)
+
+
+def _stepped_table(presentation):
+    """The subset table from the closure order and `_step` alone: each step
+    target looked up by its position in the closure."""
+    from soficgibbs import codes
+
+    p = presentation.essential()
+    if p.is_empty:
+        return [], [], []
+    subsets = list(codes._subset_closure(p.vertices, p._successors))
+    position = {states: i for i, states in enumerate(subsets)}
+    symbols = list(p.label_alphabet)
+    return subsets, symbols, [[position[t] if (t := p._step(states, s)) else -1
+                               for s in symbols] for states in subsets]
+
+
+@settings(max_examples=200, deadline=None)
+@given(untrimmed_labeled_graphs())
+def test_numbered_subset_table_matches_stepped_closure(presentation):
+    from soficgibbs import codes, presentations
+
+    subsets, symbols, delta = presentations._subset_table(presentation)
+    assert (subsets, symbols, delta) == _stepped_table(presentation)
+    assert presentations._follower_classes(delta) == _row_follower_classes(delta)
+    if len(subsets) < 2:
+        return
+    # one below the closure size: every walk is refused on its last subset
+    code = presentation.essential().labeling_code()
+    cap = len(subsets) - 1
+    refused = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(codes, "SUBSET_STATE_CAP", cap)
+        for call in (lambda: _reachable_subsets(code, True),
+                     lambda: presentations._subset_table(presentation),
+                     lambda: sg.determinize(presentation)):
+            with pytest.raises(sg.EnumerationCapError) as info:
+                call()
+            refused.append((info.value.count, info.value.cap))
+    assert refused == [(len(subsets), cap)] * 3
+
+
 def _isomorphism(a, b):
     """The vertex map that carries the right-resolving irreducible
     presentation `a` onto `b`, labels kept, or None."""
