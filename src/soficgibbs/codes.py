@@ -8,7 +8,8 @@ successor sets, a subset step, and a breadth-first walk that yields one level
 at a time, numbering each subset by its closure position; exhausted, it is
 the closure, and its rows of step numbers are the subset table that
 `presentations` reads.  `SUBSET_STATE_CAP` bounds the subsets one walk
-builds, however far it is taken.  Degree and magic word come from one search
+builds, however far it is taken; a walk past it is refused with the number
+of subsets it built.  Degree and magic word come from one search
 over (forward subset, backward subset, symbol) triples of the automaton: a
 triple's multiplicity is the popcount of the AND of two bit masks over the
 symbol's edges in sorted-id order, and the least (multiplicity, word length,
@@ -33,9 +34,8 @@ from functools import cached_property
 from typing import Mapping
 
 from . import shifts
-from .errors import (EmptyShiftError, EnumerationCapError,
-                     NotFiniteToOneError, NotInLanguageError,
-                     ReducibleShiftError)
+from .errors import (EmptyShiftError, NotFiniteToOneError,
+                     NotInLanguageError, ReducibleShiftError)
 from .shifts import (Alphabet, EdgeShift, Word, _path_shift, _paths_of_length,
                      missing_word)
 
@@ -245,8 +245,9 @@ def _labeled_triples(code):
 
 def preimage_words(code: SlidingBlockCode, word: Word) -> list[Word]:
     """Brute enumeration of the preimage paths of an image word, in
-    lexicographic order; a level of more than
-    `shifts.DEFAULT_ENUMERATION_CAP` paths raises `EnumerationCapError`."""
+    lexicographic order; a level that passes
+    `shifts.DEFAULT_ENUMERATION_CAP` paths raises `EnumerationCapError` with
+    the paths of it built by then."""
     _require_one_block(code)
     paths = [((), None)]
     for s in word:
@@ -258,14 +259,12 @@ def _extend_preimages(code, paths, symbol, extend):
     """The next level of (value, end vertex) preimage paths, the end None for
     the empty path: each path, by each edge labeled `symbol` from its end in
     edge order, gives (extend(value, edge), edge target), up to the cap."""
-    cap = shifts.DEFAULT_ENUMERATION_CAP
     edges = code._label_edges.get(symbol, ())
     nxt = []
     for value, at in paths:
         nxt += [(extend(value, e), e.target) for e in edges
                 if at is None or e.source == at]
-        if len(nxt) > cap:
-            raise EnumerationCapError(len(nxt), cap)
+        shifts._check_cap(len(nxt), shifts.DEFAULT_ENUMERATION_CAP)
     return nxt
 
 
@@ -309,9 +308,8 @@ def _subset_levels(vertices, succ, forward=True, rows=None):
     not `forward`.  A level is built only when it is asked for.  A subset is
     numbered, when first met, by its closure position; `rows`, when given,
     gets one row per subset walked past: its step by each sorted label, by
-    number, or -1 when empty.  Raises EnumerationCapError once more than
-    SUBSET_STATE_CAP subsets are built."""
-    cap = SUBSET_STATE_CAP
+    number, or -1 when empty.  Raises EnumerationCapError, with the number
+    of subsets built, once that is more than SUBSET_STATE_CAP."""
     symbols = sorted(succ)
     level = {frozenset(vertices): ()}
     index = dict.fromkeys(level, 0)
@@ -325,8 +323,7 @@ def _subset_levels(vertices, succ, forward=True, rows=None):
                 if nxt and nxt not in index:
                     index[nxt] = len(index)
                     nxt_level[nxt] = word + (s,) if forward else (s,) + word
-                    if len(index) > cap:
-                        raise EnumerationCapError(len(index), cap)
+                    shifts._check_cap(len(index), SUBSET_STATE_CAP)
                 row.append(index[nxt] if nxt else -1)
             if rows is not None:
                 rows.append(row)

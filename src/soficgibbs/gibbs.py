@@ -27,9 +27,12 @@ depend on the exchanged pair: one engine serves `gibbs_ratio_test` and
 one symbol per level, and each tested length reads a snapshot shared by every
 pair still live; a level of more than `shifts.DEFAULT_ENUMERATION_CAP`
 classes, or more than `CLASS_PAIR_CAP` (left, right) class pairs evaluated in
-one battery, raises `EnumerationCapError`; the limits below are module
-constants too, read when called.  A pair is skipped at the first length
-without a valid exchange context, and the levels stop once no pair is live.
+one battery, raises `EnumerationCapError` with the classes of that level or
+the class pairs evaluated by then; the limits below are module constants
+too, read when called.  A battery tests at most `PAIR_CAP` exchangeable pairs
+of words of length up to `PAIR_WORD_LENGTH`.  A pair is skipped at the first
+length without a valid exchange context, and the levels stop once no pair is
+live.
 
 A battery computes each value once, keyed on its exact inputs, since a
 recompute would be the same numpy call on the same bytes: the level cells
@@ -66,9 +69,8 @@ import numpy as np
 from .codes import (CodeAnalysis, SlidingBlockCode, analyze_code,
                     is_finite_to_one)
 from . import shifts
-from .errors import (EnumerationCapError, InsufficientContextError,
-                     NoExchangeableContextError, NotFiniteToOneError,
-                     NotInLanguageError)
+from .errors import (InsufficientContextError, NoExchangeableContextError,
+                     NotFiniteToOneError, NotInLanguageError)
 from .measures import (HiddenMarkovMeasure, LiftResult, _hidden,
                        _preimage_sum_levels, entropy_estimate,
                        equilibrium_upstairs, lift_equilibrium)
@@ -78,6 +80,7 @@ from .shifts import Word
 from .thermo import LocallyConstantPotential, _sum
 
 PAIR_CAP = 200  # most exchangeable word pairs one battery tests
+PAIR_WORD_LENGTH = 3  # longest exchanged word of a battery
 # most (left, right) class pairs one battery evaluates afresh: a pair's
 # deviation read again from its memo does not count
 CLASS_PAIR_CAP = 200_000
@@ -250,9 +253,7 @@ class _ContextLevels:
                 if pushed is not None:
                     key = (pushed, *step)
                     nxt[key] = nxt.get(key, 0) + count
-        cap = shifts.DEFAULT_ENUMERATION_CAP
-        if len(nxt) > cap:
-            raise EnumerationCapError(cap + 1, cap)
+        shifts._check_cap(len(nxt), shifts.DEFAULT_ENUMERATION_CAP)
         return sorted(nxt.items())
 
 
@@ -320,7 +321,7 @@ def _ratio_engine(measure, potential, pairs, context_lengths, tol,
         # per synced (vector id, boundary) lists: pair index -> (worst
         # deviation, valid class index pairs)
         deviations = {}
-        cap, evaluated = CLASS_PAIR_CAP, 0
+        evaluated = 0
     found = [[] for _ in pairs]
     dropped_at = [None] * len(pairs)
     live = range(len(pairs))
@@ -336,8 +337,7 @@ def _ratio_engine(measure, potential, pairs, context_lengths, tol,
             for i in live:
                 if i not in memo:
                     evaluated += len(lefts) * len(rights)
-                    if evaluated > cap:
-                        raise EnumerationCapError(evaluated, cap)
+                    shifts._check_cap(evaluated, CLASS_PAIR_CAP)
                     memo[i] = _max_deviation_hidden(pairs[i], *classes, mats,
                                                     dots, deltas)
                 worst, valid = memo[i]
@@ -434,10 +434,11 @@ class RatioBattery:
         return max((r.final_deviation for r in self.reports), default=float("nan"))
 
 
-def exchangeable_pairs(language_words, max_word_length: int = 3):
-    """Candidate equal-length word pairs, lexicographic, at most PAIR_CAP."""
+def exchangeable_pairs(language_words):
+    """Candidate equal-length word pairs of length up to PAIR_WORD_LENGTH,
+    lexicographic, at most PAIR_CAP."""
     pairs = []
-    for length in range(1, max_word_length + 1):
+    for length in range(1, PAIR_WORD_LENGTH + 1):
         words = language_words(length)
         for i, a in enumerate(words):
             for b in words[i + 1:]:
@@ -448,11 +449,10 @@ def exchangeable_pairs(language_words, max_word_length: int = 3):
 
 
 def run_ratio_battery(measure, potential, context_lengths, tol,
-                      synchronizing_word=None,
-                      max_word_length: int = 3) -> RatioBattery:
+                      synchronizing_word=None) -> RatioBattery:
     """Ratio tests over an enumerated battery of exchangeable word pairs;
     a pair with no valid exchange context at some tested length is skipped."""
-    pairs = exchangeable_pairs(measure.words_of_length, max_word_length)
+    pairs = exchangeable_pairs(measure.words_of_length)
     reports, skipped = _ratio_engine(measure, potential, pairs,
                                      context_lengths, tol, synchronizing_word)
     passed = bool(reports) and all(r.passed for r in reports)

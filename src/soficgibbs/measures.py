@@ -4,9 +4,10 @@ A hidden Markov measure evaluates cylinders with label-restricted transfer
 operators (a forward pass of sub-transition matrices), which is exact and
 linear in the word length; its level walk pushes the forward vectors of all
 words of one length by every symbol in one stacked product, each row the same
-double as `cylinder_prob`, up to `shifts.DEFAULT_ENUMERATION_CAP` words of
-one length.  Brute-force preimage enumeration is kept as an independent oracle,
-and walked by levels for the finite-to-one cross-check, each sum the same double.
+double as `cylinder_prob`; a level of more than
+`shifts.DEFAULT_ENUMERATION_CAP` words is refused with its word count.
+Brute-force preimage enumeration is kept as an independent oracle, and
+walked by levels for the finite-to-one cross-check, each sum the same double.
 
 `equilibrium_upstairs` is the one upstairs step of every pipeline: pull a
 potential back through a one-block code, take the equilibrium measure of the
@@ -27,7 +28,6 @@ import numpy as np
 
 from .codes import (SlidingBlockCode, _extend_preimages, compose_one_block,
                     preimage_words)
-from .errors import EnumerationCapError
 from . import shifts
 from .presentations import (SoficPresentation, image_presentation,
                             minimize_fischer)
@@ -101,10 +101,10 @@ class HiddenMarkovMeasure:
         vector-matrix product per row, the call `cylinder_prob` makes, and
         sums each row as `cylinder_prob` sums its vector, so every
         probability is the same double.  A level of more than
-        `shifts.DEFAULT_ENUMERATION_CAP` words raises `EnumerationCapError`;
-        below that, a level's product takes at most cap * |symbols| *
-        states * 8 bytes."""
-        cap = shifts.DEFAULT_ENUMERATION_CAP
+        `shifts.DEFAULT_ENUMERATION_CAP` words raises `EnumerationCapError`
+        with its word count, once its product is built; so while the level
+        before it is within the cap, a product takes at most cap * |symbols|
+        * states * 8 bytes."""
         mats = np.stack([self._sub_matrices[s] for s in self.symbols])
         vecs = self._stationary_row[None, :]
         for _ in range(n_max):
@@ -112,8 +112,7 @@ class HiddenMarkovMeasure:
                 -1, vecs.shape[1])
             totals = pushed.sum(axis=1)
             rows = np.flatnonzero(totals > 0.0)
-            if len(rows) > cap:
-                raise EnumerationCapError(cap + 1, cap)
+            shifts._check_cap(len(rows), shifts.DEFAULT_ENUMERATION_CAP)
             vecs = pushed[rows]
             yield rows, totals[rows]
 
@@ -259,7 +258,7 @@ def restrict_and_average(measure: MarkovMeasure, structure: CyclicStructure,
         max_length = 4 * p
     if p == 1:
         return RestrictAverageResult(measure, 1, 0.0, 0, True)
-    power0, expansion = cyclic_class_shift(structure, 0)
+    power0, expansion = cyclic_class_shift(structure)
     stationary0 = {v: p * measure.stationary[v] for v in power0.vertices}
     transitions0 = {}
     for e in power0.edges:

@@ -37,11 +37,10 @@ from dataclasses import dataclass
 from functools import cache, cached_property
 from typing import Mapping
 
-from .codes import (SlidingBlockCode, _pair_walk, _right_resolving,
-                    _subset_closure, _subset_step, _successor_sets)
+from .codes import (SlidingBlockCode, _pair_walk, _subset_closure,
+                    _subset_step, _successor_sets)
 from . import shifts
-from .errors import (EmptyShiftError, EnumerationCapError,
-                     ReducibleShiftError)
+from .errors import EmptyShiftError, ReducibleShiftError
 from .shifts import Alphabet, Edge, EdgeShift, Word, _Graph, _strong_components
 
 
@@ -66,11 +65,6 @@ class SoficPresentation(_Graph):
 
     def out_edges(self, v: str) -> tuple[LabeledEdge, ...]:
         return self._out[v]
-
-    @cached_property
-    def is_deterministic(self) -> bool:
-        """Right-resolving: per-vertex out-labels pairwise distinct."""
-        return _right_resolving(self._triples)
 
     @cached_property
     def _triples(self) -> tuple[tuple[str, str, str], ...]:
@@ -128,8 +122,7 @@ class SoficPresentation(_Graph):
         lexicographic order (B_n when the graph is essential; then no level is
         shorter than the one before), each subset's steps taken once.  A level
         of more than `shifts.DEFAULT_ENUMERATION_CAP` words raises
-        `EnumerationCapError`."""
-        cap = shifts.DEFAULT_ENUMERATION_CAP
+        `EnumerationCapError` with its word count."""
         symbols = sorted(self._successors)
         moves = cache(lambda states: [(s, nxt) for s in symbols
                                       if (nxt := self._step(states, s))])
@@ -137,8 +130,7 @@ class SoficPresentation(_Graph):
         for _ in range(n_max):
             level = [(word + (s,), nxt) for word, states in level
                      for s, nxt in moves(states)]
-            if len(level) > cap:
-                raise EnumerationCapError(cap + 1, cap)
+            shifts._check_cap(len(level), shifts.DEFAULT_ENUMERATION_CAP)
             yield [word for word, _ in level]
 
 

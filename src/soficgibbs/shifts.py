@@ -13,7 +13,9 @@ keyed by words is checked to cover the language without enumerating, by a
 set test at window 1 and a count of its keys that are paths above it.
 Irreducibility is one Kosaraju walk, for `thermo` too.  Shifts whose edges
 are paths of another graph have one builder, `_path_shift`, which forms and
-checks composite ids.
+checks composite ids.  Every cap refusal of the package goes through one
+guard, `_check_cap`, given the count a walk built and the cap its caller
+read when called.
 
 All values are immutable after construction and every operation is a pure
 function of its inputs, so they can be shared freely between threads.
@@ -35,6 +37,15 @@ Word = tuple[str, ...]
 
 # Most words (or context classes) one enumeration may list; read when called.
 DEFAULT_ENUMERATION_CAP = 500_000
+
+
+def _check_cap(count, cap):
+    """The one cap refusal: a walk that built `count` items, more than the
+    `cap` its caller read when called, raises EnumerationCapError naming
+    both."""
+    if count > cap:
+        raise EnumerationCapError(count, cap)
+
 
 # Separator used when composite ids are formed from paths of edges.
 PATH_SEP = "~"
@@ -245,9 +256,7 @@ class EdgeShift(_Graph):
             return []
         if n == 0:
             return [()]
-        count = self.count_words(n)
-        if count > DEFAULT_ENUMERATION_CAP:
-            raise EnumerationCapError(count, DEFAULT_ENUMERATION_CAP)
+        _check_cap(self.count_words(n), DEFAULT_ENUMERATION_CAP)
         return [path for path, _, _ in _paths_of_length(self, n)]
 
     def in_language(self, word: Word) -> bool:
@@ -450,9 +459,7 @@ def _forbidden_graph(alphabet, forbidden, window):
                 return False
         return True
 
-    count = len(alphabet) ** (window - 1)
-    if count > DEFAULT_ENUMERATION_CAP:
-        raise EnumerationCapError(count, DEFAULT_ENUMERATION_CAP)
+    _check_cap(len(alphabet) ** (window - 1), DEFAULT_ENUMERATION_CAP)
     prefixes = [()]
     for _ in range(window - 1):
         prefixes = [p + (s,) for p in prefixes for s in alphabet if clean(p + (s,))]
@@ -508,13 +515,13 @@ def _named(paths):
     return named
 
 
-def cyclic_class_shift(structure: CyclicStructure, class_index: int = 0):
-    """Restriction of the p-th higher power shift to one cyclic class.
+def cyclic_class_shift(structure: CyclicStructure):
+    """Restriction of the p-th higher power shift to cyclic class 0.
 
     Returns the restricted EdgeShift together with the map from composite edge
     ids to the underlying edge-id paths.
     """
-    keep = set(structure.class_vertices(class_index))
+    keep = set(structure.class_vertices(0))
     walk = _paths_of_length(structure.shift, structure.period)
     return _path_shift([(v,) for v in keep],
                        [(path, (s,), (t,)) for path, s, t in walk if s in keep])

@@ -25,10 +25,12 @@ the bit.  The exp weights are taken once per edge potential.  Potentials on
 an image pull back through a one-block code.  A brute-force periodic-point
 oracle provides an independent route to the same pressure.
 
-The periodic certificate walks the cylinders of the class-0 power shift level
-by level over numpy arrays.  Each element takes the same correctly rounded
-IEEE products, in the same order, as a word-by-word walk on Python floats,
-and a maximum does not depend on the visiting order, so the report is exact.
+The periodic certificate walks the cylinders of the class-0 power shift of
+length up to `CYCLIC_CHECK_LENGTH`, level by level over numpy arrays; a level
+of more than `shifts.DEFAULT_ENUMERATION_CAP` words is refused with its word
+count.  Each element takes the same correctly rounded IEEE products, in the
+same order, as a word-by-word walk on Python floats, and a maximum does not
+depend on the visiting order, so the report is exact.
 """
 
 from __future__ import annotations
@@ -44,14 +46,15 @@ import numpy as np
 
 from . import shifts
 from .codes import SlidingBlockCode, _require_one_block, higher_block_shift
-from .errors import (ConvergenceError, EmptyShiftError, EnumerationCapError,
-                     ReducibleShiftError, SoficGibbsError)
+from .errors import (ConvergenceError, EmptyShiftError, ReducibleShiftError,
+                     SoficGibbsError)
 from .shifts import (CyclicStructure, EdgeShift, Word, _strong_components,
                      cyclic_class_shift, cyclic_structure, missing_word)
 
 PERRON_TOL = 1e-13
 PERRON_MAX_ITER = 10 ** 6
 PERRON_DENSE_DIM = 32
+CYCLIC_CHECK_LENGTH = 4  # longest class-0 word of the periodic certificate
 
 
 @dataclass(frozen=True)
@@ -556,7 +559,7 @@ def period_sum_potential(potential: LocallyConstantPotential,
     if p == 1:
         return potential
     k = potential.k
-    power0, expansion = cyclic_class_shift(structure, 0)
+    power0, expansion = cyclic_class_shift(structure)
     m = 1 + (k - 1 + p - 1) // p  # smallest m with m*p >= p + k - 1
     table = {}
     for w in power0.words_of_length(m):
@@ -602,14 +605,15 @@ class CyclicPressureReport:
 
 
 def cyclic_pressure_check(shift: EdgeShift, potential: LocallyConstantPotential,
-                          cylinder_length: int = 4,
                           tol: float = 1e-10) -> CyclicPressureReport:
     """Certify the pressure decomposition across cyclically moving classes.
 
     Checks that the pressure of the potential equals 1/p times the pressure
     of the period sum on the class-0 power shift, and that the equilibrium
     measure upstairs restricts (normalized by p) to the equilibrium measure
-    of the period sum, on short cylinders.
+    of the period sum, on the cylinders of length up to
+    CYCLIC_CHECK_LENGTH; a level of more than
+    `shifts.DEFAULT_ENUMERATION_CAP` words raises `EnumerationCapError`.
     """
     shift, potential = _edge_form(shift, potential)
     structure = cyclic_structure(shift)
@@ -618,15 +622,10 @@ def cyclic_pressure_check(shift: EdgeShift, potential: LocallyConstantPotential,
         p_full = pressure(shift, potential)
         return CyclicPressureReport(1, p_full, p_full, 0.0, 0.0, 0, True)
     g = period_sum_potential(potential, structure)
-    power0, expansion = cyclic_class_shift(structure, 0)
+    power0, expansion = cyclic_class_shift(structure)
     mu, mu0 = equilibrium_measure(shift, potential), equilibrium_measure(power0, g)
     p_full, p_class0 = pressure(shift, potential), pressure(power0, g)
     identity_dev = abs(p_full - p_class0 / p)
-
-    for length in range(1, cylinder_length + 1):
-        count = power0.count_words(length)
-        if count > shifts.DEFAULT_ENUMERATION_CAP:
-            raise EnumerationCapError(count, shifts.DEFAULT_ENUMERATION_CAP)
     # Walk the words of power0 level by level, one array element per word,
     # from the empty word at each vertex; each word is repeated once per
     # out-edge of its end vertex (edges grouped by source).  The walk is
@@ -644,10 +643,11 @@ def cyclic_pressure_check(shift: EdgeShift, potential: LocallyConstantPotential,
     prob = np.array([mu.stationary[v] for v in power0.vertices])
     max_dev = 0.0
     checked = 0
-    for _ in range(cylinder_length):
+    for _ in range(CYCLIC_CHECK_LENGTH):
         fan = degree[at]
         # copy j of word i sits at start_i + j and takes edge first[at_i] + j
         edge = np.repeat(first[at] - (np.cumsum(fan) - fan), fan)
+        shifts._check_cap(edge.size, shifts.DEFAULT_ENUMERATION_CAP)
         edge += np.arange(edge.size)
         prob0 = np.repeat(prob0, fan)
         prob0 *= t0[edge]

@@ -86,7 +86,7 @@ def brute_sft_language(alphabet, forbidden, window, n, cycle_length=None):
     return sorted(words)
 
 
-def unmemoized_battery(nu, potential, lengths, tol, sync, max_word_length):
+def unmemoized_battery(nu, potential, lengths, tol, sync):
     """The ratio battery with nothing reused: every class is pushed, and
     every word matrix, left product, dot and window delta is computed, where
     it is used.  A class carries the first vector that reached its rounded
@@ -146,7 +146,7 @@ def unmemoized_battery(nu, potential, lengths, tol, sync, max_word_length):
     starts = (nu._stationary_row, np.ones(len(nu.upstairs.shift.vertices)))
     levels = [[((index, (), 0), [v0, 1])]
               for index, v0 in map(canonical, (v / v.sum() for v in starts))]
-    pairs = gibbs.exchangeable_pairs(nu.words_of_length, max_word_length)
+    pairs = gibbs.exchangeable_pairs(nu.words_of_length)
     rows, dropped, reached = {pair: [] for pair in pairs}, {}, 0
     for c in lengths:
         live = [pair for pair in pairs if pair not in dropped]

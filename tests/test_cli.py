@@ -277,6 +277,18 @@ class TestMoreErrors:
         assert captured.out == ""
         assert "error: enumeration too large: 2 items exceeds cap 1" in captured.err
 
+    def test_word_level_cap_names_the_refused_level(self, files, capsys,
+                                                    monkeypatch):
+        # the even shift has 33 words of length 6 and 54 of length 7: the
+        # refusal names the 54 words of the level it refuses
+        monkeypatch.setattr(shifts, "DEFAULT_ENUMERATION_CAP", 33)
+        assert main(["pushforward", files["even_shift.shift"],
+                     "--depth", "7"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert ("error: enumeration too large: 54 items exceeds cap 33"
+                in captured.err)
+
 
 @pytest.mark.parametrize("argv", [
     ["gibbs-check", "scripts/data/even_shift.shift", "--cmax", "0"],

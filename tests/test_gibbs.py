@@ -239,27 +239,28 @@ class TestRatioEngine:
         assert pushed == list(range(1, 8))
 
     def test_length_loop_stops_once_every_pair_is_skipped(self, even_cover,
-                                                          pushed):
+                                                          pushed, monkeypatch):
         # the lone pair 0/1 has no valid exchange context next to a 1
         f = sg.LocallyConstantPotential.zero(even_cover)
         nu = sg.lift_equilibrium(even_cover, f).downstairs
+        monkeypatch.setattr(gibbs, "PAIR_WORD_LENGTH", 1)
         battery = sg.run_ratio_battery(nu, f, range(1, 8), 1e-6,
-                                       synchronizing_word=("1",),
-                                       max_word_length=1)
+                                       synchronizing_word=("1",))
         assert battery.reports == ()
         assert battery.skipped_pairs == ((("0",), ("1",)),)
         assert pushed == [1]
 
     def test_class_count_cap(self, full2_2block, xor_code, monkeypatch):
         # without a synchronizing word the forward vectors of the parity
-        # image never collapse: level c holds 2c classes
+        # image never collapse: level c holds 2c classes, so level 6 is
+        # refused with its 12
         nu = sg.pushforward(random_markov_measure(
             full2_2block, np.random.default_rng(0)), xor_code)
         f = sg.LocallyConstantPotential.zero(loop_shift(2))
         monkeypatch.setattr(shifts, "DEFAULT_ENUMERATION_CAP", 10)
         with pytest.raises(sg.EnumerationCapError) as info:
             sg.run_ratio_battery(nu, f, range(1, 12), 1e-6)
-        assert (info.value.count, info.value.cap) == (11, 10)
+        assert (info.value.count, info.value.cap) == (12, 10)
         monkeypatch.setattr(shifts, "DEFAULT_ENUMERATION_CAP", 12)
         assert sg.run_ratio_battery(nu, f, range(1, 7), 1e-6).reports
 
@@ -340,7 +341,7 @@ class TestRatioEngine:
         monkeypatch.setattr(gibbs, "_max_deviation_hidden", counting)
         lengths = range(1, 10)
         battery = sg.run_ratio_battery(nu, f, lengths, 1e-6, ("1",))
-        oracle = unmemoized_battery(nu, f, tuple(lengths), 1e-6, ("1",), 3)
+        oracle = unmemoized_battery(nu, f, tuple(lengths), 1e-6, ("1",))
         assert repr(battery) == repr(oracle)
         # a skipped pair was evaluated at each length up to the one it
         # failed at

@@ -3,6 +3,7 @@ lowering it reaches every entry point that it bounds.  A potential keeps the
 Perron solve made under the limits in force at its first use."""
 
 import ast
+import re
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +19,8 @@ SOURCES = sorted(Path(sg.__file__).parent.glob("*.py"))
 LIMITS = {"DEFAULT_ENUMERATION_CAP", "SUBSET_STATE_CAP", "PERRON_TOL",
           "PERRON_MAX_ITER", "PERRON_DENSE_DIM", "PAIR_CAP", "CLASS_PAIR_CAP",
           "TREND_SLACK", "TREND_FLOOR", "CROSS_CHECK_LENGTH",
-          "COUNTEREXAMPLE_COUNT_LENGTH"}
+          "COUNTEREXAMPLE_COUNT_LENGTH", "PAIR_WORD_LENGTH",
+          "CYCLIC_CHECK_LENGTH"}
 
 
 def _full2_languages():
@@ -98,6 +100,35 @@ def test_battery_reads_the_class_pair_cap_when_called(monkeypatch):
     assert (info.value.count, info.value.cap) == (count, count - 1)
 
 
+def test_battery_reads_the_pair_word_length_when_called(monkeypatch):
+    # the full 2-shift has exchangeable pairs of every word length
+    shift = loop_shift(2)
+    potential = sg.LocallyConstantPotential.zero(shift)
+    mu = sg.equilibrium_measure(shift, potential)
+
+    def lengths():
+        battery = sg.run_ratio_battery(mu, potential, [1], 1e-6)
+        return sorted({len(r.u) for r in battery.reports})
+
+    assert gibbs.PAIR_WORD_LENGTH == 3
+    assert lengths() == [1, 2, 3]
+    monkeypatch.setattr(gibbs, "PAIR_WORD_LENGTH", 1)
+    assert lengths() == [1]
+
+
+def test_cyclic_check_reads_its_length_when_called(monkeypatch):
+    # class 0 of the period-2 graph is a full 2-shift: 2 + 4 + 8 + 16
+    # cylinders up to length 4, and 2 at length 1
+    shift = sg.EdgeShift(("u", "v"), (sg.Edge("u", "v", "p1"),
+                                      sg.Edge("u", "v", "p2"),
+                                      sg.Edge("v", "u", "q")))
+    potential = sg.LocallyConstantPotential.zero(shift)
+    assert thermo.CYCLIC_CHECK_LENGTH == 4
+    assert sg.cyclic_pressure_check(shift, potential).cylinders_checked == 30
+    monkeypatch.setattr(thermo, "CYCLIC_CHECK_LENGTH", 1)
+    assert sg.cyclic_pressure_check(shift, potential).cylinders_checked == 2
+
+
 def test_perron_reads_the_iteration_limit_when_called(monkeypatch):
     golden = np.array([[1.0, 1.0], [1.0, 0.0]])
     assert sg.perron(golden).eigenvalue == pytest.approx((1 + 5 ** 0.5) / 2)
@@ -156,6 +187,20 @@ def test_no_default_names_a_limit():
                 if LIMITS.intersection(n for d in defaults for n in _names(d)):
                     found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+def test_one_place_builds_the_cap_refusal():
+    # every walk refuses through `shifts._check_cap`, with the count it built
+    built, padded = [], []
+    for path in SOURCES:
+        text = path.read_text()
+        built += [f"{path.name}:{node.lineno}" for node in ast.walk(
+            ast.parse(text)) if isinstance(node, ast.Call)
+            and "EnumerationCapError" in _names(node.func)]
+        padded += [f"{path.name}:{text.count(chr(10), 0, m.start()) + 1}"
+                   for m in re.finditer(r"\bcap\s*\+\s*1\b", text, re.I)]
+    assert len(built) == 1 and built[0].startswith("shifts.py:")
+    assert padded == []
 
 
 def test_no_function_level_package_import():

@@ -102,10 +102,11 @@ class TestPushforward:
         with pytest.raises(sg.EnumerationCapError) as info:
             nu.words_of_length(1)
         assert info.value.count == 2
+        # the even shift has 4 words of length 2, all refused at level 2
         monkeypatch.setattr(shifts, "DEFAULT_ENUMERATION_CAP", 2)
         with pytest.raises(sg.EnumerationCapError) as info:
             nu.words_of_length(3)
-        assert info.value.count == 3
+        assert info.value.count == 4
 
     def test_stacked_vector_matrix_rows_are_per_row_products(self):
         # the level walk's probabilities are the doubles of `cylinder_prob`,
@@ -137,8 +138,9 @@ class TestPushforward:
     def test_entropy_walk_cap_matches_words_of_length(self, even_cover,
                                                       monkeypatch, cap):
         # the one walk to n_max raises exactly where enumerating each length
-        # 1..n_max on its own would, with the same count and cap; the even
-        # shift has 2, 3, 5, 8, 13, 21, 34 words of lengths 1..7
+        # 1..n_max on its own would, with the same count and cap, the size
+        # of the refused level; the even shift has 2, 4, 7, 12, 20, 33, 54
+        # words of lengths 1..7
         nu = sg.lift_equilibrium(
             even_cover, sg.LocallyConstantPotential.zero(even_cover)).downstairs
         counts = {n: len(even_cover.words_of_length(n)) for n in range(1, 8)}
@@ -154,7 +156,7 @@ class TestPushforward:
                 sg.entropy_estimate(nu, n_max)
             assert ((walk.value.count, walk.value.cap)
                     == (per_length.value.count, per_length.value.cap)
-                    == (cap + 1, cap))
+                    == (counts[over[0]], cap))
 
     def test_degree_one_unique_preimage_mass(self, even_cover):
         # words flanked by the magic symbol have a single preimage carrying

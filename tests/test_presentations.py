@@ -65,14 +65,14 @@ class TestImagePresentation:
 class TestDeterminize:
     def test_already_deterministic(self, even_cover):
         det = sg.determinize(even_cover)
-        assert det.is_deterministic
+        assert sg.is_right_resolving(det.labeling_code())
         for n in range(9):
             assert det.words_of_length(n) == even_cover.words_of_length(n)
 
     def test_nondeterministic_even_presentation(self, nondet_even):
-        assert not nondet_even.is_deterministic
+        assert not sg.is_right_resolving(nondet_even.labeling_code())
         det = sg.determinize(nondet_even)
-        assert det.is_deterministic
+        assert sg.is_right_resolving(det.labeling_code())
         for n in range(9):
             assert det.words_of_length(n) == nondet_even.words_of_length(n)
 
@@ -86,7 +86,7 @@ class TestDeterminize:
             sg.LabeledEdge("y", "y", "0", "e6"),
         ))
         det = sg.determinize(p)
-        assert det.is_deterministic
+        assert sg.is_right_resolving(det.labeling_code())
         assert len(det.vertices) == 1
         for n in range(7):
             assert len(det.words_of_length(n)) == 2 ** n
@@ -164,7 +164,8 @@ class TestMinimizeFischer:
         edges += [sg.LabeledEdge(v[i], v[rng.randrange(18)], "1", f"b{i}")
                   for i in range(18)]
         p = sg.SoficPresentation(tuple(v), tuple(edges))
-        assert p.is_deterministic and p.is_irreducible_graph()
+        assert sg.is_right_resolving(p.labeling_code())
+        assert p.is_irreducible_graph()
         with pytest.raises(sg.EnumerationCapError) as info:
             sg.minimize_fischer(p)
         assert (info.value.count, info.value.cap) == (10_001, 10_000)

@@ -916,18 +916,20 @@ def test_cross_check_sums_are_the_preimage_oracle_doubles(code, seed):
 @given(labeled_graphs(), st.integers(min_value=0, max_value=4),
        st.integers(min_value=0, max_value=1_000_000))
 def test_battery_pair_list_is_the_word_list_pair_list(presentation,
-                                                      max_word_length, seed):
+                                                      pair_length, seed):
     # the pairs run_ratio_battery hands its engine on a hidden Markov measure
-    # are the ones exchangeable_pairs lists from words_of_length
+    # are the ones exchangeable_pairs lists from words_of_length, up to the
+    # pair length read when called
     f = random_potential(presentation, 1, seed)
     nu = sg.equilibrium_upstairs(presentation.labeling_code(), f).downstairs
     seen = []
-    with mock.patch.object(gibbs, "_ratio_engine", lambda measure, potential,
-                           pairs, *rest: seen.append(pairs) or ([], [])):
-        sg.run_ratio_battery(nu, f, [1], 1e-6,
-                             max_word_length=max_word_length)
-    assert seen == [gibbs.exchangeable_pairs(nu.words_of_length,
-                                             max_word_length)]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gibbs, "PAIR_WORD_LENGTH", pair_length)
+        mp.setattr(gibbs, "_ratio_engine", lambda measure, potential, pairs,
+                   *rest: seen.append(pairs) or ([], []))
+        sg.run_ratio_battery(nu, f, [1], 1e-6)
+        expected = gibbs.exchangeable_pairs(nu.words_of_length)
+    assert seen == [expected]
 
 
 def _depth_first_determinize(presentation):
@@ -963,7 +965,7 @@ def _depth_first_determinize(presentation):
 def test_determinize_matches_depth_first_oracle(presentation):
     det = sg.determinize(presentation)
     assert det == _depth_first_determinize(presentation)
-    assert det.is_deterministic
+    assert det.is_empty or sg.is_right_resolving(det.labeling_code())
 
 
 def _row_follower_classes(delta):
@@ -1300,9 +1302,10 @@ def test_ratio_engine_classes_match_word_oracle(presentation, k, sync_len,
     candidates = nu.words_of_length(sync_len)
     sync = candidates[seed % len(candidates)] if sync_len else None
     lengths = range(max(k - 1, 1, sync_len), 5)
-    fast = sg.run_ratio_battery(nu, f, lengths, 1e-6, sync, max_word_length=2)
-    slow = sg.run_ratio_battery(_WordsOnly(nu), f, lengths, 1e-6, sync,
-                                max_word_length=2)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gibbs, "PAIR_WORD_LENGTH", 2)
+        fast = sg.run_ratio_battery(nu, f, lengths, 1e-6, sync)
+        slow = sg.run_ratio_battery(_WordsOnly(nu), f, lengths, 1e-6, sync)
     assert fast.skipped_pairs == slow.skipped_pairs
     assert [(r.u, r.v) for r in fast.reports] == [(r.u, r.v) for r in slow.reports]
     for a, b in zip(fast.reports, slow.reports):
@@ -1403,9 +1406,8 @@ def test_memoized_battery_matches_unmemoized_oracle(presentation, k, sync_len,
             map(len, gibbs._context_classes(levels, top + 1))) <= 400:
         top += 1
     lengths = tuple(range(max(k - 1, 1, sync_len), top + 1))
-    battery = sg.run_ratio_battery(nu, f, lengths, 1e-6, sync,
-                                   max_word_length=3)
-    oracle = unmemoized_battery(nu, f, lengths, 1e-6, sync, 3)
+    battery = sg.run_ratio_battery(nu, f, lengths, 1e-6, sync)
+    oracle = unmemoized_battery(nu, f, lengths, 1e-6, sync)
     assert repr(battery) == repr(oracle)
 
 
@@ -1439,7 +1441,7 @@ def periodic_graphs(draw):
 def test_cyclic_class_shift_edges_are_the_class_paths(shift):
     structure = sg.cyclic_structure(shift)
     p = structure.period
-    power0, expansion = sg.cyclic_class_shift(structure, 0)
+    power0, expansion = sg.cyclic_class_shift(structure)
     assert power0.vertices == structure.class_vertices(0)
     assert sorted(expansion) == [e.id for e in power0.edges]
     for e in power0.edges:
@@ -1463,7 +1465,7 @@ def _cyclic_report_oracle(shift, potential, cylinder_length):
     p = structure.period
     p_full = sg.pressure(shift, potential)
     g = sg.period_sum_potential(potential, structure)
-    power0, expansion = sg.cyclic_class_shift(structure, 0)
+    power0, expansion = sg.cyclic_class_shift(structure)
     p_class0 = sg.pressure(power0, g)
     identity_dev = abs(p_full - p_class0 / p)
     mu = sg.equilibrium_measure(shift, potential)
@@ -1485,7 +1487,7 @@ def _restrict_average_oracle(measure, structure, max_length):
     """`restrict_and_average` with the restricted words enumerated afresh for
     every word and offset."""
     p = structure.period
-    power0, expansion = sg.cyclic_class_shift(structure, 0)
+    power0, expansion = sg.cyclic_class_shift(structure)
     stationary0 = {v: p * measure.stationary[v] for v in power0.vertices}
     transitions0 = {}
     for e in power0.edges:
@@ -1531,13 +1533,15 @@ def _period3_graph():
 
 @pytest.mark.parametrize("k", [1, 2])
 @pytest.mark.parametrize("length", [4, 5])
-def test_cyclic_walk_matches_per_word_oracle_at_long_lengths(k, length):
+def test_cyclic_walk_matches_per_word_oracle_at_long_lengths(k, length,
+                                                            monkeypatch):
     shift = _period3_graph()
     rng = np.random.default_rng(10 * k + length)
     words = shift.words_of_length(k)
     f = sg.LocallyConstantPotential(
         shift, k, dict(zip(words, rng.uniform(-1.0, 1.0, len(words)))))
-    report = sg.cyclic_pressure_check(shift, f, cylinder_length=length)
+    monkeypatch.setattr(thermo, "CYCLIC_CHECK_LENGTH", length)
+    report = sg.cyclic_pressure_check(shift, f)
     assert report.period == 3
     assert report.cylinders_checked == sum(2 * 5 ** n for n in range(1, length + 1))
     assert report == _cyclic_report_oracle(shift, f, length)
@@ -1545,7 +1549,7 @@ def test_cyclic_walk_matches_per_word_oracle_at_long_lengths(k, length):
 
 def test_cyclic_walk_refuses_a_level_over_the_cap(monkeypatch):
     shift = _period3_graph()
-    power0, _ = sg.cyclic_class_shift(sg.cyclic_structure(shift), 0)
+    power0, _ = sg.cyclic_class_shift(sg.cyclic_structure(shift))
     # the cap admits the 10 words of length 1 and refuses the 50 of length 2
     assert [power0.count_words(n) for n in (1, 2)] == [10, 50]
     monkeypatch.setattr(shifts, "DEFAULT_ENUMERATION_CAP", 10)
@@ -1563,8 +1567,10 @@ def test_periodic_certificates_match_per_word_oracles(shift, k, length, seed):
     words = shift.words_of_length(k)
     f = sg.LocallyConstantPotential(
         shift, k, dict(zip(words, rng.uniform(-1.0, 1.0, len(words)))))
-    assert sg.cyclic_pressure_check(shift, f, cylinder_length=length) == \
-        _cyclic_report_oracle(shift, f, length)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(thermo, "CYCLIC_CHECK_LENGTH", length)
+        assert sg.cyclic_pressure_check(shift, f) == \
+            _cyclic_report_oracle(shift, f, length)
     structure = sg.cyclic_structure(shift)
     mu = random_markov_measure(shift, rng)
     max_length = length * structure.period // 2 + 1

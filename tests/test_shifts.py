@@ -215,7 +215,7 @@ class TestWordCounts:
 class TestHigherPower:
     def test_cyclic_class_shift_is_mixing(self, period2_parallel):
         structure = sg.cyclic_structure(period2_parallel)
-        power0, expansion = sg.cyclic_class_shift(structure, 0)
+        power0, expansion = sg.cyclic_class_shift(structure)
         assert power0.vertices == ("u",)
         assert len(power0.edges) == 2
         assert power0.is_irreducible()
